@@ -83,7 +83,7 @@ func designFactored(fe *linalg.FactoredEigen, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn2 := b.TMulVec(u)
+	cn2 := linalg.MulVecT(b, u)
 	res, err := assembleFactored(fe, sqrtAll(u), cn2, o)
 	if err != nil {
 		return nil, err
@@ -153,7 +153,7 @@ func separationFactored(fe *linalg.FactoredEigen, groupSize int, o Options) (*Re
 			u[r] *= v[gi]
 		}
 	}
-	cn2 := bRows.TMulVec(v)
+	cn2 := linalg.MulVecT(bRows, v)
 	res, err := assembleFactored(fe, sqrtAll(u), cn2, o)
 	if err != nil {
 		return nil, err
@@ -216,7 +216,7 @@ func principalFactored(fe *linalg.FactoredEigen, k int, o Options) (*Result, err
 	for r := k; r < n; r++ {
 		scales[r] = tailScale
 	}
-	cn2 := b.TMulVec(u)
+	cn2 := linalg.MulVecT(b, u)
 	res, err := assembleFactored(fe, scales, cn2, o)
 	if err != nil {
 		return nil, err

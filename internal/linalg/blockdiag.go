@@ -46,29 +46,39 @@ func (o *BlockDiagOp) Rows() int { return o.rows }
 // Cols returns the total input dimension.
 func (o *BlockDiagOp) Cols() int { return o.cols }
 
-// MulVec applies each block to its input slice and concatenates.
-func (o *BlockDiagOp) MulVec(x []float64) []float64 {
+// MulVecInto applies each block into its slices of dst and x.
+func (o *BlockDiagOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.rows) }
+
+// MulVecRangeInto routes the range to the overlapped diagonal blocks,
+// each answering its sub-range on its column slice.
+func (o *BlockDiagOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
 	checkMulVecLen(o, len(x), o.cols, false)
-	out := make([]float64, 0, o.rows)
-	at := 0
+	atR, atC := 0, 0
 	for _, p := range o.parts {
-		out = append(out, p.MulVec(x[at:at+p.Cols()])...)
-		at += p.Cols()
+		rows, cols := p.Rows(), p.Cols()
+		a, b := max(atR, lo), min(atR+rows, hi)
+		if a < b {
+			p.MulVecRangeInto(dst[a-lo:b-lo], x[atC:atC+cols], a-atR, b-atR)
+		}
+		atR += rows
+		atC += cols
+		if atR >= hi {
+			return
+		}
 	}
-	return out
 }
 
-// MulVecT applies each block's transpose to its output slice and
-// concatenates.
-func (o *BlockDiagOp) MulVecT(y []float64) []float64 {
+// MulVecTInto applies each block's transpose into its slices of dst and y.
+func (o *BlockDiagOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.rows, true)
-	out := make([]float64, 0, o.cols)
-	at := 0
+	checkMulVecLen(o, len(dst), o.cols, true)
+	atR, atC := 0, 0
 	for _, p := range o.parts {
-		out = append(out, p.MulVecT(y[at:at+p.Rows()])...)
-		at += p.Rows()
+		p.MulVecTInto(dst[atC:atC+p.Cols()], y[atR:atR+p.Rows()])
+		atR += p.Rows()
+		atC += p.Cols()
 	}
-	return out
 }
 
 // Gram returns the dense block-diagonal Gram matrix assembled from the
@@ -105,10 +115,12 @@ func (o *BlockDiagOp) ColNormsL1() []float64 {
 	return out
 }
 
-// ComposedOp is the product outer·inner, applied as two matvecs.
+// ComposedOp is the product outer·inner, applied as two matvecs through
+// a pooled intermediate of inner.Rows() values.
 type ComposedOp struct {
 	outer Operator
 	inner Operator
+	mid   *vecPool
 }
 
 // ComposeOps returns the operator outer·inner (first apply inner, then
@@ -118,7 +130,7 @@ func ComposeOps(outer, inner Operator) *ComposedOp {
 		panic(fmt.Sprintf("linalg: ComposeOps dimension mismatch: outer is %dx%d, inner %dx%d",
 			outer.Rows(), outer.Cols(), inner.Rows(), inner.Cols()))
 	}
-	return &ComposedOp{outer: outer, inner: inner}
+	return &ComposedOp{outer: outer, inner: inner, mid: newVecPool(inner.Rows())}
 }
 
 // Rows returns the outer operator's row count.
@@ -127,12 +139,24 @@ func (o *ComposedOp) Rows() int { return o.outer.Rows() }
 // Cols returns the inner operator's column count.
 func (o *ComposedOp) Cols() int { return o.inner.Cols() }
 
-// MulVec returns outer·(inner·x).
-func (o *ComposedOp) MulVec(x []float64) []float64 {
-	return o.outer.MulVec(o.inner.MulVec(x))
+// MulVecInto writes outer·(inner·x) into dst.
+func (o *ComposedOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.Rows()) }
+
+// MulVecRangeInto applies the full inner product (its rows are the
+// composition's columns, bounded by cells, not output rows) and answers
+// the outer range on it.
+func (o *ComposedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
+	s := o.mid.get()
+	defer o.mid.put(s)
+	o.inner.MulVecInto(*s, x)
+	o.outer.MulVecRangeInto(dst, *s, lo, hi)
 }
 
-// MulVecT returns innerᵀ·(outerᵀ·y).
-func (o *ComposedOp) MulVecT(y []float64) []float64 {
-	return o.inner.MulVecT(o.outer.MulVecT(y))
+// MulVecTInto writes innerᵀ·(outerᵀ·y) into dst.
+func (o *ComposedOp) MulVecTInto(dst, y []float64) {
+	s := o.mid.get()
+	defer o.mid.put(s)
+	o.outer.MulVecTInto(*s, y)
+	o.inner.MulVecTInto(dst, *s)
 }

@@ -1,347 +1,116 @@
-// Write-into matvec variants: the allocation-free half of the Operator
-// contract. Operator.MulVec must return freshly allocated output, which
-// is the right default for design-time code but wrong for the release hot
-// path, where the same mechanism answers the same-shaped product millions
-// of times. IntoOperator is the optional extension that lets a
-// representation write A·x into a caller-owned buffer; the MulVecInto /
-// MulVecTInto helpers fall back to the allocating path (plus a copy) for
-// operators that lack it, so callers can always work buffer-first.
+// The matvec contract. Every representation answers products by writing
+// into a caller-owned buffer, through three kernels (see Operator):
 //
-// dst must not alias x (or y): implementations overwrite dst freely,
-// including zeroing it before accumulation.
+//   - MulVecRangeInto(dst, x, lo, hi) writes rows [lo,hi) of A·x into
+//     dst[:hi-lo]. It is the one forward loop a representation writes.
+//   - MulVecInto(dst, x) runs that loop over [0, Rows()), so a full
+//     product equals every window of it bit for bit by construction:
+//     streamed and buffered releases of the same estimate agree exactly.
+//   - MulVecTInto(dst, y) writes Aᵀ·y into dst.
+//
+// dst must not alias the input: kernels overwrite dst freely, including
+// zeroing it before accumulation. A range kernel's setup (a prefix
+// re-accumulation, a segment scan) and scratch are bounded by the
+// operator's cell and factor dimensions, never by its row count, so a
+// release can stream the ~2.1M rows of all-range on 2048 cells in
+// chunk-sized memory.
+//
+// Combinators that need an intermediate vector (Kron, Composed,
+// RowPermuted over a non-identity base, and the RowScaled and Stack
+// transposes) take it from a vecPool sized when the operator is built, so
+// steady-state products allocate nothing and concurrent products on one
+// shared operator never share scratch. MulVec and MulVecT are the
+// allocating conveniences for design-time code.
 
 package linalg
 
-// IntoOperator is implemented by operators whose matvecs can write into a
-// caller-supplied buffer. Structured representations on the release hot
-// path (Matrix, Sparse, Identity, Prefix, Intervals, BlockDiag and the
-// cheap wrappers) implement it allocation-free; combinators that need an
-// intermediate vector (Kron, Composed, RowPermuted) may still allocate
-// internally but keep the caller's buffer discipline intact.
-type IntoOperator interface {
-	Operator
-	// MulVecInto writes A·x into dst. len(dst) must be Rows(),
-	// len(x) must be Cols(), and dst must not alias x.
-	MulVecInto(dst, x []float64)
-	// MulVecTInto writes Aᵀ·y into dst. len(dst) must be Cols(),
-	// len(y) must be Rows(), and dst must not alias y.
-	MulVecTInto(dst, y []float64)
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
+
+// MulVec returns op·x in a freshly allocated slice.
+func MulVec(op Operator, x []float64) []float64 {
+	return MulVecInto(op, make([]float64, op.Rows()), x)
 }
 
-// MulVecInto writes op·x into dst, using the IntoOperator fast path when
-// the representation has one and falling back to MulVec plus a copy
-// otherwise. It returns dst.
+// MulVecT returns opᵀ·y in a freshly allocated slice.
+func MulVecT(op Operator, y []float64) []float64 {
+	return MulVecTInto(op, make([]float64, op.Cols()), y)
+}
+
+// MulVecInto writes op·x into dst, whose length must be op.Rows(), and
+// returns dst.
 func MulVecInto(op Operator, dst, x []float64) []float64 {
 	checkMulVecLen(op, len(dst), op.Rows(), false)
-	if io, ok := op.(IntoOperator); ok {
-		io.MulVecInto(dst, x)
-		return dst
-	}
-	copy(dst, op.MulVec(x))
+	op.MulVecInto(dst, x)
 	return dst
 }
 
-// MulVecTInto writes opᵀ·y into dst, using the IntoOperator fast path
-// when available and falling back to MulVecT plus a copy otherwise. It
+// MulVecTInto writes opᵀ·y into dst, whose length must be op.Cols(), and
 // returns dst.
 func MulVecTInto(op Operator, dst, y []float64) []float64 {
 	checkMulVecLen(op, len(dst), op.Cols(), true)
-	if io, ok := op.(IntoOperator); ok {
-		io.MulVecTInto(dst, y)
-		return dst
-	}
-	copy(dst, op.MulVecT(y))
+	op.MulVecTInto(dst, y)
 	return dst
 }
 
-// --- Sparse ---
+// MulVecRangeInto writes rows [lo,hi) of op·x into dst and returns dst.
+func MulVecRangeInto(op Operator, dst, x []float64, lo, hi int) []float64 {
+	checkRowRange(op, lo, hi, len(dst))
+	op.MulVecRangeInto(dst, x, lo, hi)
+	return dst
+}
 
-// MulVecInto writes A·x into dst in O(nnz) without allocating.
-func (s *Sparse) MulVecInto(dst, x []float64) {
-	checkMulVecLen(s, len(x), s.cols, false)
-	checkMulVecLen(s, len(dst), s.rows, false)
-	for i := 0; i < s.rows; i++ {
-		var acc float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			acc += s.val[k] * x[s.colIdx[k]]
+func checkMulVecLen(op Operator, got, want int, transposed bool) {
+	if got != want {
+		dir := "MulVec"
+		if transposed {
+			dir = "MulVecT"
 		}
-		dst[i] = acc
+		panic(fmt.Sprintf("linalg: %s length %d, want %d (%dx%d operator)", dir, got, want, op.Rows(), op.Cols()))
 	}
 }
 
-// MulVecTInto writes Aᵀ·y into dst in O(nnz) without allocating.
-func (s *Sparse) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(s, len(y), s.rows, true)
-	checkMulVecLen(s, len(dst), s.cols, true)
-	for j := range dst {
-		dst[j] = 0
+// checkRowRange validates a row-range request against the operator.
+func checkRowRange(op Operator, lo, hi, dstLen int) {
+	if lo < 0 || hi < lo || hi > op.Rows() {
+		panic(fmt.Sprintf("linalg: MulVecRangeInto range [%d,%d) of %d rows", lo, hi, op.Rows()))
 	}
-	for i := 0; i < s.rows; i++ {
-		v := y[i]
-		if v == 0 {
-			continue
-		}
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			dst[s.colIdx[k]] += v * s.val[k]
-		}
+	if dstLen < hi-lo {
+		panic(fmt.Sprintf("linalg: MulVecRangeInto buffer %d for %d rows", dstLen, hi-lo))
 	}
 }
 
-// --- Identity ---
-
-// MulVecInto copies x into dst.
-func (o *IdentityOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.n, false)
-	checkMulVecLen(o, len(dst), o.n, false)
-	copy(dst, x)
+// vecPool recycles a combinator's intermediate vector, whose length is
+// fixed when the operator is built. Each product rents its own vector, so
+// concurrent products on one operator are independent. The last returned
+// vector waits in a one-slot cache before the sync.Pool: the pool drops
+// entries at every GC and, under the race detector, at random on Put, and
+// the slot keeps a sequential caller's steady state allocation-free
+// regardless. Vectors travel as *[]float64 so that Put does not allocate.
+type vecPool struct {
+	n    int
+	last atomic.Pointer[[]float64]
+	p    sync.Pool
 }
 
-// MulVecTInto copies y into dst.
-func (o *IdentityOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.n, true)
-	checkMulVecLen(o, len(dst), o.n, true)
-	copy(dst, y)
-}
+func newVecPool(n int) *vecPool { return &vecPool{n: n} }
 
-// --- Prefix ---
-
-// MulVecInto writes the running sums of x into dst.
-func (o *PrefixOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.n, false)
-	checkMulVecLen(o, len(dst), o.n, false)
-	var s float64
-	for i, v := range x {
-		s += v
-		dst[i] = s
+func (v *vecPool) get() *[]float64 {
+	if s := v.last.Swap(nil); s != nil {
+		return s
 	}
+	if s, ok := v.p.Get().(*[]float64); ok {
+		return s
+	}
+	s := make([]float64, v.n)
+	return &s
 }
 
-// MulVecTInto writes the reverse running sums of y into dst.
-func (o *PrefixOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.n, true)
-	checkMulVecLen(o, len(dst), o.n, true)
-	var s float64
-	for j := o.n - 1; j >= 0; j-- {
-		s += y[j]
-		dst[j] = s
+func (v *vecPool) put(s *[]float64) {
+	if !v.last.CompareAndSwap(nil, s) {
+		v.p.Put(s)
 	}
-}
-
-// --- Intervals ---
-
-// MulVecInto answers every interval query into dst without the prefix
-// array: each lo keeps a running sum over hi, so the values accumulate in
-// ascending-cell order (MulVec differences two prefix sums instead and may
-// round differently in the last bit).
-func (o *IntervalsOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.d, false)
-	checkMulVecLen(o, len(dst), o.Rows(), false)
-	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		var s float64
-		for hi := lo; hi < o.d; hi++ {
-			s += x[hi]
-			dst[r] = s
-			r++
-		}
-	}
-}
-
-// MulVecTInto scatters each interval weight onto its cells via a
-// difference array kept inside dst itself: the d+1-th difference cell is
-// never read by the prefix pass, so dst[0:d] suffices, and the prefix pass
-// reads each dst[j] before overwriting it.
-func (o *IntervalsOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.Rows(), true)
-	checkMulVecLen(o, len(dst), o.d, true)
-	for j := range dst {
-		dst[j] = 0
-	}
-	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		for hi := lo; hi < o.d; hi++ {
-			v := y[r]
-			r++
-			if v == 0 {
-				continue
-			}
-			dst[lo] += v
-			if hi+1 < o.d {
-				dst[hi+1] -= v
-			}
-		}
-	}
-	var s float64
-	for j := 0; j < o.d; j++ {
-		s += dst[j]
-		dst[j] = s
-	}
-}
-
-// --- Structural combinators ---
-
-// MulVecInto applies each part into its slice of dst; allocation-free when
-// every part is.
-func (o *StackOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.cols, false)
-	checkMulVecLen(o, len(dst), o.rows, false)
-	at := 0
-	for _, p := range o.parts {
-		MulVecInto(p, dst[at:at+p.Rows()], x)
-		at += p.Rows()
-	}
-}
-
-// MulVecTInto accumulates the parts' transposed products. The first part
-// writes dst directly; later parts go through a temporary (one allocation
-// per call when there are two or more parts).
-func (o *StackOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.rows, true)
-	checkMulVecLen(o, len(dst), o.cols, true)
-	at := 0
-	var tmp []float64
-	for i, p := range o.parts {
-		if i == 0 {
-			MulVecTInto(p, dst, y[at:at+p.Rows()])
-		} else {
-			if tmp == nil {
-				tmp = make([]float64, o.cols)
-			}
-			MulVecTInto(p, tmp, y[at:at+p.Rows()])
-			for j, v := range tmp {
-				dst[j] += v
-			}
-		}
-		at += p.Rows()
-	}
-}
-
-// MulVecInto applies each block into its slices of dst and x;
-// allocation-free when every part is.
-func (o *BlockDiagOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.cols, false)
-	checkMulVecLen(o, len(dst), o.rows, false)
-	atR, atC := 0, 0
-	for _, p := range o.parts {
-		MulVecInto(p, dst[atR:atR+p.Rows()], x[atC:atC+p.Cols()])
-		atR += p.Rows()
-		atC += p.Cols()
-	}
-}
-
-// MulVecTInto applies each block's transpose into its slices of dst and y;
-// allocation-free when every part is.
-func (o *BlockDiagOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.rows, true)
-	checkMulVecLen(o, len(dst), o.cols, true)
-	atR, atC := 0, 0
-	for _, p := range o.parts {
-		MulVecTInto(p, dst[atC:atC+p.Cols()], y[atR:atR+p.Rows()])
-		atR += p.Rows()
-		atC += p.Cols()
-	}
-}
-
-// MulVecInto writes s·(A x) into dst.
-func (o *ScaledOp) MulVecInto(dst, x []float64) {
-	MulVecInto(o.base, dst, x)
-	for i := range dst {
-		dst[i] *= o.s
-	}
-}
-
-// MulVecTInto writes s·(Aᵀ y) into dst.
-func (o *ScaledOp) MulVecTInto(dst, y []float64) {
-	MulVecTInto(o.base, dst, y)
-	for i := range dst {
-		dst[i] *= o.s
-	}
-}
-
-// MulVecInto writes diag(scale)·(A x) into dst.
-func (o *RowScaledOp) MulVecInto(dst, x []float64) {
-	MulVecInto(o.base, dst, x)
-	for i := range dst {
-		dst[i] *= o.scale[i]
-	}
-}
-
-// MulVecTInto writes Aᵀ·(diag(scale) y) into dst; it allocates the scaled
-// copy of y (the base transpose cannot see dst as its input).
-func (o *RowScaledOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), o.Rows(), true)
-	scaled := make([]float64, len(y))
-	for i, v := range y {
-		scaled[i] = v * o.scale[i]
-	}
-	MulVecTInto(o.base, dst, scaled)
-}
-
-// MulVecInto delegates to the wrapped operator's fast path.
-func (o *NormedOp) MulVecInto(dst, x []float64) { MulVecInto(o.Operator, dst, x) }
-
-// MulVecTInto delegates to the wrapped operator's fast path.
-func (o *NormedOp) MulVecTInto(dst, y []float64) { MulVecTInto(o.Operator, dst, y) }
-
-// MulVecInto computes the base product and gathers the selected rows; it
-// allocates the base-sized intermediate.
-func (o *RowPermutedOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(dst), len(o.perm), false)
-	if _, ok := o.base.(*IdentityOp); ok {
-		// An identity base's product is a bit-exact copy of x, so gather
-		// straight from x — row selections (shard projections) answer
-		// allocation-free.
-		checkMulVecLen(o, len(x), o.base.Cols(), false)
-		for i, p := range o.perm {
-			dst[i] = x[p]
-		}
-		return
-	}
-	full := o.base.MulVec(x)
-	for i, p := range o.perm {
-		dst[i] = full[p]
-	}
-}
-
-// MulVecTInto scatters y into base row positions and applies the base
-// transpose; it allocates the base-sized intermediate.
-func (o *RowPermutedOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), len(o.perm), true)
-	full := make([]float64, o.base.Rows())
-	for i, p := range o.perm {
-		full[p] += y[i]
-	}
-	MulVecTInto(o.base, dst, full)
-}
-
-// MulVecInto applies inner then outer through an allocated intermediate of
-// inner.Rows() values.
-func (o *ComposedOp) MulVecInto(dst, x []float64) {
-	mid := make([]float64, o.inner.Rows())
-	MulVecInto(o.inner, mid, x)
-	MulVecInto(o.outer, dst, mid)
-}
-
-// MulVecTInto applies outerᵀ then innerᵀ through an allocated intermediate.
-func (o *ComposedOp) MulVecTInto(dst, y []float64) {
-	mid := make([]float64, o.outer.Cols())
-	MulVecTInto(o.outer, mid, y)
-	MulVecTInto(o.inner, dst, mid)
-}
-
-// Compile-time checks that the hot-path representations implement the
-// write-into extension.
-var _ = []IntoOperator{
-	(*Matrix)(nil),
-	(*Sparse)(nil),
-	(*IdentityOp)(nil),
-	(*PrefixOp)(nil),
-	(*IntervalsOp)(nil),
-	(*StackOp)(nil),
-	(*BlockDiagOp)(nil),
-	(*ScaledOp)(nil),
-	(*RowScaledOp)(nil),
-	(*RowPermutedOp)(nil),
-	(*NormedOp)(nil),
-	(*ComposedOp)(nil),
 }

@@ -9,6 +9,12 @@ type KronOp struct {
 	factors []Operator
 	rows    int
 	cols    int
+	// stage is the longest intermediate tensor of the transposed
+	// product. scratch holds max(kronRangeLen, 2·stage + max mᵢ + max nᵢ)
+	// values: the forward slabs and fibers, or the transpose's two
+	// ping-pong tensors and its fibers.
+	stage   int
+	scratch *vecPool
 }
 
 // NewKronOp returns the Kronecker product of the factors, in order. A
@@ -21,11 +27,31 @@ func NewKronOp(factors ...Operator) Operator {
 		return factors[0]
 	}
 	rows, cols := 1, 1
+	maxM, maxN := 0, 0
 	for _, f := range factors {
 		rows *= f.Rows()
 		cols *= f.Cols()
+		maxM, maxN = max(maxM, f.Rows()), max(maxN, f.Cols())
 	}
-	return &KronOp{factors: factors, rows: rows, cols: cols}
+	// Before transposed factor i the tensor is (n₁…nᵢ₋₁)·mᵢ·(mᵢ₊₁…m_k);
+	// every stage but the last writes scratch (the last writes dst).
+	stage, left := 0, 1
+	for i, f := range factors[:len(factors)-1] {
+		left *= f.Cols()
+		stage = max(stage, left*kronDim(factors[i+1:], Operator.Rows))
+	}
+	o := &KronOp{factors: factors, rows: rows, cols: cols, stage: stage}
+	o.scratch = newVecPool(max(kronRangeLen(factors), 2*stage+maxM+maxN))
+	return o
+}
+
+// kronDim is the product of one dimension over the factors.
+func kronDim(factors []Operator, dim func(Operator) int) int {
+	p := 1
+	for _, f := range factors {
+		p *= dim(f)
+	}
+	return p
 }
 
 // Factors returns the underlying factors.
@@ -37,65 +63,109 @@ func (o *KronOp) Rows() int { return o.rows }
 // Cols returns Π nᵢ.
 func (o *KronOp) Cols() int { return o.cols }
 
-// MulVec applies the factors mode by mode: before factor i the working
-// tensor has shape (m₁…mᵢ₋₁) × nᵢ × (nᵢ₊₁…n_k); factor i maps its middle
-// mode from nᵢ to mᵢ.
-func (o *KronOp) MulVec(x []float64) []float64 {
+// MulVecInto writes the full product into dst.
+func (o *KronOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.rows) }
+
+// MulVecRangeInto answers rows [lo,hi) of the Kronecker product by
+// recursing on the leading factor: the covered leading rows r₁ select
+// slabs z[q] = (A₁·x[·,q])[r₁] of the first mode application, and the
+// remaining factors answer their sub-range of each slab. Scratch is
+// bounded by the slab count × the trailing column product and the factor
+// dimensions, never by the total row count.
+func (o *KronOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
 	checkMulVecLen(o, len(x), o.cols, false)
-	return o.apply(x, false)
+	s := o.scratch.get()
+	defer o.scratch.put(s)
+	kronRange(o.factors, dst, x, lo, hi, *s)
 }
 
-// MulVecT is the transposed product, applying each factor's MulVecT.
-func (o *KronOp) MulVecT(y []float64) []float64 {
+// kronRangeLen is the scratch kronRange needs for any range: per leading
+// factor, the slabs of all its rows plus one input and one output fiber.
+func kronRangeLen(factors []Operator) int {
+	n := 0
+	for i, f := range factors[:len(factors)-1] {
+		n += f.Rows()*kronDim(factors[i+1:], Operator.Cols) + f.Cols() + f.Rows()
+	}
+	return n
+}
+
+// kronRange answers rows [lo,hi) of the Kronecker product of factors
+// applied to x (length Π cols), carving its intermediates out of ws
+// (at least kronRangeLen(factors) long).
+func kronRange(factors []Operator, dst, x []float64, lo, hi int, ws []float64) {
+	if lo >= hi {
+		return
+	}
+	f := factors[0]
+	if len(factors) == 1 {
+		f.MulVecRangeInto(dst, x, lo, hi)
+		return
+	}
+	rest := factors[1:]
+	mRest, nRest := kronDim(rest, Operator.Rows), kronDim(rest, Operator.Cols)
+	n1 := f.Cols()
+	r1a, r1b := lo/mRest, (hi-1)/mRest+1
+	k := r1b - r1a
+	// slabs[(r1-r1a)*nRest+q] = (A₁·x[·,q])[r1]: one factor range product
+	// per trailing column, shared by every covered leading row.
+	slabs, ws := ws[:k*nRest], ws[k*nRest:]
+	buf, ws := ws[:n1], ws[n1:]
+	out, ws := ws[:k], ws[k:]
+	for q := 0; q < nRest; q++ {
+		for j := 0; j < n1; j++ {
+			buf[j] = x[j*nRest+q]
+		}
+		f.MulVecRangeInto(out, buf, r1a, r1b)
+		for i, v := range out {
+			slabs[i*nRest+q] = v
+		}
+	}
+	for r1 := r1a; r1 < r1b; r1++ {
+		slabLo := r1 * mRest
+		a, b := max(lo, slabLo), min(hi, slabLo+mRest)
+		z := slabs[(r1-r1a)*nRest : (r1-r1a+1)*nRest]
+		kronRange(rest, dst[a-lo:b-lo], z, a-slabLo, b-slabLo, ws)
+	}
+}
+
+// MulVecTInto applies the factors' transposes mode by mode: before factor
+// i the working tensor has shape (n₁…nᵢ₋₁) × mᵢ × (mᵢ₊₁…m_k); factor i
+// maps its middle mode from mᵢ to nᵢ. Intermediate tensors alternate
+// between two scratch halves; the last mode product writes dst.
+func (o *KronOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.rows, true)
-	return o.apply(y, true)
-}
-
-func (o *KronOp) apply(x []float64, transposed bool) []float64 {
-	dimIn := func(f Operator) int {
-		if transposed {
-			return f.Rows()
-		}
-		return f.Cols()
-	}
-	dimOut := func(f Operator) int {
-		if transposed {
-			return f.Cols()
-		}
-		return f.Rows()
-	}
-	cur := x
+	checkMulVecLen(o, len(dst), o.cols, true)
+	s := o.scratch.get()
+	defer o.scratch.put(s)
+	ws := *s
+	fibers := ws[2*o.stage:]
+	cur := y
 	left := 1
 	for fi, f := range o.factors {
-		n, m := dimIn(f), dimOut(f)
-		right := 1
-		for _, g := range o.factors[fi+1:] {
-			right *= dimIn(g)
+		m, n := f.Rows(), f.Cols()
+		right := kronDim(o.factors[fi+1:], Operator.Rows)
+		next := dst
+		if fi < len(o.factors)-1 {
+			next = ws[(fi%2)*o.stage:][:left*n*right]
 		}
-		next := make([]float64, left*m*right)
-		buf := make([]float64, n)
+		in, out := fibers[:m], fibers[m:m+n]
 		for l := 0; l < left; l++ {
 			for r := 0; r < right; r++ {
-				base := l * n * right
-				for j := 0; j < n; j++ {
-					buf[j] = cur[base+j*right+r]
+				base := l * m * right
+				for j := 0; j < m; j++ {
+					in[j] = cur[base+j*right+r]
 				}
-				var out []float64
-				if transposed {
-					out = f.MulVecT(buf)
-				} else {
-					out = f.MulVec(buf)
-				}
-				obase := l * m * right
-				for i := 0; i < m; i++ {
+				f.MulVecTInto(out, in)
+				obase := l * n * right
+				for i := 0; i < n; i++ {
 					next[obase+i*right+r] = out[i]
 				}
 			}
 		}
 		cur = next
-		left *= m
+		left *= n
 	}
-	return cur
 }
 
 // Gram returns the dense Kronecker product of the factors' Gram matrices
@@ -148,8 +218,9 @@ func outerAll(parts [][]float64) []float64 {
 var (
 	_ = []Operator{
 		(*Matrix)(nil), (*IdentityOp)(nil), (*PrefixOp)(nil), (*IntervalsOp)(nil),
-		(*Sparse)(nil), (*KronOp)(nil), (*StackOp)(nil), (*ScaledOp)(nil),
-		(*RowScaledOp)(nil), (*RowPermutedOp)(nil), (*NormedOp)(nil),
+		(*Sparse)(nil), (*KronOp)(nil), (*StackOp)(nil), (*BlockDiagOp)(nil),
+		(*ScaledOp)(nil), (*RowScaledOp)(nil), (*RowPermutedOp)(nil),
+		(*NormedOp)(nil), (*ComposedOp)(nil),
 	}
 	_ = []Grammer{
 		(*Matrix)(nil), (*IdentityOp)(nil), (*PrefixOp)(nil), (*IntervalsOp)(nil),

@@ -151,44 +151,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m * v as a new slice.
-// It panics if len(v) != m.Cols().
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec length %d, want %d", len(v), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// TMulVec returns mᵀ * v without forming the transpose.
-// It panics if len(v) != m.Rows().
-func (m *Matrix) TMulVec(v []float64) []float64 {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("linalg: TMulVec length %d, want %d", len(v), m.rows))
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		a := v[i]
-		if a == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, b := range row {
-			out[j] += a * b
-		}
-	}
-	return out
-}
-
 // Add returns m + other as a new matrix. It panics on shape mismatch.
 func (m *Matrix) Add(other *Matrix) *Matrix {
 	m.checkSameShape(other, "Add")

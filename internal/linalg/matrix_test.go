@@ -152,7 +152,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := randMatrix(r, 6, 4)
 	v := []float64{1, -2, 0.5, 3}
-	got := a.MulVec(v)
+	got := MulVec(a, v)
 	want := a.Mul(NewFromData(4, 1, append([]float64(nil), v...)))
 	for i := range got {
 		if math.Abs(got[i]-want.At(i, 0)) > 1e-12 {
@@ -168,11 +168,11 @@ func TestTMulVecMatchesTransposeMul(t *testing.T) {
 	for i := range v {
 		v[i] = r.NormFloat64()
 	}
-	got := a.TMulVec(v)
-	want := a.T().MulVec(v)
+	got := MulVecT(a, v)
+	want := MulVec(a.T(), v)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("TMulVec[%d] = %g, want %g", i, got[i], want[i])
+			t.Fatalf("MulVecT[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
 }

@@ -1,14 +1,15 @@
 // Operator abstraction: matrix-free linear operators.
 //
-// Historically every layer of this repository bottomed out in the dense
-// row-major Matrix, which caps the reachable domain size at a few thousand
-// cells (O(n²) memory, O(n³) factorizations). The Operator interface makes
-// the representation a pluggable choice: a query workload, a strategy, or a
-// Gram matrix can be a dense Matrix, a CSR Sparse matrix, an analytic
-// structured form (Identity, Prefix, Intervals), or a Kronecker product of
-// any of these — and the mechanism runtime only ever needs matrix-vector
-// products (see SolveCGLS for the matrix-free least-squares inference that
-// replaces the dense pseudo-inverse past small n).
+// A query workload, a strategy, or a Gram matrix can be a dense Matrix, a
+// CSR Sparse matrix, an analytic structured form (Identity, Prefix,
+// Intervals), or a Kronecker product of any of these. The mechanism
+// runtime needs only matrix-vector products (see SolveCGLS for the
+// matrix-free least-squares inference that replaces the dense
+// pseudo-inverse past small n), so the representation is a pluggable
+// choice and the reachable domain is not capped by O(n²) dense memory.
+//
+// Every product writes into a caller-owned buffer; into.go states the
+// contract and holds the allocating MulVec / MulVecT helpers.
 //
 // Representation guide:
 //
@@ -45,17 +46,24 @@ import (
 const MaterializeCap = 8 << 20
 
 // Operator is a real linear map R^cols → R^rows presented through
-// matrix-vector products. Implementations must not retain or modify the
-// input slice and must return freshly allocated output.
+// matrix-vector products that write into a caller-owned dst.
+// Implementations must not retain or modify the input slice, and dst must
+// not alias it. Each representation writes its forward loop once, in
+// MulVecRangeInto; MulVecInto is that loop over [0, Rows()).
 type Operator interface {
 	// Rows returns the output dimension m.
 	Rows() int
 	// Cols returns the input dimension n.
 	Cols() int
-	// MulVec returns A·x. It panics if len(x) != Cols().
-	MulVec(x []float64) []float64
-	// MulVecT returns Aᵀ·y. It panics if len(y) != Rows().
-	MulVecT(y []float64) []float64
+	// MulVecInto writes A·x into dst. len(dst) must be Rows() and len(x)
+	// must be Cols().
+	MulVecInto(dst, x []float64)
+	// MulVecTInto writes Aᵀ·y into dst. len(dst) must be Cols() and
+	// len(y) must be Rows().
+	MulVecTInto(dst, y []float64)
+	// MulVecRangeInto writes rows [lo,hi) of A·x into dst[:hi-lo].
+	// len(x) must be Cols(), 0 ≤ lo ≤ hi ≤ Rows() and len(dst) ≥ hi-lo.
+	MulVecRangeInto(dst, x []float64, lo, hi int)
 }
 
 // Grammer is implemented by operators that can produce their dense Gram
@@ -75,13 +83,9 @@ type ColNormsL1er interface {
 	ColNormsL1() []float64
 }
 
-// MulVecT returns mᵀ·y; it makes *Matrix satisfy Operator (the dense
-// representation). It is TMulVec under the Operator spelling.
-func (m *Matrix) MulVecT(y []float64) []float64 { return m.TMulVec(y) }
-
 // ToDense materializes an operator as a dense Matrix by probing it with
-// basis vectors (one MulVec per column). The dense representation itself is
-// returned unchanged. Use only when rows*cols is affordable.
+// basis vectors (one product per column). The dense representation itself
+// is returned unchanged. Use only when rows*cols is affordable.
 func ToDense(op Operator) *Matrix {
 	if m, ok := op.(*Matrix); ok {
 		return m
@@ -89,9 +93,10 @@ func ToDense(op Operator) *Matrix {
 	rows, cols := op.Rows(), op.Cols()
 	out := New(rows, cols)
 	e := make([]float64, cols)
+	col := make([]float64, rows)
 	for j := 0; j < cols; j++ {
 		e[j] = 1
-		col := op.MulVec(e)
+		op.MulVecInto(col, e)
 		e[j] = 0
 		for i, v := range col {
 			out.data[i*cols+j] = v
@@ -102,7 +107,8 @@ func ToDense(op Operator) *Matrix {
 
 // OperatorGram returns the dense Gram matrix AᵀA of an operator, using the
 // Grammer shortcut when available and basis-vector probing otherwise
-// (cols MulVec/MulVecT pairs). Dense matrices use the blocked GramParallel.
+// (cols forward/transposed product pairs). Dense matrices use the blocked
+// GramParallel.
 func OperatorGram(op Operator) *Matrix {
 	if m, ok := op.(*Matrix); ok {
 		return m.GramParallel()
@@ -113,9 +119,12 @@ func OperatorGram(op Operator) *Matrix {
 	n := op.Cols()
 	out := New(n, n)
 	e := make([]float64, n)
+	mid := make([]float64, op.Rows())
+	col := make([]float64, n)
 	for j := 0; j < n; j++ {
 		e[j] = 1
-		col := op.MulVecT(op.MulVec(e))
+		op.MulVecInto(mid, e)
+		op.MulVecTInto(col, mid)
 		e[j] = 0
 		for i, v := range col {
 			out.data[i*n+j] = v
@@ -141,20 +150,7 @@ func OperatorColNorms2(op Operator) []float64 {
 		}
 		return out
 	}
-	n := op.Cols()
-	out := make([]float64, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		col := op.MulVec(e)
-		e[j] = 0
-		var s float64
-		for _, v := range col {
-			s += v * v
-		}
-		out[j] = s
-	}
-	return out
+	return probeColNorms(op, func(v float64) float64 { return v * v })
 }
 
 // OperatorColNormsL1 returns the L1 column norms of an operator, via the
@@ -166,16 +162,23 @@ func OperatorColNormsL1(op Operator) []float64 {
 	if c, ok := op.(ColNormsL1er); ok {
 		return c.ColNormsL1()
 	}
+	return probeColNorms(op, abs64)
+}
+
+// probeColNorms returns Σᵢ f(A_ij) for every column j, probing one basis
+// vector at a time through a reused column buffer.
+func probeColNorms(op Operator, f func(float64) float64) []float64 {
 	n := op.Cols()
 	out := make([]float64, n)
 	e := make([]float64, n)
+	col := make([]float64, op.Rows())
 	for j := 0; j < n; j++ {
 		e[j] = 1
-		col := op.MulVec(e)
+		op.MulVecInto(col, e)
 		e[j] = 0
 		var s float64
 		for _, v := range col {
-			s += abs64(v)
+			s += f(v)
 		}
 		out[j] = s
 	}
@@ -204,16 +207,6 @@ func MaxColNormL1Op(op Operator) float64 {
 	return best
 }
 
-func checkMulVecLen(op Operator, got, want int, transposed bool) {
-	if got != want {
-		dir := "MulVec"
-		if transposed {
-			dir = "MulVecT"
-		}
-		panic(fmt.Sprintf("linalg: %s length %d, want %d (%dx%d operator)", dir, got, want, op.Rows(), op.Cols()))
-	}
-}
-
 // --- Identity ---
 
 // IdentityOp is the n×n identity as an O(1)-memory operator.
@@ -228,16 +221,21 @@ func (o *IdentityOp) Rows() int { return o.n }
 // Cols returns n.
 func (o *IdentityOp) Cols() int { return o.n }
 
-// MulVec returns a copy of x.
-func (o *IdentityOp) MulVec(x []float64) []float64 {
+// MulVecInto copies x into dst.
+func (o *IdentityOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.n) }
+
+// MulVecRangeInto copies the matching window of x.
+func (o *IdentityOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
 	checkMulVecLen(o, len(x), o.n, false)
-	return append([]float64(nil), x...)
+	copy(dst, x[lo:hi])
 }
 
-// MulVecT returns a copy of y.
-func (o *IdentityOp) MulVecT(y []float64) []float64 {
+// MulVecTInto copies y into dst.
+func (o *IdentityOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.n, true)
-	return append([]float64(nil), y...)
+	checkMulVecLen(o, len(dst), o.n, true)
+	copy(dst, y)
 }
 
 // Gram returns the identity matrix.
@@ -264,29 +262,35 @@ func (o *PrefixOp) Rows() int { return o.n }
 // Cols returns n.
 func (o *PrefixOp) Cols() int { return o.n }
 
-// MulVec returns the running sums of x.
-func (o *PrefixOp) MulVec(x []float64) []float64 {
+// MulVecInto writes the running sums of x into dst.
+func (o *PrefixOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.n) }
+
+// MulVecRangeInto re-accumulates the running sum through the skipped
+// prefix x[0:lo] in left-to-right order, so a mid-stream chunk holds the
+// same bits as the matching rows of the full product.
+func (o *PrefixOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
 	checkMulVecLen(o, len(x), o.n, false)
-	out := make([]float64, o.n)
 	var s float64
-	for i, v := range x {
-		s += v
-		out[i] = s
+	for i := 0; i < lo; i++ {
+		s += x[i]
 	}
-	return out
+	for i := lo; i < hi; i++ {
+		s += x[i]
+		dst[i-lo] = s
+	}
 }
 
-// MulVecT returns the reverse running sums of y: cell j is counted by
-// queries j..n-1.
-func (o *PrefixOp) MulVecT(y []float64) []float64 {
+// MulVecTInto writes the reverse running sums of y into dst: cell j is
+// counted by queries j..n-1.
+func (o *PrefixOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.n, true)
-	out := make([]float64, o.n)
+	checkMulVecLen(o, len(dst), o.n, true)
 	var s float64
 	for j := o.n - 1; j >= 0; j-- {
 		s += y[j]
-		out[j] = s
+		dst[j] = s
 	}
-	return out
 }
 
 // Gram returns the analytic Gram matrix: G_ij = n − max(i,j).
@@ -321,9 +325,9 @@ func (o *PrefixOp) ColNormsL1() []float64 { return o.ColNorms2() }
 
 // IntervalsOp is the d(d+1)/2 × d matrix of all contiguous interval sums
 // [lo,hi] over d cells, rows ordered lo-major then hi ascending (matching
-// the explicit all-range construction). Matvecs run in O(rows) via prefix
-// sums and difference arrays — the full matrix, with O(d³) nonzeros, is
-// never formed.
+// the explicit all-range construction). Matvecs run in O(rows) via
+// running sums and difference arrays — the full matrix, with O(d³)
+// nonzeros, is never formed.
 type IntervalsOp struct{ d int }
 
 // NewIntervalsOp returns the 1-D all-range operator over d cells.
@@ -335,30 +339,47 @@ func (o *IntervalsOp) Rows() int { return o.d * (o.d + 1) / 2 }
 // Cols returns d.
 func (o *IntervalsOp) Cols() int { return o.d }
 
-// MulVec answers every interval query via prefix sums.
-func (o *IntervalsOp) MulVec(x []float64) []float64 {
+// MulVecInto answers every interval query into dst.
+func (o *IntervalsOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.Rows()) }
+
+// MulVecRangeInto walks the lo-major interval blocks, skipping whole
+// blocks before the range. Each block keeps a running sum over hi in
+// ascending-cell order, re-accumulated from the block start when the
+// range begins mid-block, so chunk boundaries never change a bit.
+func (o *IntervalsOp) MulVecRangeInto(dst, x []float64, rlo, rhi int) {
+	checkRowRange(o, rlo, rhi, len(dst))
 	checkMulVecLen(o, len(x), o.d, false)
-	prefix := make([]float64, o.d+1) // prefix[i] = Σ x[:i]
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v
-	}
-	out := make([]float64, o.Rows())
 	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		p := prefix[lo]
-		for hi := lo; hi < o.d; hi++ {
-			out[r] = prefix[hi+1] - p
+	for qlo := 0; qlo < o.d && r < rhi; qlo++ {
+		blockLen := o.d - qlo
+		if r+blockLen <= rlo {
+			r += blockLen // block entirely before the range
+			continue
+		}
+		var s float64
+		for qhi := qlo; qhi < o.d; qhi++ {
+			s += x[qhi]
+			if r >= rlo {
+				dst[r-rlo] = s
+			}
 			r++
+			if r >= rhi {
+				return
+			}
 		}
 	}
-	return out
 }
 
-// MulVecT scatters each interval weight onto its cells via a difference
-// array, in O(rows + d).
-func (o *IntervalsOp) MulVecT(y []float64) []float64 {
+// MulVecTInto scatters each interval weight onto its cells via a
+// difference array kept inside dst itself: the d+1-th difference cell is
+// never read by the prefix pass, so dst[0:d] suffices, and the prefix pass
+// reads each dst[j] before overwriting it.
+func (o *IntervalsOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.Rows(), true)
-	diff := make([]float64, o.d+1)
+	checkMulVecLen(o, len(dst), o.d, true)
+	for j := range dst {
+		dst[j] = 0
+	}
 	r := 0
 	for lo := 0; lo < o.d; lo++ {
 		for hi := lo; hi < o.d; hi++ {
@@ -367,17 +388,17 @@ func (o *IntervalsOp) MulVecT(y []float64) []float64 {
 			if v == 0 {
 				continue
 			}
-			diff[lo] += v
-			diff[hi+1] -= v
+			dst[lo] += v
+			if hi+1 < o.d {
+				dst[hi+1] -= v
+			}
 		}
 	}
-	out := make([]float64, o.d)
 	var s float64
 	for j := 0; j < o.d; j++ {
-		s += diff[j]
-		out[j] = s
+		s += dst[j]
+		dst[j] = s
 	}
-	return out
 }
 
 // Gram returns the analytic Gram matrix: entry (i,j) counts intervals
@@ -418,6 +439,7 @@ type StackOp struct {
 	parts []Operator
 	rows  int
 	cols  int
+	tmp   *vecPool // Cols(): a later part's transposed product
 }
 
 // StackOps stacks the rows of the given operators, in order. All parts must
@@ -437,7 +459,7 @@ func StackOps(parts ...Operator) Operator {
 		}
 		rows += p.Rows()
 	}
-	return &StackOp{parts: parts, rows: rows, cols: cols}
+	return &StackOp{parts: parts, rows: rows, cols: cols, tmp: newVecPool(cols)}
 }
 
 // Rows returns the total row count.
@@ -446,29 +468,49 @@ func (o *StackOp) Rows() int { return o.rows }
 // Cols returns the shared column count.
 func (o *StackOp) Cols() int { return o.cols }
 
-// MulVec concatenates the parts' products.
-func (o *StackOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.cols, false)
-	out := make([]float64, 0, o.rows)
-	for _, p := range o.parts {
-		out = append(out, p.MulVec(x)...)
-	}
-	return out
-}
+// MulVecInto applies each part into its slice of dst.
+func (o *StackOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.rows) }
 
-// MulVecT sums the parts' transposed products over the matching row slices.
-func (o *StackOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.rows, true)
-	out := make([]float64, o.cols)
+// MulVecRangeInto routes the range to the overlapped parts, each
+// answering its part-relative sub-range.
+func (o *StackOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
+	checkMulVecLen(o, len(x), o.cols, false)
 	at := 0
 	for _, p := range o.parts {
-		part := p.MulVecT(y[at : at+p.Rows()])
-		at += p.Rows()
-		for j, v := range part {
-			out[j] += v
+		rows := p.Rows()
+		a, b := max(at, lo), min(at+rows, hi)
+		if a < b {
+			p.MulVecRangeInto(dst[a-lo:b-lo], x, a-at, b-at)
+		}
+		at += rows
+		if at >= hi {
+			return
 		}
 	}
-	return out
+}
+
+// MulVecTInto accumulates the parts' transposed products: the first part
+// writes dst directly, later parts go through pooled scratch.
+func (o *StackOp) MulVecTInto(dst, y []float64) {
+	checkMulVecLen(o, len(y), o.rows, true)
+	checkMulVecLen(o, len(dst), o.cols, true)
+	s := o.tmp.get()
+	defer o.tmp.put(s)
+	tmp := *s
+	at := 0
+	for i, p := range o.parts {
+		yp := y[at : at+p.Rows()]
+		at += p.Rows()
+		if i == 0 {
+			p.MulVecTInto(dst, yp)
+			continue
+		}
+		p.MulVecTInto(tmp, yp)
+		for j, v := range tmp {
+			dst[j] += v
+		}
+	}
 }
 
 // Gram returns the sum of the parts' Gram matrices. The first part's Gram
@@ -522,11 +564,25 @@ func (o *ScaledOp) Rows() int { return o.base.Rows() }
 // Cols returns the base column count.
 func (o *ScaledOp) Cols() int { return o.base.Cols() }
 
-// MulVec returns s·(A x).
-func (o *ScaledOp) MulVec(x []float64) []float64 { return scaleVec(o.base.MulVec(x), o.s) }
+// MulVecInto writes s·(A x) into dst.
+func (o *ScaledOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.Rows()) }
 
-// MulVecT returns s·(Aᵀ y).
-func (o *ScaledOp) MulVecT(y []float64) []float64 { return scaleVec(o.base.MulVecT(y), o.s) }
+// MulVecRangeInto scales the base range by s.
+func (o *ScaledOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
+	o.base.MulVecRangeInto(dst, x, lo, hi)
+	for i := range dst[:hi-lo] {
+		dst[i] *= o.s
+	}
+}
+
+// MulVecTInto writes s·(Aᵀ y) into dst.
+func (o *ScaledOp) MulVecTInto(dst, y []float64) {
+	o.base.MulVecTInto(dst, y)
+	for i := range dst {
+		dst[i] *= o.s
+	}
+}
 
 // Gram returns s²·(AᵀA).
 func (o *ScaledOp) Gram() *Matrix { return OperatorGram(o.base).Scale(o.s * o.s) }
@@ -546,8 +602,9 @@ func (o *ScaledOp) ColNormsL1() []float64 {
 // scale[i]. It is how weighted strategies Λ·Q are represented without
 // materializing the product.
 type RowScaledOp struct {
-	base  Operator
-	scale []float64
+	base   Operator
+	scale  []float64
+	scaled *vecPool // Rows(): diag(scale)·y for the transpose
 }
 
 // ScaleRows returns diag(scale)·A. len(scale) must equal A.Rows().
@@ -555,7 +612,7 @@ func ScaleRows(base Operator, scale []float64) *RowScaledOp {
 	if len(scale) != base.Rows() {
 		panic(fmt.Sprintf("linalg: ScaleRows length %d for %d rows", len(scale), base.Rows()))
 	}
-	return &RowScaledOp{base: base, scale: scale}
+	return &RowScaledOp{base: base, scale: scale, scaled: newVecPool(len(scale))}
 }
 
 // Rows returns the base row count.
@@ -564,23 +621,29 @@ func (o *RowScaledOp) Rows() int { return o.base.Rows() }
 // Cols returns the base column count.
 func (o *RowScaledOp) Cols() int { return o.base.Cols() }
 
-// MulVec returns diag(scale)·(A x).
-func (o *RowScaledOp) MulVec(x []float64) []float64 {
-	out := o.base.MulVec(x)
-	for i := range out {
-		out[i] *= o.scale[i]
+// MulVecInto writes diag(scale)·(A x) into dst.
+func (o *RowScaledOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, o.Rows()) }
+
+// MulVecRangeInto scales the base range by the matching scale window.
+func (o *RowScaledOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
+	o.base.MulVecRangeInto(dst, x, lo, hi)
+	for i, s := range o.scale[lo:hi] {
+		dst[i] *= s
 	}
-	return out
 }
 
-// MulVecT returns Aᵀ·(diag(scale) y).
-func (o *RowScaledOp) MulVecT(y []float64) []float64 {
+// MulVecTInto writes Aᵀ·(diag(scale) y) into dst, staging the scaled y in
+// pooled scratch (the base transpose cannot take dst as its input).
+func (o *RowScaledOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.Rows(), true)
-	scaled := make([]float64, len(y))
+	s := o.scaled.get()
+	defer o.scaled.put(s)
+	scaled := *s
 	for i, v := range y {
 		scaled[i] = v * o.scale[i]
 	}
-	return o.base.MulVecT(scaled)
+	o.base.MulVecTInto(dst, scaled)
 }
 
 // RowPermutedOp selects (and reorders) rows of a base operator: row i of
@@ -589,6 +652,10 @@ func (o *RowScaledOp) MulVecT(y []float64) []float64 {
 type RowPermutedOp struct {
 	base Operator
 	perm []int
+	// full stages the base product, Rows() of the base long. It is nil
+	// for an identity base, whose product is its input bit for bit, so
+	// row selections (shard projections) gather from x directly.
+	full *vecPool
 }
 
 // PermuteRows returns the operator whose i-th row is base row perm[i].
@@ -598,7 +665,11 @@ func PermuteRows(base Operator, perm []int) *RowPermutedOp {
 			panic(fmt.Sprintf("linalg: PermuteRows index %d out of %d rows", p, base.Rows()))
 		}
 	}
-	return &RowPermutedOp{base: base, perm: perm}
+	o := &RowPermutedOp{base: base, perm: perm}
+	if _, ok := base.(*IdentityOp); !ok {
+		o.full = newVecPool(base.Rows())
+	}
+	return o
 }
 
 // Rows returns len(perm).
@@ -607,30 +678,53 @@ func (o *RowPermutedOp) Rows() int { return len(o.perm) }
 // Cols returns the base column count.
 func (o *RowPermutedOp) Cols() int { return o.base.Cols() }
 
-// MulVec computes the base product and gathers the selected rows.
-func (o *RowPermutedOp) MulVec(x []float64) []float64 {
-	full := o.base.MulVec(x)
-	out := make([]float64, len(o.perm))
-	for i, p := range o.perm {
-		out[i] = full[p]
+// MulVecInto computes the base product and gathers the selected rows.
+func (o *RowPermutedOp) MulVecInto(dst, x []float64) { o.MulVecRangeInto(dst, x, 0, len(o.perm)) }
+
+// MulVecRangeInto gathers the selected rows of the window from the full
+// base product (the permutation makes the range non-contiguous in the
+// base).
+func (o *RowPermutedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(o, lo, hi, len(dst))
+	checkMulVecLen(o, len(x), o.base.Cols(), false)
+	src := x
+	if o.full != nil {
+		s := o.full.get()
+		defer o.full.put(s)
+		src = *s
+		o.base.MulVecInto(src, x)
 	}
-	return out
+	for i, p := range o.perm[lo:hi] {
+		dst[i] = src[p]
+	}
 }
 
-// MulVecT scatters y into base row positions and applies the base
+// MulVecTInto scatters y into base row positions and applies the base
 // transpose.
-func (o *RowPermutedOp) MulVecT(y []float64) []float64 {
+func (o *RowPermutedOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), len(o.perm), true)
-	full := make([]float64, o.base.Rows())
+	checkMulVecLen(o, len(dst), o.base.Cols(), true)
+	full := dst
+	if o.full != nil {
+		s := o.full.get()
+		defer o.full.put(s)
+		full = *s
+	}
+	for i := range full {
+		full[i] = 0
+	}
 	for i, p := range o.perm {
 		full[p] += y[i]
 	}
-	return o.base.MulVecT(full)
+	if o.full != nil {
+		o.base.MulVecTInto(dst, full)
+	}
 }
 
 // NormedOp wraps an operator with precomputed column norms, letting
 // assembled strategies (whose norms are known from the weighting program)
-// skip the generic probing fallback.
+// skip the generic probing fallback. Its products are the wrapped
+// operator's.
 type NormedOp struct {
 	Operator
 	cn2 []float64

@@ -141,14 +141,16 @@ func matvecRowBlock(cols int) int {
 	return b
 }
 
-// matvecTask is a pooled dense A·x task over row blocks.
+// matvecTask is a pooled dense A·x task: block [a, b) of a range
+// starting at row lo.
 type matvecTask struct {
 	m   *Matrix
 	dst []float64
 	x   []float64
+	lo  int
 }
 
-func (t *matvecTask) runBlock(lo, hi int) { t.m.mulVecRange(t.dst, t.x, lo, hi) }
+func (t *matvecTask) runBlock(a, b int) { t.m.mulRows(t.dst[a:b], t.x, t.lo+a, t.lo+b) }
 
 // matvecTTask is a pooled dense Aᵀ·y task over column blocks: each block
 // owns dst[lo:hi] and streams the matching column stripe of every row, so
@@ -167,9 +169,10 @@ var (
 	matvecTTaskPool = sync.Pool{New: func() any { return new(matvecTTask) }}
 )
 
-// mulVecRange writes rows [lo, hi) of m·x into dst, four partial sums per
-// row so the compiler can keep independent FMA chains in flight.
-func (m *Matrix) mulVecRange(dst, x []float64, lo, hi int) {
+// mulRows writes rows [lo, hi) of m·x into dst[:hi-lo], four partial sums
+// per row so the compiler can keep independent FMA chains in flight. It
+// is the one dense forward row kernel.
+func (m *Matrix) mulRows(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s0, s1, s2, s3 float64
@@ -184,12 +187,12 @@ func (m *Matrix) mulVecRange(dst, x []float64, lo, hi int) {
 		for ; j < len(row); j++ {
 			s += row[j] * x[j]
 		}
-		dst[i] = s
+		dst[i-lo] = s
 	}
 }
 
 // tMulVecRange accumulates the column stripe [lo, hi) of mᵀ·y into
-// dst[lo:hi], skipping zero weights like TMulVec.
+// dst[lo:hi], skipping zero weights.
 func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		dst[j] = 0
@@ -207,21 +210,25 @@ func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
 	}
 }
 
-// MulVecInto writes m·x into dst without allocating, fanning large
-// products out across the worker pool.
-func (m *Matrix) MulVecInto(dst, x []float64) {
+// MulVecInto writes m·x into dst without allocating.
+func (m *Matrix) MulVecInto(dst, x []float64) { m.MulVecRangeInto(dst, x, 0, m.rows) }
+
+// MulVecRangeInto writes rows [lo, hi) of m·x into dst without allocating,
+// fanning large ranges out across the worker pool. Every block runs the
+// same row kernel, so the result does not depend on the split.
+func (m *Matrix) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(m, lo, hi, len(dst))
 	checkMulVecLen(m, len(x), m.cols, false)
-	checkMulVecLen(m, len(dst), m.rows, false)
-	work := m.rows * m.cols
-	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && work > denseMatvecThreshold && m.rows >= 2 {
+	n := hi - lo
+	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && n*m.cols > denseMatvecThreshold && n >= 2 {
 		t := matvecTaskPool.Get().(*matvecTask)
-		t.m, t.dst, t.x = m, dst, x
-		runParallel(t, m.rows, matvecRowBlock(m.cols), helpers)
+		t.m, t.dst, t.x, t.lo = m, dst, x, lo
+		runParallel(t, n, matvecRowBlock(m.cols), helpers)
 		t.m, t.dst, t.x = nil, nil, nil
 		matvecTaskPool.Put(t)
 		return
 	}
-	m.mulVecRange(dst, x, 0, m.rows)
+	m.mulRows(dst, x, lo, hi)
 }
 
 // MulVecTInto writes mᵀ·y into dst without allocating, fanning large

@@ -117,34 +117,38 @@ func (s *Sparse) Cols() int { return s.cols }
 // NNZ returns the number of stored entries.
 func (s *Sparse) NNZ() int { return len(s.val) }
 
-// MulVec returns A·x in O(nnz).
-func (s *Sparse) MulVec(x []float64) []float64 {
+// MulVecInto writes A·x into dst in O(nnz).
+func (s *Sparse) MulVecInto(dst, x []float64) { s.MulVecRangeInto(dst, x, 0, s.rows) }
+
+// MulVecRangeInto answers CSR rows [lo,hi) in O(nnz of the range).
+func (s *Sparse) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(s, lo, hi, len(dst))
 	checkMulVecLen(s, len(x), s.cols, false)
-	out := make([]float64, s.rows)
-	for i := 0; i < s.rows; i++ {
+	for i := lo; i < hi; i++ {
 		var acc float64
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
 			acc += s.val[k] * x[s.colIdx[k]]
 		}
-		out[i] = acc
+		dst[i-lo] = acc
 	}
-	return out
 }
 
-// MulVecT returns Aᵀ·y in O(nnz).
-func (s *Sparse) MulVecT(y []float64) []float64 {
+// MulVecTInto writes Aᵀ·y into dst in O(nnz).
+func (s *Sparse) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(s, len(y), s.rows, true)
-	out := make([]float64, s.cols)
+	checkMulVecLen(s, len(dst), s.cols, true)
+	for j := range dst {
+		dst[j] = 0
+	}
 	for i := 0; i < s.rows; i++ {
 		v := y[i]
 		if v == 0 {
 			continue
 		}
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			out[s.colIdx[k]] += v * s.val[k]
+			dst[s.colIdx[k]] += v * s.val[k]
 		}
 	}
-	return out
 }
 
 // Gram returns the dense AᵀA accumulated row by row in O(Σ nnz(row)²).

@@ -111,7 +111,7 @@ func TestTreeSolverMatchesPseudoInverse(t *testing.T) {
 				dst[j] = math.NaN()
 			}
 			ts.SolveLSInto(dst, y, ws)
-			want := pinv.MulVec(y)
+			want := MulVec(pinv, y)
 			for j := range dst {
 				if math.Abs(dst[j]-want[j]) > 1e-8 {
 					t.Fatalf("%s trial %d: solve[%d] = %g, want %g", tc.name, trial, j, dst[j], want[j])
@@ -122,7 +122,7 @@ func TestTreeSolverMatchesPseudoInverse(t *testing.T) {
 				x[j] = r.NormFloat64()
 			}
 			ts.AnswerInto(ans, x, ws)
-			wantAns := s.MulVec(x)
+			wantAns := MulVec(s, x)
 			for i := range ans {
 				if math.Abs(ans[i]-wantAns[i]) > 1e-10 {
 					t.Fatalf("%s trial %d: answer[%d] = %g, want %g", tc.name, trial, i, ans[i], wantAns[i])

@@ -24,7 +24,7 @@ func (m *Mechanism) EstimateGaussianNonNegative(x []float64, p Privacy, r NoiseS
 		return nil, fmt.Errorf("mm: data vector has %d cells, strategy expects %d", len(x), m.a.Cols())
 	}
 	sigma := p.GaussianSigma(m.sensL2)
-	y := m.a.MulVec(x)
+	y := linalg.MulVec(m.a, x)
 	for i := range y {
 		y[i] += sigma * r.NormFloat64()
 	}
@@ -59,10 +59,13 @@ func nnlsPolish(a linalg.Operator, y, x0 []float64) []float64 {
 	for i := range v {
 		v[i] = 1 / math.Sqrt(float64(n))
 	}
+	// av doubles as the residual Ax−y and w as the gradient below.
+	av := make([]float64, a.Rows())
+	w := make([]float64, n)
 	var lmax float64
 	for it := 0; it < 30; it++ {
-		av := a.MulVec(v)
-		w := a.MulVecT(av)
+		linalg.MulVecInto(a, av, v)
+		linalg.MulVecTInto(a, w, av)
 		var norm float64
 		for _, z := range w {
 			norm += z * z
@@ -81,11 +84,11 @@ func nnlsPolish(a linalg.Operator, y, x0 []float64) []float64 {
 	}
 	step := 1 / lmax
 	for it := 0; it < 300; it++ {
-		res := a.MulVec(x)
+		res := linalg.MulVecInto(a, av, x)
 		for i := range res {
 			res[i] -= y[i]
 		}
-		grad := a.MulVecT(res)
+		grad := linalg.MulVecTInto(a, w, res)
 		var moved float64
 		for i := range x {
 			nx := x[i] - step*grad[i]

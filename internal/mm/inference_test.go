@@ -96,7 +96,7 @@ func TestQueryVariancesMatchMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{10, 20, 30, 40, 50, 60, 70, 80}
-	truth := w.Matrix().MulVec(x)
+	truth := linalg.MulVec(w.Matrix(), x)
 	r := rand.New(rand.NewSource(3))
 	const trials = 3000
 	sq := make([]float64, len(truth))

@@ -83,7 +83,6 @@ type Mechanism struct {
 	shards    []Shard
 	shardPar  int                // bounded shard-inference parallelism
 	blockOnly linalg.Operator    // blockdiag(shard strategies), no projections
-	projStack linalg.Operator    // stack(shard projections)
 	planned   *workload.Workload // the one workload the composite answers
 	shardOnce sync.Once          // starts the persistent shard workers
 	shardCh   chan shardJob      // feeds the persistent shard workers

@@ -211,7 +211,7 @@ func TestMechanismUnbiasedAndMatchesAnalyticError(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{120, 80, 45, 30, 110, 95, 60, 25}
-	truth := w.Matrix().MulVec(x)
+	truth := linalg.MulVec(w.Matrix(), x)
 	r := rand.New(rand.NewSource(1))
 	const trials = 4000
 	sq := make([]float64, len(truth))

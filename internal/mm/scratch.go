@@ -36,7 +36,6 @@ type ReleaseScratch struct {
 	ans   []float64 // workload answers
 	rhs   []float64 // normal-equations right-hand side (cols)
 	tmp   []float64 // sharded answer scatter staging
-	mid   []float64 // composite strategy intermediate (projected cells)
 	chunk []float64 // streaming answer chunk (AnswerStream)
 	ws    linalg.CGWorkspace
 
@@ -86,8 +85,8 @@ func (m *Mechanism) PutScratch(sc *ReleaseScratch) {
 
 // EstimateGaussianInto is EstimateGaussian computing through caller-owned
 // scratch: the returned estimate is sc.est, valid until sc is reused. On
-// the dense-pinv and CGLS (tree or iterative, with write-into operators)
-// paths the steady state performs zero allocations.
+// the dense-pinv and CGLS (tree or iterative) paths the steady state
+// performs zero allocations.
 func (m *Mechanism) EstimateGaussianInto(sc *ReleaseScratch, x []float64, p Privacy, r NoiseSource) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -221,16 +220,6 @@ func (m *Mechanism) workloadAnswersInto(sc *ReleaseScratch, w *workload.Workload
 func (m *Mechanism) answersInto(dst, x []float64, sc *ReleaseScratch) {
 	if m.tree != nil {
 		m.tree.AnswerInto(dst, x, &sc.ws)
-		return
-	}
-	if m.shards != nil {
-		// The composite is blockdiag(strategies)·stack(projections); the
-		// generic composed write-into kernel allocates the projected-cell
-		// intermediate per call, so run the same two products in the same
-		// order through scratch instead — identical bits, zero allocs.
-		sc.mid = growFloats(sc.mid, m.projStack.Rows())
-		linalg.MulVecInto(m.projStack, sc.mid, x)
-		linalg.MulVecInto(m.blockOnly, dst, sc.mid)
 		return
 	}
 	linalg.MulVecInto(m.a, dst, x)

@@ -23,8 +23,9 @@ func testTreeStrategy(n int) *linalg.Sparse {
 }
 
 // scratchMechanisms returns one mechanism per steady-state inference
-// path: dense pseudo-inverse, exact tree least squares, and iterative
-// CGLS over a write-into operator.
+// path: dense pseudo-inverse, exact tree least squares, iterative CGLS
+// over a write-into operator, and CGLS over the two Kronecker strategy
+// shapes of the Census benchmarks (n must be a power of two ≥ 16).
 func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	t.Helper()
 	tree := testTreeStrategy(n)
@@ -40,7 +41,41 @@ func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Mechanism{"dense-pinv": pinv, "tree-cgls": cgls, "iterative-cgls": iter}
+	// rangemarg: the Kronecker product of two hierarchical trees.
+	kronTree, err := NewMechanismInference(linalg.NewKronOp(testTreeStrategy(8), testTreeStrategy(n/8)), InferCGLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factored, err := NewMechanismInference(testFactoredStrategy(n), InferCGLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Mechanism{
+		"dense-pinv": pinv, "tree-cgls": cgls, "iterative-cgls": iter,
+		"kron-tree-cgls": kronTree, "kron-factored-cgls": factored,
+	}
+}
+
+// testFactoredStrategy mirrors the factored principal-vectors assembly
+// over n = 8·(n/8) cells: a row-scaled, row-permuted Kronecker product of
+// dense factors, stacked on sparse completion rows, with attached column
+// norms.
+func testFactoredStrategy(n int) linalg.Operator {
+	r := rand.New(rand.NewSource(17))
+	dense := func(d int) *linalg.Matrix {
+		m := linalg.New(d, d)
+		for i := range m.Data() {
+			m.Data()[i] = r.NormFloat64()
+		}
+		return m
+	}
+	scales := make([]float64, n)
+	for i := range scales {
+		scales[i] = 0.5 + r.Float64()
+	}
+	eigen := linalg.ScaleRows(linalg.PermuteRows(linalg.NewKronOp(dense(8), dense(n/8)), r.Perm(n)), scales)
+	op := linalg.StackOps(eigen, linalg.SparseDiag(n, []int{1, n / 2, n - 1}, []float64{0.5, 1, 2}))
+	return linalg.WithColNorms(op, linalg.OperatorColNorms2(op), nil)
 }
 
 // TestEstimateGaussianIntoZeroAlloc is the allocation regression pin for

@@ -139,7 +139,6 @@ func NewShardedMechanism(planned *workload.Workload, shards []Shard, parallelism
 		shards:    shards,
 		shardPar:  parallelism,
 		blockOnly: blockOnly,
-		projStack: projStack,
 		planned:   planned,
 	}
 	return m, nil
@@ -159,8 +158,8 @@ func liftColNorms(s Shard, n int, cn2, cn1 []float64) error {
 		idxVec[i] = float64(i)
 		ones[i] = 1
 	}
-	idx := s.Project.MulVecT(idxVec)
-	cover := s.Project.MulVecT(ones)
+	idx := linalg.MulVecT(s.Project, idxVec)
+	cover := linalg.MulVecT(s.Project, ones)
 	shardCN2 := linalg.OperatorColNorms2(s.Mechanism.Strategy())
 	shardCN1 := linalg.OperatorColNormsL1(s.Mechanism.Strategy())
 	for j := 0; j < n; j++ {

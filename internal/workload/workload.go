@@ -146,7 +146,7 @@ func (w *Workload) MulQueries(x []float64) []float64 {
 	if w.op == nil {
 		panic(fmt.Sprintf("workload: %q is gram-only and cannot be answered on data", w.name))
 	}
-	return w.op.MulVec(x)
+	return linalg.MulVec(w.op, x)
 }
 
 // MulQueriesInto is MulQueries writing into a caller-owned buffer of

@@ -421,7 +421,7 @@ func TestGramIsPSD(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		gx := g.MulVec(x)
+		gx := linalg.MulVec(g, x)
 		var q float64
 		for i := range x {
 			q += x[i] * gx[i]

@@ -84,6 +84,21 @@ func TestEstimateAllRange64x64FactoredDesign(t *testing.T) {
 			t.Fatalf("non-finite estimate at cell %d", i)
 		}
 	}
+
+	// The multi-dimensional release path allocates nothing once warmed:
+	// CGLS over the permuted Kronecker eigenbasis runs on pooled scratch.
+	sc := s.mech.NewScratch()
+	r := rand.New(rand.NewSource(4))
+	if _, err := s.mech.EstimateGaussianInto(sc, x, p, r); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.mech.EstimateGaussianInto(sc, x, p, r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warmed EstimateGaussianInto on the factored strategy allocates %v per release, want 0", allocs)
+	}
 }
 
 // The structured strategies answer arbitrary explicit workloads too — the
