@@ -12,16 +12,8 @@
 // artifact in the paper's Sec 5. See EXPERIMENTS.md for a paper-vs-measured
 // summary.
 //
-// A serving-throughput mode benchmarks the release engine's batch
-// /release endpoint against an in-process server and appends the
-// measurement to a BENCH_*.json trajectory:
-//
-//	ambench -releasebench allrange:1024 -requests 512 -benchout BENCH_release.json
-//
-// A fleet mode benchmarks the same sharded workload through a
-// coordinator/worker fleet on loopback against a single process:
-//
-//	ambench -fleetbench marginals:1:64x64 -fleetworkers 2
+// Release-engine performance is measured by perfbench (see
+// perfbench/README.md and BENCHMARK.json), not by this command.
 package main
 
 import (
@@ -42,46 +34,8 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed for workload sampling and noise")
 		trials = flag.Int("trials", 3, "Monte-Carlo trials for relative-error experiments")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-
-		releaseBench = flag.String("releasebench", "", "workload spec: benchmark the batch /release endpoint instead of running experiments")
-		requests     = flag.Int("requests", 256, "total releases for -releasebench")
-		batch        = flag.Int("batch", 64, "releases per /release call for -releasebench")
-		parallel     = flag.Int("parallel", 8, "server-side parallelism for -releasebench")
-		benchMode    = flag.String("benchmode", "estimate", "release mode for -releasebench: answers | estimate")
-		benchOut     = flag.String("benchout", "BENCH_release.json", "trajectory file for -releasebench results (empty to skip writing)")
-		benchPhase   = flag.String("benchphase", "", "optional label recorded with -releasebench results (e.g. pre-optimization)")
-
-		planBench    = flag.String("planbench", "", "workload spec (or 'all'): benchmark planner generator selection and design latency")
-		planBenchOut = flag.String("planbenchout", "BENCH_plan.json", "trajectory file for -planbench results (empty to skip writing)")
-
-		fleetBench   = flag.String("fleetbench", "", "sharded workload spec: benchmark distributed vs single-process release throughput")
-		fleetWorkers = flag.Int("fleetworkers", 2, "loopback worker count for -fleetbench")
 	)
 	flag.Parse()
-
-	if *fleetBench != "" {
-		if err := runFleetBench(*fleetBench, *requests, *batch, *parallel, *fleetWorkers, *benchPhase, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ambench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *planBench != "" {
-		if err := runPlanBench(*planBench, *planBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ambench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *releaseBench != "" {
-		if err := runReleaseBench(*releaseBench, *benchMode, *requests, *batch, *parallel, *benchPhase, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ambench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

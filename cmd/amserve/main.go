@@ -18,17 +18,6 @@
 // restarts. Plans designed offline with amdesign -save can be dropped
 // into the store directory.
 //
-// -workers turns the server into a fleet coordinator: sharded plans
-// route their per-shard inference to the listed worker amserve
-// processes, with consistent-hash placement, retry along the ring, and
-// local fallback when a shard's workers are all down. -worker-of turns
-// it into a worker of that coordinator: it serves POST /shards and
-// fetches plans it has never seen from the coordinator's plan store by
-// content address. GET /fleet reports either role's health and
-// counters. Distributed releases are bit-identical to local ones — the
-// coordinator draws the noise and accounts the budget; only the
-// deterministic per-shard solve is remote.
-//
 // -pprof-addr starts net/http/pprof on a separate listener (off by
 // default, never on the serving address), for profiling a live server.
 //
@@ -59,7 +48,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -84,51 +72,22 @@ func main() {
 		"optional separate listen address for net/http/pprof profiling endpoints (empty = disabled; never exposed on the serving listener)")
 	metricsAddr := flag.String("metrics-addr", "",
 		"optional separate listen address for the observability surface (/metrics and /debug/traces); both are always served on the main address too")
-	workers := flag.String("workers", "",
-		"comma-separated worker base URLs; makes this server a fleet coordinator routing sharded inference to them")
-	workerOf := flag.String("worker-of", "",
-		"coordinator base URL; makes this server a fleet worker serving POST /shards and fetching unknown plans from it")
-	shardTimeout := flag.Duration("shard-timeout", 0,
-		"per-attempt timeout for one remote shard request (0 = fleet default)")
 	flag.Parse()
 
 	if *storeQuota > 0 && *storeDir == "" {
 		log.Fatal("-store-quota requires -store")
-	}
-	if *workers != "" && *workerOf != "" {
-		log.Fatal("-workers and -worker-of are mutually exclusive: a coordinator is not a worker")
-	}
-	var workerURLs []string
-	if *workers != "" {
-		for _, u := range strings.Split(*workers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				workerURLs = append(workerURLs, u)
-			}
-		}
-		if len(workerURLs) == 0 {
-			log.Fatal("-workers given but no worker URLs parsed")
-		}
 	}
 	srv, err := server.Open(server.Options{
 		AllowSeededReleases:  *allowSeeded,
 		StoreDir:             *storeDir,
 		StoreQuotaBytes:      *storeQuota,
 		MaxConcurrentStreams: *maxStreams,
-		FleetWorkers:         workerURLs,
-		CoordinatorURL:       *workerOf,
-		ShardTimeout:         *shardTimeout,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *allowSeeded {
 		log.Printf("WARNING: seeded releases enabled; registered-dataset privacy budgets are NOT enforceable against the seeding client")
-	}
-	if len(workerURLs) > 0 {
-		log.Printf("amserve fleet coordinator over %d worker(s): %s", len(workerURLs), strings.Join(workerURLs, ", "))
-	}
-	if *workerOf != "" {
-		log.Printf("amserve fleet worker of %s", *workerOf)
 	}
 	if *storeDir != "" {
 		if *storeQuota > 0 {

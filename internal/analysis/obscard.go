@@ -11,8 +11,8 @@
 // (indexing a fixed table, iterating a startup-time registry) are
 // documented exceptions via //lint:allow. Collect-at-scrape emit
 // callbacks inside GaugeFunc are exempt: their label sets are rebuilt
-// fresh each scrape and carry genuinely dynamic values (dataset names,
-// worker URLs) by design.
+// fresh each scrape and carry genuinely dynamic values (dataset names)
+// by design.
 
 package analysis
 
@@ -25,11 +25,10 @@ import (
 // series; their name argument and obs.L label values must be
 // compile-time constants.
 var obsRegistrationMethods = map[string]bool{
-	"Counter":         true,
-	"Gauge":           true,
-	"Histogram":       true,
-	"GaugeFunc":       true,
-	"RegisterCounter": true,
+	"Counter":   true,
+	"Gauge":     true,
+	"Histogram": true,
+	"GaugeFunc": true,
 }
 
 const obsPkgPath = "adaptivemm/internal/obs"

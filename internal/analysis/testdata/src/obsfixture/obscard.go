@@ -27,7 +27,6 @@ func register(r *obs.Registry, dataset string, i int) {
 	r.Counter("am_requests_total", "requests", obs.L("dataset", dataset))                         // want `label value is not a compile-time constant`
 	r.Gauge("am_shard_depth", "per-shard", obs.L("shard", fmt.Sprintf("%d", i)))                  // want `label value is not a compile-time constant`
 	r.Histogram("am_rpc_seconds", "rpc", obs.DefTimeBuckets, obs.L(dataset, "v"))                 // want `label name is not a compile-time constant`
-	r.RegisterCounter("am_adopted_total", "adopted", &obs.Counter{}, obs.L("k", dataset))         // want `label value is not a compile-time constant`
 	r.GaugeFunc("am_fn_"+dataset, "dynamic gaugefunc name", func(func(float64, ...obs.Label)) {}) // want `metric name is not a compile-time constant`
 
 	// A documented bounded set is the escape hatch.

@@ -69,8 +69,8 @@ func SolveCGLS(a Operator, b []float64, o CGOptions) ([]float64, error) {
 }
 
 // SolveCGLSInto is SolveCGLS writing the solution into dst (length
-// a.Cols()) using caller-owned scratch. With an operator whose matvecs
-// have write-into fast paths (IntoOperator) the steady state allocates
+// a.Cols()) using caller-owned scratch. Every operator writes its
+// products into the caller's buffer, so the steady state allocates
 // nothing.
 func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) error {
 	if len(b) != a.Rows() {

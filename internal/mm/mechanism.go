@@ -86,11 +86,6 @@ type Mechanism struct {
 	planned   *workload.Workload // the one workload the composite answers
 	shardOnce sync.Once          // starts the persistent shard workers
 	shardCh   chan shardJob      // feeds the persistent shard workers
-	// backend, when set, routes per-shard inference through a
-	// ShardBackend (a remote worker fleet) instead of the local shard
-	// workers; see SetShardBackend. Atomic so attach/detach never races
-	// a concurrent release.
-	backend atomic.Pointer[ShardBackend]
 
 	// Streaming releases (see stream.go): the scatter segments flattened
 	// into one sorted row index, built lazily on the first StreamRelease.

@@ -45,12 +45,10 @@ type ReleaseScratch struct {
 	shardErrs []error
 	wg        sync.WaitGroup
 
-	// Trace, when non-nil, receives per-stage spans for this release
-	// and is threaded through to the shard backend so distributed
-	// shard calls carry the trace ID. Tracing is opt-in per release —
-	// the always-on instrumentation is the (allocation-free) stage
-	// timer histograms. PutScratch clears it so pooled reuse never
-	// resurrects another release's trace.
+	// Trace, when non-nil, receives per-stage spans for this release.
+	// Tracing is opt-in per release — the always-on instrumentation is
+	// the (allocation-free) stage timer histograms. PutScratch clears it
+	// so pooled reuse never resurrects another release's trace.
 	Trace *obs.Trace
 }
 

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 
 	"adaptivemm/internal/linalg"
-	"adaptivemm/internal/obs"
 	"adaptivemm/internal/workload"
 )
 
@@ -183,85 +180,6 @@ func liftColNorms(s Shard, n int, cn2, cn1 []float64) error {
 // Shards returns the shard list for sharded mechanisms and nil otherwise.
 func (m *Mechanism) Shards() []Shard { return m.shards }
 
-// ShardBackend routes one shard's inference; implementations may run it
-// on a remote worker. dst must be filled with exactly the shard's
-// sub-domain estimate for the noisy measurements y. A backend whose
-// executors solve with the same plan artifacts (the content-addressed
-// store guarantees bit-identical operators) returns bit-identical
-// estimates to the in-process path, because the per-shard solvers are
-// deterministic. Implementations must be safe for concurrent calls:
-// every sharded release fans all shards out at once.
-//
-// tr is the release's trace, nil unless the caller opted in; a remote
-// backend propagates tr.ID to the worker (the X-AM-Trace header) and
-// may add spans of its own (e.g. a degraded local fallback).
-type ShardBackend interface {
-	InferShard(tr *obs.Trace, shard int, dst, y []float64) error
-}
-
-// SetShardBackend routes the mechanism's per-shard inference through b
-// — local and remote execution share one code path, one noise stream
-// and one accountant reservation; only the solve of each shard's slice
-// moves. nil detaches the backend and restores the in-process shard
-// workers. Attach and detach are atomic with respect to concurrent
-// releases (each release reads the backend once).
-func (m *Mechanism) SetShardBackend(b ShardBackend) error {
-	if m.shards == nil {
-		return fmt.Errorf("mm: shard backend on a non-sharded mechanism")
-	}
-	if b == nil {
-		m.backend.Store(nil)
-		return nil
-	}
-	m.backend.Store(&b)
-	return nil
-}
-
-// ShardBackend returns the currently attached backend, nil when shard
-// inference runs in process.
-func (m *Mechanism) ShardBackend() ShardBackend {
-	if bp := m.backend.Load(); bp != nil {
-		return *bp
-	}
-	return nil
-}
-
-// ShardDims reports one shard's measurement-row and sub-domain cell
-// counts — the slice lengths InferShardLocal (and any ShardBackend)
-// exchanges for that shard.
-func (m *Mechanism) ShardDims(shard int) (rows, cells int, err error) {
-	if m.shards == nil {
-		return 0, 0, fmt.Errorf("mm: not a sharded mechanism")
-	}
-	if shard < 0 || shard >= len(m.shards) {
-		return 0, 0, fmt.Errorf("mm: shard %d out of range [0,%d)", shard, len(m.shards))
-	}
-	a := m.shards[shard].Mechanism.a
-	return a.Rows(), a.Cols(), nil
-}
-
-// InferShardLocal solves one shard's noisy measurements with that
-// shard's own prepared inference method through pooled scratch — the
-// worker-side entry point of a distributed release, and the
-// coordinator's local fallback when the fleet fails. The bits written
-// to dst are identical to what the in-process sharded path produces for
-// the same y.
-func (m *Mechanism) InferShardLocal(shard int, dst, y []float64) error {
-	rows, cells, err := m.ShardDims(shard)
-	if err != nil {
-		return err
-	}
-	if len(y) != rows || len(dst) != cells {
-		return fmt.Errorf("mm: shard %d takes %d measurements and %d cells, got %d and %d",
-			shard, rows, cells, len(y), len(dst))
-	}
-	sm := m.shards[shard].Mechanism
-	sc := sm.GetScratch()
-	err = sm.inferInto(dst, y, sc)
-	sm.PutScratch(sc)
-	return err
-}
-
 // totalShardQueries sums the shard sub-workloads' query counts.
 func (m *Mechanism) totalShardQueries() int {
 	var total int
@@ -310,9 +228,6 @@ func (m *Mechanism) startShardWorkers() {
 // steady-state sharded release performs zero allocations (pinned by
 // TestShardedReleaseZeroAlloc).
 func (m *Mechanism) inferShardedInto(dst, y []float64, sc *ReleaseScratch) error {
-	if bp := m.backend.Load(); bp != nil {
-		return m.inferShardedVia(*bp, dst, y, sc)
-	}
 	m.shardOnce.Do(m.startShardWorkers)
 	if cap(sc.shardErrs) < len(m.shards) {
 		sc.shardErrs = make([]error, len(m.shards))
@@ -330,49 +245,6 @@ func (m *Mechanism) inferShardedInto(dst, y []float64, sc *ReleaseScratch) error
 			err:     &errs[i],
 			release: &sc.wg,
 		}
-		at += rows
-		estAt += cells
-	}
-	sc.wg.Wait()
-	var first error
-	for i, err := range errs {
-		if err != nil && first == nil {
-			first = fmt.Errorf("mm: shard %d inference: %w", i, err)
-		}
-		errs[i] = nil // don't retain shard errors across pooled reuses
-	}
-	return first
-}
-
-// inferShardedVia fans the shards out to an attached backend, one
-// goroutine per shard: the backend path is network-bound, not
-// CPU-bound, so the persistent bounded workers would only serialize
-// remote waits. dst and y are sliced at exactly the same boundaries as
-// the local path, and the first shard error wins with the same shape,
-// so local and remote execution differ only in where each slice is
-// solved.
-func (m *Mechanism) inferShardedVia(b ShardBackend, dst, y []float64, sc *ReleaseScratch) error {
-	if cap(sc.shardErrs) < len(m.shards) {
-		sc.shardErrs = make([]error, len(m.shards))
-	}
-	errs := sc.shardErrs[:len(m.shards)]
-	sc.wg.Add(len(m.shards))
-	tr := sc.Trace
-	at, estAt := 0, 0
-	for i, s := range m.shards {
-		rows := s.Mechanism.a.Rows()
-		cells := s.Mechanism.a.Cols()
-		go func(i int, dst, y []float64) {
-			defer sc.wg.Done()
-			var t0 time.Time
-			if tr != nil {
-				t0 = time.Now()
-			}
-			errs[i] = b.InferShard(tr, i, dst, y)
-			if tr != nil {
-				tr.AddSpan("shard:"+strconv.Itoa(i), t0)
-			}
-		}(i, dst[estAt:estAt+cells], y[at:at+rows])
 		at += rows
 		estAt += cells
 	}

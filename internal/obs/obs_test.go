@@ -50,36 +50,6 @@ func TestCounterGaugeValues(t *testing.T) {
 	}
 }
 
-// TestRegisterCounterAdopts pins the single-source contract the fleet
-// counters rely on: adopting an existing counter makes that same
-// atomic visible in the exposition, and a second adoption of the same
-// series returns the first counter.
-func TestRegisterCounterAdopts(t *testing.T) {
-	r := NewRegistry()
-	ext := new(Counter)
-	got := r.RegisterCounter("am_adopt_total", "adopted", ext)
-	if got != ext {
-		t.Fatal("RegisterCounter did not adopt the provided counter")
-	}
-	ext.Add(41)
-	ext.Inc()
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	exp, err := ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := exp.Value("am_adopt_total"); !ok || v != 42 {
-		t.Fatalf("exposition has am_adopt_total = %v (ok=%v), want 42", v, ok)
-	}
-	other := new(Counter)
-	if got := r.RegisterCounter("am_adopt_total", "adopted", other); got != ext {
-		t.Fatal("second adoption of the same series did not return the original counter")
-	}
-}
-
 // TestHistogramQuantile checks the interpolated quantile against a
 // uniform fill: 1000 samples spread evenly over (0, 1] should put p50
 // near 0.5 and p99 near 0.99.
@@ -215,7 +185,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBucketQuantileFromParsedPage is the ambench path end to end:
+// TestBucketQuantileFromParsedPage is the scrape path end to end:
 // scrape a histogram, rebuild per-bucket counts from the cumulative
 // _bucket samples, and recover the quantile.
 func TestBucketQuantileFromParsedPage(t *testing.T) {

@@ -3,7 +3,7 @@
 // record operations are single atomic instructions — safe inside the
 // pinned zero-allocation release path — plus a Prometheus text
 // exposition encoder (text.go), a small exposition parser for
-// harnesses, and a bounded per-release trace ring (trace.go).
+// scrapers and tests, and a bounded per-release trace ring (trace.go).
 //
 // Cardinality is a first-class constraint: every series is registered
 // up front with a fixed label set, a family refuses new series past a
@@ -53,9 +53,8 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing integer. The zero value is
-// ready to use, detached from any registry; Registry.RegisterCounter
-// adopts an existing counter so one value can back both an internal
-// stats API and the /metrics exposition.
+// ready to use, detached from any registry; Registry.Counter creates
+// one that the /metrics exposition reports.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -161,8 +160,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // BucketQuantile computes the interpolated q-quantile of a fixed-bucket
 // histogram given the ascending bucket upper bounds and per-bucket
 // (non-cumulative) counts, where len(counts) == len(bounds)+1 and the
-// final count is the +Inf bucket. It is exported so harnesses (ambench)
-// can derive tail latencies from a scraped exposition.
+// final count is the +Inf bucket. Histogram.Quantile applies it to a
+// live histogram; it applies equally to counts rebuilt from a scraped
+// exposition (see ParseText).
 func BucketQuantile(q float64, bounds []float64, counts []int64) float64 {
 	if len(counts) != len(bounds)+1 {
 		return math.NaN()
@@ -329,21 +329,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.c
 }
 
-// RegisterCounter adopts an existing counter as the series value, so
-// one atomic backs both an internal stats API and the exposition. If
-// the series already exists its current counter wins (and is
-// returned); callers should use the returned pointer.
-func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) *Counter {
-	s := r.register(name, help, KindCounter, nil, labels)
-	if s == nil {
-		return c
-	}
-	if s.c == nil {
-		s.c = c
-	}
-	return s.c
-}
-
 // Gauge registers (or fetches) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	s := r.register(name, help, KindGauge, nil, labels)
@@ -375,8 +360,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // GaugeFunc registers a collect-at-scrape gauge family: fn runs during
 // every exposition and emits zero or more labeled samples. It is the
-// bridge for values that live elsewhere (accountant budgets, fleet
-// worker health, queue depths) — the emitter caps the sample count at
+// bridge for values that live elsewhere (accountant budgets, queue
+// depths) — the emitter caps the sample count at
 // the family cardinality bound and counts overflow as dropped series.
 func (r *Registry) GaugeFunc(name, help string, fn func(emit func(v float64, labels ...Label))) {
 	r.mu.Lock()

@@ -16,13 +16,12 @@ type Span struct {
 	End   time.Duration
 }
 
-// Trace is the flight record of one release (or one worker-side shard
-// call): an ID, the parent ID when the work was fanned out from a
-// coordinator (propagated via the X-AM-Trace header), and per-stage
-// spans stamped against one monotonic start time. Traces are opt-in
-// per request — the always-on instrumentation is metrics-only — so a
-// trace may allocate freely without disturbing the zero-alloc release
-// pins.
+// Trace is the flight record of one release: an ID, the parent ID a
+// client supplied in the X-AM-Trace header (empty without one), and
+// per-stage spans stamped against one monotonic start time. Traces are
+// opt-in per request — the always-on instrumentation is metrics-only —
+// so a trace may allocate freely without disturbing the zero-alloc
+// release pins.
 type Trace struct {
 	ID       string
 	Parent   string

@@ -4,7 +4,7 @@
 // paid once per workload, not once per process lifetime. A server
 // restart rehydrates its strategy cache from the store instead of
 // triggering a recompute storm, and a plan designed offline (amdesign
-// -save) can be shipped into a fleet's store directory.
+// -save) can be shipped into a server's store directory.
 //
 // Layout. Each plan is one file named by the SHA-256 of its cache key
 // (<hex[:24]>.plan): the key — the canonical (workload spec, hints
@@ -73,11 +73,6 @@ const (
 	// plus strategy, is ~25 MB).
 	maxEntryBytes = 256 << 20
 )
-
-// MaxEntryBytes is the store's entry-size bound, exported so plan
-// fetchers (a fleet worker pulling from its coordinator) can cap their
-// reads identically.
-const MaxEntryBytes = maxEntryBytes
 
 // maxEvictedRecords bounds the evicted-id memory; past it, the oldest
 // records are forgotten (their IDs then report a plain not-found).
@@ -360,50 +355,10 @@ func (s *Store) Load(id string) (*planner.Plan, Meta, error) {
 	return plan, meta, nil
 }
 
-// GetRaw returns the verified raw bytes of one entry — the fleet's
-// plan-distribution payload (GET /plans/{id}/raw). The envelope
-// checksum is verified before the bytes are served, so a corrupted file
-// is an error here, never a corrupt transfer; the fetcher re-verifies
-// against the content address, making the transfer self-checking end to
-// end. A missing entry's error unwraps to os.ErrNotExist.
-func (s *Store) GetRaw(id string) ([]byte, error) {
-	if !ValidID(id) {
-		return nil, fmt.Errorf("planstore: invalid entry id %q", id)
-	}
-	blob, err := readBounded(filepath.Join(s.dir, id+planExt))
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := decodeEnvelope(blob); err != nil {
-		return nil, fmt.Errorf("planstore: %s: %w", id+planExt, err)
-	}
-	return blob, nil
-}
-
-// ImportRaw verifies and installs a complete encoded entry under its
-// own content address — the worker-side half of plan distribution. The
-// envelope (magic, format version, checksum) is verified and the entry
-// lands at EntryID(key) regardless of what the sender claimed, so a
-// store can only ever hold entries consistent with their address.
-func (s *Store) ImportRaw(blob []byte) (Meta, error) {
-	meta, _, err := decodeEnvelope(blob)
-	if err != nil {
-		return Meta{}, fmt.Errorf("planstore: importing entry: %w", err)
-	}
-	if err := s.writeAtomic(filepath.Join(s.dir, meta.ID+planExt), blob); err != nil {
-		return Meta{}, err
-	}
-	meta.SizeBytes = int64(len(blob))
-	s.clearEvicted(meta.ID)
-	s.Touch(meta.ID)
-	s.enforceQuota()
-	return meta, nil
-}
-
 // Stat returns one entry's metadata without reading its payload. A
 // missing entry's error unwraps to os.ErrNotExist.
 func (s *Store) Stat(id string) (Meta, error) {
-	if !ValidID(id) {
+	if !validID(id) {
 		return Meta{}, fmt.Errorf("planstore: invalid entry id %q", id)
 	}
 	return readMetaHeader(filepath.Join(s.dir, id+planExt))
@@ -535,18 +490,16 @@ func (s *Store) ids() ([]string, error) {
 	return ids, nil
 }
 
-// ValidID reports whether id has the shape of an entry content address
+// validID reports whether id has the shape of an entry content address
 // (24 hex characters) — the gate every by-id lookup applies before
 // touching the filesystem.
-func ValidID(id string) bool {
+func validID(id string) bool {
 	if len(id) != 24 {
 		return false
 	}
 	_, err := hex.DecodeString(id)
 	return err == nil
 }
-
-func validID(id string) bool { return ValidID(id) }
 
 func readBounded(path string) ([]byte, error) {
 	fi, err := os.Stat(path)

@@ -3,17 +3,15 @@
 // One obs.Registry per server holds every metric family — HTTP traffic
 // by route and status class, release latency and its per-stage
 // breakdown (threaded into the mechanism via mm.StageTimers), planner
-// design activity and cache behavior, accountant budgets, plan-store
-// persistence health, and the fleet's routing counters — and renders
-// them at GET /metrics in the Prometheus text exposition. The fleet
-// counters are the same atomics the GET /fleet JSON reads (adopted via
-// obs.Registry.RegisterCounter), so the two surfaces can never drift.
+// design activity and cache behavior, accountant budgets and plan-store
+// persistence health — and renders them at GET /metrics in the
+// Prometheus text exposition.
 //
 // Recording is atomic-only: the instrumentation rides inside the
 // pinned zero-allocation release path (see alloc_test.go), so nothing
 // on a request's success path may allocate. Per-release traces are the
-// exception and are opt-in per request ("trace": true, or an incoming
-// X-AM-Trace header on a worker): a trace allocates freely, lands in a
+// exception and are opt-in per request ("trace": true, or an
+// X-AM-Trace header naming a client-supplied parent): a trace allocates freely, lands in a
 // bounded lock-free ring, and is served at GET /debug/traces.
 //
 // Operational log messages all flow through infof/warnf with a
@@ -50,8 +48,6 @@ const (
 	routeRelease
 	routeLedger
 	routePlans
-	routeFleet
-	routeShards
 	routeMetrics
 	routeTraces
 	routeOther
@@ -60,7 +56,7 @@ const (
 
 var routeNames = [numRoutes]string{
 	"design", "datasets", "answer", "release", "ledger",
-	"plans", "fleet", "shards", "metrics", "traces", "other",
+	"plans", "metrics", "traces", "other",
 }
 
 // routeIndex classifies a request path onto a route index without
@@ -77,8 +73,6 @@ func routeIndex(path string) int {
 		return routeRelease
 	case "/ledger":
 		return routeLedger
-	case "/fleet":
-		return routeFleet
 	case "/metrics":
 		return routeMetrics
 	case "/debug/traces":
@@ -87,8 +81,6 @@ func routeIndex(path string) int {
 	switch {
 	case len(path) >= len("/plans") && path[:len("/plans")] == "/plans":
 		return routePlans
-	case len(path) >= len("/shards/") && path[:len("/shards/")] == "/shards/":
-		return routeShards
 	}
 	return routeOther
 }
@@ -101,11 +93,10 @@ const (
 	compPlan    = "plan"
 	compPersist = "persist"
 	compStore   = "store"
-	compFleet   = "fleet"
 	compOther   = "other"
 )
 
-var logComponents = [...]string{compHTTP, compPlan, compPersist, compStore, compFleet, compOther}
+var logComponents = [...]string{compHTTP, compPlan, compPersist, compStore, compOther}
 
 // serverMetrics is every pre-registered series the server records on.
 // It is built once in Open, before any request can arrive; all fields
@@ -136,16 +127,12 @@ type serverMetrics struct {
 	persistDrops *obs.Counter
 	evictions    *obs.Counter
 
-	// Worker-side shard serving.
-	shardRequests *obs.Counter
-
 	// Per-component warning counters for warnf.
 	warns map[string]*obs.Counter
 }
 
 // newServerMetrics registers the server-wide families on a fresh
-// registry. Fleet-role series are added later by registerFleetMetrics /
-// registerWorkerMetrics once the role is known.
+// registry.
 func newServerMetrics(s *Server) *serverMetrics {
 	m := &serverMetrics{
 		reg:  obs.NewRegistry(),
@@ -184,8 +171,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.persistDrops = m.reg.Counter("am_store_persist_drops_total", "plan persistence writes dropped at the full write-behind queue")
 	m.evictions = m.reg.Counter("am_store_evictions_total", "plan-store entries evicted by the byte quota")
-
-	m.shardRequests = m.reg.Counter("am_fleet_shard_requests_total", "POST /shards requests served by this process")
 
 	m.warns = make(map[string]*obs.Counter, len(logComponents))
 	for _, c := range logComponents {
@@ -232,42 +217,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		s.mu.RUnlock()
 		emit(float64(n))
 	})
-	m.reg.GaugeFunc("am_fleet_cached_plans", "plans resident in the by-address fetch cache", func(emit func(v float64, labels ...obs.Label)) {
-		s.fetchedMu.Lock()
-		n := len(s.fetched)
-		s.fetchedMu.Unlock()
-		emit(float64(n))
-	})
 	return m
-}
-
-// registerFleetMetrics adopts the coordinator's routing counters into
-// the exposition — the same atomics fleet.Client.Stats and GET /fleet
-// read, so the JSON and the scrape cannot disagree — and registers the
-// per-worker health gauge.
-func (m *serverMetrics) registerFleetMetrics(fs *fleetState) {
-	c := fs.client
-	c.Remote = m.reg.RegisterCounter("am_fleet_shards_remote_total", "shards answered by a fleet worker", c.Remote)
-	c.Retries = m.reg.RegisterCounter("am_fleet_retries_total", "shard failover attempts past each shard's first", c.Retries)
-	c.Failures = m.reg.RegisterCounter("am_fleet_failures_total", "failed remote shard attempts (each marked its worker down)", c.Failures)
-	// The RPC latency histogram is replaced before any traffic flows;
-	// afterwards one histogram backs both surfaces.
-	c.RPCSeconds = m.reg.Histogram("am_fleet_shard_rpc_seconds", "remote shard RPC latency", obs.DefTimeBuckets)
-	fs.degraded = m.reg.Counter("am_fleet_degraded_total", "shards served by local fallback after the fleet failed them")
-	m.reg.GaugeFunc("am_fleet_worker_up", "per-worker health (1 healthy, 0 down)", func(emit func(v float64, labels ...obs.Label)) {
-		for _, ws := range c.Registry.Status() {
-			v := 0.0
-			if ws.Healthy {
-				v = 1
-			}
-			emit(v, obs.L("worker", ws.URL))
-		}
-	})
-}
-
-// registerWorkerMetrics registers the worker role's plan-fetch counter.
-func (m *serverMetrics) registerWorkerMetrics(ws *workerFleetState) {
-	ws.fetches = m.reg.Counter("am_fleet_plan_fetches_total", "plans fetched from the coordinator by content address")
 }
 
 // instrumentPlan attaches the shared stage-timer histograms to a plan's

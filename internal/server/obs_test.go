@@ -3,20 +3,21 @@ package server
 // Flight-recorder integration tests: the /metrics exposition is driven
 // by real HTTP traffic and re-parsed with obs.ParseText (the same
 // pipeline an external scraper runs), per-release traces round-trip
-// through the /answer ledger and GET /debug/traces, the distributed
-// fleet's sharded releases carry per-shard spans across processes, and
-// the instrumentation's allocation cost on the pinned release path
+// through the /answer ledger and GET /debug/traces, an X-AM-Trace
+// header becomes the trace's parent, and the instrumentation's allocation cost on the pinned release path
 // stays at zero.
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"adaptivemm/internal/fleet"
 	"adaptivemm/internal/obs"
 )
 
@@ -324,82 +325,128 @@ func TestStreamTraceRecorded(t *testing.T) {
 	}
 }
 
-// TestFleetShardTraceSpans is the distributed acceptance check: a traced
-// sharded release through real HTTP workers records per-shard spans on
-// the coordinator, and each worker records a child trace (parented on
-// the coordinator's trace ID) with its own decode/infer/encode stages.
-func TestFleetShardTraceSpans(t *testing.T) {
-	h := newFleetHarness(t, 2, nil, Options{})
-	strategy := h.designSharded(t)
+// postWithParent posts a JSON body, sending parent in the X-AM-Trace
+// header unless it is empty.
+func postWithParent(t *testing.T, ts *httptest.Server, path string, body any, parent string) (*http.Response, []byte) {
+	t.Helper()
+	blob, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if parent != "" {
+		req.Header.Set(fleet.TraceHeader, parent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
 
-	hist := seededHistogram()
-	req := map[string]any{
-		"strategy": strategy, "dataset": "fleettrace", "histogram": hist,
-		"epsilon": 0.5, "delta": 1e-4, "seed": int64(7), "trace": true,
-	}
-	resp, body := post(t, h.coordTS, "/answer", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced sharded answer status %d: %s", resp.StatusCode, body)
-	}
-
-	coord := getTraces(t, h.coordTS, "?route=answer")
-	if len(coord.Traces) != 1 {
-		t.Fatalf("coordinator recorded %d answer traces, want 1", len(coord.Traces))
-	}
-	root := coord.Traces[0]
-	names := spanNames(root.Spans)
-	for _, want := range []string{"answer", "noise", "infer", "shard:0", "shard:1", "serialize"} {
-		if !names[want] {
-			t.Fatalf("coordinator trace missing span %q: %+v", want, root.Spans)
+// TestTraceHeaderParent pins X-AM-Trace as a client-supplied trace
+// parent: a traced /answer, batch /release and streamed release each
+// record the header's value as "parent" at GET /debug/traces, and the
+// same requests without the header record no parent.
+func TestTraceHeaderParent(t *testing.T) {
+	hist := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, parent := range []string{"client-trace-42", ""} {
+		ts := httptest.NewServer(New().Handler())
+		d := designOn(t, ts, map[string]any{"workload": "identity:8"})
+		requests := []struct {
+			route, path string
+			body        map[string]any
+		}{
+			{"answer", "/answer", map[string]any{
+				"strategy": d.Strategy, "dataset": "traced", "histogram": hist,
+				"epsilon": 0.1, "delta": 1e-5, "trace": true,
+			}},
+			{"release", "/release", map[string]any{
+				"histograms": map[string][]float64{"traced": hist},
+				"releases": []map[string]any{{
+					"strategy": d.Strategy, "dataset": "traced",
+					"epsilon": 0.1, "delta": 1e-5, "trace": true,
+				}},
+			}},
+			{"stream", "/release", map[string]any{
+				"strategy": d.Strategy, "dataset": "traced", "histogram": hist,
+				"epsilon": 0.1, "delta": 1e-5, "stream": true, "trace": true,
+			}},
 		}
-	}
-
-	// Each shard landed on some worker as a child trace of the root.
-	children := 0
-	for _, wts := range h.workerTS {
-		for _, tr := range getTraces(t, wts, "?route=shard").Traces {
-			if tr.Parent != root.ID {
-				t.Fatalf("worker trace parent %q, want root %q", tr.Parent, root.ID)
+		for _, rq := range requests {
+			resp, body := postWithParent(t, ts, rq.path, rq.body, parent)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s (parent %q): status %d: %s", rq.route, parent, resp.StatusCode, body)
 			}
-			wn := spanNames(tr.Spans)
-			for _, want := range []string{"decode", "infer", "encode"} {
-				if !wn[want] {
-					t.Fatalf("worker shard trace missing span %q: %+v", want, tr.Spans)
-				}
+			resp, err := http.Get(ts.URL + "/debug/traces?route=" + rq.route)
+			if err != nil {
+				t.Fatal(err)
 			}
-			children++
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(raw, []byte(`"id":`)); n != 1 {
+				t.Fatalf("%s (parent %q): %d traces recorded, want 1: %s", rq.route, parent, n, raw)
+			}
+			want := []byte(`"parent":"` + parent + `"`)
+			if parent == "" {
+				want = []byte(`"parent":`)
+			}
+			if bytes.Contains(raw, want) != (parent != "") {
+				t.Fatalf("%s (parent %q): /debug/traces body %s", rq.route, parent, raw)
+			}
 		}
+		ts.Close()
 	}
-	if children != 2 {
-		t.Fatalf("workers recorded %d shard traces, want 2", children)
-	}
+}
 
-	// The fleet counters on /metrics are the same atomics /fleet reads.
-	exp := scrapeMetrics(t, h.coordTS)
-	fs := fleetStatus(t, h.coordTS)
-	if fs.Shards == nil {
-		t.Fatal("/fleet has no shard stats on the coordinator")
+// TestDeletedFleetRoutes pins that the removed coordinator/worker
+// routes are gone: none of them answers 200, not even the raw bytes of
+// a plan the store holds.
+func TestDeletedFleetRoutes(t *testing.T) {
+	s, err := Open(Options{StoreDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := mustValue(t, exp, "am_fleet_shards_remote_total"); v != float64(fs.Shards.Remote) {
-		t.Fatalf("scrape remote %g, /fleet remote %d", v, fs.Shards.Remote)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	designOn(t, ts, map[string]any{"workload": "identity:8"})
+	// Flush the write-behind queue so the entry is durably listed.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	mustValue(t, exp, "am_fleet_degraded_total")
-	if v := mustValue(t, exp, "am_fleet_worker_up", "worker", h.workerTS[0].URL); v != 1 {
-		t.Fatalf("worker 0 up gauge %g, want 1", v)
+	metas, err := s.store.List()
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("List = %d entries (%v), want 1", len(metas), err)
 	}
-	// Placement hashes the worker URLs, so which worker serves which
-	// shard varies with the httptest ports — assert across the fleet.
-	var fetches, served float64
-	for _, wts := range h.workerTS {
-		wexp := scrapeMetrics(t, wts)
-		fetches += mustValue(t, wexp, "am_fleet_plan_fetches_total")
-		served += mustValue(t, wexp, "am_fleet_shard_requests_total")
-	}
-	if fetches < 1 {
-		t.Fatalf("fleet-wide plan fetches %g, want ≥ 1", fetches)
-	}
-	if served != 2 {
-		t.Fatalf("fleet-wide shard requests %g, want 2", served)
+	for _, rq := range []struct{ method, path string }{
+		{http.MethodGet, "/fleet"},
+		{http.MethodPost, "/shards/x/0"},
+		{http.MethodGet, "/plans/" + metas[0].ID + "/raw"},
+	} {
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s %s: status %d, want 404 or 405", rq.method, rq.path, resp.StatusCode)
+		}
 	}
 }
 

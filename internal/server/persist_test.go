@@ -254,7 +254,7 @@ func TestPlansEndpoints(t *testing.T) {
 	}
 }
 
-// TestShippedPlanServedFromCache models the amdesign -save → fleet flow:
+// TestShippedPlanServedFromCache models the amdesign -save → serve flow:
 // a plan designed offline (with amdesign's own analysis cap) is written
 // into the store directory under the canonical spec key, and a server
 // started on that directory serves /design of the same spec from cache
@@ -350,5 +350,58 @@ func TestDeletedPlanNotRehydrated(t *testing.T) {
 	defer ts3.Close()
 	if dr := designSpecOn(t, ts3, `{"workload":"prefix:64"}`); dr.Cached {
 		t.Fatal("deleted plan was rehydrated")
+	}
+}
+
+// Regression for the List/quota-GC race: an id listed by GET /plans a
+// moment ago whose entry the quota then evicted must come back as a 404
+// naming the eviction — never a 500.
+func TestPlanEvictedBetweenListAndGet(t *testing.T) {
+	s, err := Open(Options{StoreDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	designSpecOn(t, ts, `{"workload":"prefix:64"}`)
+	// Flush the write-behind queue so the entry is durably listed.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	metas, err := s.store.List()
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("List = %d entries (%v), want 1", len(metas), err)
+	}
+	id := metas[0].ID
+
+	fetch := func(path string) (int, string) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		buf := make([]byte, 4096)
+		n, _ := resp.Body.Read(buf)
+		return resp.StatusCode, string(buf[:n])
+	}
+
+	if code, _ := fetch("/plans/" + id); code != http.StatusOK {
+		t.Fatalf("GET /plans/{id} before eviction: status %d", code)
+	}
+
+	// The "GC lands between List and Get" moment: evict everything.
+	s.store.SetQuota(1, t.Logf)
+
+	code, body := fetch("/plans/" + id)
+	if code != http.StatusNotFound {
+		t.Fatalf("GET /plans/{id} after eviction: status %d (%s), want 404", code, body)
+	}
+	if !strings.Contains(body, "evicted") {
+		t.Fatalf("eviction 404 carries no hint: %s", body)
+	}
+	// A never-existing id is a plain 404, no eviction claim.
+	code, body = fetch("/plans/ffffffffffffffffffffffff")
+	if code != http.StatusNotFound || strings.Contains(body, "evicted") {
+		t.Fatalf("unknown id: status %d body %s, want plain 404", code, body)
 	}
 }

@@ -53,7 +53,7 @@ type answerRequest struct {
 	ChunkSize int `json:"chunkSize,omitempty"`
 	// Trace opts this release into per-stage tracing: the response's
 	// ledger block echoes the trace (id + spans), and the full record —
-	// status, total duration, per-shard spans on a coordinator — is
+	// status, total duration — is
 	// kept at GET /debug/traces. Tracing allocates, so it is never on
 	// by default.
 	Trace bool `json:"trace,omitempty"`
@@ -184,8 +184,7 @@ func (s *Server) releaseWith(req *answerRequest, ent *entry, tr *obs.Trace) (rel
 	mech := ent.plan.Mechanism
 	sc := mech.GetScratch()
 	// The trace rides the scratch through the mechanism: stage spans
-	// (answer/noise/infer) and per-shard spans land on it from inside
-	// the release kernels. PutScratch clears it.
+	// (answer/noise/infer) land on it from inside the release kernels. PutScratch clears it.
 	sc.Trace = tr
 	var ans []float64
 	var err error

@@ -86,14 +86,12 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"adaptivemm/internal/accountant"
 	"adaptivemm/internal/domain"
-	"adaptivemm/internal/fleet"
 	"adaptivemm/internal/linalg"
 	"adaptivemm/internal/mm"
 	"adaptivemm/internal/planner"
@@ -216,22 +214,6 @@ type Server struct {
 	// acquired non-blocking, so excess streams fail fast with 503 instead
 	// of queuing chunk buffers.
 	streamSem chan struct{}
-
-	// byID indexes keyed strategies by their plan content address
-	// (planstore.EntryID of the cache key) — the wire identity shard
-	// requests and GET /plans/{id}/raw resolve. Guarded by mu.
-	byID map[string]planRef
-
-	// fleetSt is the coordinator role (Options.FleetWorkers), workerSt
-	// the worker role (Options.CoordinatorURL); both nil on a standalone
-	// server. See fleet.go.
-	fleetSt  *fleetState
-	workerSt *workerFleetState
-	// fetched caches plans resolved by content address (local store or
-	// coordinator fetch), bounded FIFO; see cacheFetched.
-	fetchedMu    sync.Mutex
-	fetched      map[string]*planner.Plan
-	fetchedOrder []string
 }
 
 // persistReq is one queued write-behind persistence job.
@@ -274,38 +256,6 @@ type Options struct {
 	// Logf receives operational messages (rehydration skips, persistence
 	// failures). nil means the standard library logger.
 	Logf func(format string, args ...any)
-
-	// FleetWorkers lists worker base URLs; non-empty makes this server a
-	// fleet coordinator (amserve -workers): sharded plans route their
-	// per-shard inference to the fleet, falling back to local inference
-	// when a shard's workers are all down.
-	FleetWorkers []string
-
-	// CoordinatorURL makes this server a fleet worker of that
-	// coordinator (amserve -worker-of): plans referenced by POST /shards
-	// that the worker has never seen are fetched from the coordinator by
-	// content address.
-	CoordinatorURL string
-
-	// FleetTransport overrides the coordinator's HTTP transport for
-	// shard requests and health probes — the fault-injection seam
-	// (fleet.FaultRoundTripper). nil means http.DefaultTransport.
-	FleetTransport http.RoundTripper
-
-	// ShardTimeout bounds one remote shard attempt; 0 applies
-	// fleet.DefaultShardTimeout.
-	ShardTimeout time.Duration
-
-	// FleetRequireRemote disables the coordinator's local-inference
-	// fallback so a fleet-wide failure fails the release instead of
-	// degrading it. For tests proving budget settlement; production
-	// coordinators keep the fallback.
-	FleetRequireRemote bool
-
-	// FleetProbeInterval is the coordinator's background health re-probe
-	// period: 0 applies the default (2s), negative disables the loop
-	// (deterministic tests; traffic still re-probes via backoff expiry).
-	FleetProbeInterval time.Duration
 }
 
 // entry wraps one stored plan. The plan carries the workload, the
@@ -357,7 +307,6 @@ func Open(opts Options) (*Server, error) {
 	s := &Server{
 		strategies:  map[string]*entry{},
 		cache:       map[string]string{},
-		byID:        map[string]planRef{},
 		pl:          planner.New(planner.Config{CacheSize: maxCachedPlans}),
 		acct:        accountant.New(),
 		reg:         registry.New(),
@@ -365,39 +314,10 @@ func Open(opts Options) (*Server, error) {
 		logf:        logf,
 		streamSem:   make(chan struct{}, maxStreams),
 	}
-	// The metrics core exists before any role wiring or rehydration so
-	// every later step (fleet counters, stage timers on rehydrated
-	// plans, store eviction counting) registers against it.
+	// The metrics core exists before rehydration so every later step
+	// (stage timers on rehydrated plans, store eviction counting)
+	// registers against it.
 	s.metrics = newServerMetrics(s)
-	if len(opts.FleetWorkers) > 0 && opts.CoordinatorURL != "" {
-		return nil, fmt.Errorf("server: a fleet coordinator cannot also be a worker; -workers and -worker-of are mutually exclusive")
-	}
-	if len(opts.FleetWorkers) > 0 {
-		client := fleet.NewClient(opts.FleetWorkers, &http.Client{Transport: opts.FleetTransport}, opts.ShardTimeout)
-		if len(client.Registry.URLs()) == 0 {
-			return nil, fmt.Errorf("server: fleet coordinator configured with no usable worker URLs")
-		}
-		s.fleetSt = &fleetState{
-			client:        client,
-			requireRemote: opts.FleetRequireRemote,
-			stop:          make(chan struct{}),
-		}
-		s.metrics.registerFleetMetrics(s.fleetSt)
-		interval := opts.FleetProbeInterval
-		if interval == 0 {
-			interval = defaultProbeInterval
-		}
-		if interval > 0 {
-			s.startFleetProbes(interval)
-		}
-	}
-	if opts.CoordinatorURL != "" {
-		s.workerSt = &workerFleetState{
-			coordinator: strings.TrimRight(opts.CoordinatorURL, "/"),
-			hc:          &http.Client{Timeout: 30 * time.Second},
-		}
-		s.metrics.registerWorkerMetrics(s.workerSt)
-	}
 	if opts.StoreDir == "" {
 		return s, nil
 	}
@@ -436,8 +356,6 @@ func Open(opts Options) (*Server, error) {
 		s.instrumentPlan(ent.plan.Mechanism)
 		s.strategies[id] = ent
 		s.cache[l.Meta.Key] = id
-		s.recordPlanID(l.Meta.Key, ent)
-		s.attachFleet(l.Meta.Key, ent)
 	}
 	if len(loaded) > 0 {
 		s.infof(compStore, "rehydrated %d plan(s) from %s", len(loaded), opts.StoreDir)
@@ -486,13 +404,11 @@ func (s *Server) enqueuePersist(key string, plan *planner.Plan) {
 	}
 }
 
-// Close stops the fleet's background health probes, flushes the
-// plan-persistence write-behind queue and saves a final calibration
+// Close flushes the plan-persistence write-behind queue and saves a final calibration
 // snapshot. The HTTP handler must be drained first
 // (http.Server.Shutdown). It is safe to call on a server without a
 // store, and more than once.
 func (s *Server) Close() error {
-	s.stopFleet()
 	if s.store == nil {
 		return nil
 	}
@@ -518,8 +434,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/ledger", s.handleLedger)
 	mux.HandleFunc("/plans", s.handlePlans)
 	mux.HandleFunc("/plans/", s.handlePlanByID)
-	mux.HandleFunc("/fleet", s.handleFleet)
-	mux.HandleFunc("/shards/", s.handleShard)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/traces", s.handleTraces)
 	return s.metrics.wrap(http.MaxBytesHandler(mux, maxRequestBody))
@@ -709,13 +623,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		// last one wins the cache slot and the loser's strategy stays
 		// usable under its own id.
 		s.cache[key] = id
-		s.recordPlanID(key, ent)
 	}
 	s.mu.Unlock()
-
-	// A sharded plan on a coordinator routes through the fleet from its
-	// first release.
-	s.attachFleet(key, ent)
 
 	// Durability is write-behind: the response never waits on disk.
 	s.enqueuePersist(key, plan)
@@ -977,10 +886,8 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 
 // handlePlanByID dispatches the by-id plan routes:
 //
-//	GET    /plans/{id}      one entry's stored metadata
-//	GET    /plans/{id}/raw  the entry's verified encoded bytes — the
-//	                        fleet's plan-distribution payload
-//	DELETE /plans/{id}      withdraw the entry from future restarts
+//	GET    /plans/{id}  one entry's stored metadata
+//	DELETE /plans/{id}  withdraw the entry from future restarts
 //
 // A strategy already rehydrated or designed in this process keeps
 // serving after DELETE — /answer ids stay valid for the server's
@@ -994,14 +901,12 @@ func (s *Server) handlePlanByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case r.Method == http.MethodGet && sub == "raw":
-		s.handlePlanRaw(w, id)
 	case r.Method == http.MethodGet && sub == "":
 		s.handlePlanMeta(w, id)
 	case r.Method == http.MethodDelete && sub == "":
 		s.handlePlanDelete(w, id)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "GET or DELETE /plans/{id}, or GET /plans/{id}/raw")
+		httpError(w, http.StatusMethodNotAllowed, "GET or DELETE /plans/{id}")
 	}
 }
 
@@ -1035,47 +940,6 @@ func (s *Server) handlePlanMeta(w http.ResponseWriter, id string) {
 		return
 	}
 	writeJSON(w, meta)
-}
-
-// handlePlanRaw serves the entry's verified encoded bytes. The store is
-// preferred; a coordinator without a store (or whose entry was evicted)
-// re-encodes the in-memory plan, so workers can always fetch any plan
-// the coordinator is actively serving.
-func (s *Server) handlePlanRaw(w http.ResponseWriter, id string) {
-	if !planstore.ValidID(id) {
-		httpError(w, http.StatusBadRequest, "plan id %q is not a content address", id)
-		return
-	}
-	var storeErr error
-	if s.store != nil {
-		blob, err := s.store.GetRaw(id)
-		if err == nil {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-			_, _ = w.Write(blob)
-			return
-		}
-		storeErr = err
-	}
-	s.mu.RLock()
-	ref, ok := s.byID[id]
-	s.mu.RUnlock()
-	if ok {
-		blob, _, err := planstore.EncodeEntry(ref.key, ref.ent.plan, time.Now())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding plan %s: %v", id, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-		_, _ = w.Write(blob)
-		return
-	}
-	if storeErr != nil && !errors.Is(storeErr, os.ErrNotExist) {
-		httpError(w, http.StatusInternalServerError, "reading stored plan %s: %v", id, storeErr)
-		return
-	}
-	s.planNotFound(w, id)
 }
 
 func (s *Server) handlePlanDelete(w http.ResponseWriter, id string) {
