@@ -54,9 +54,13 @@
 // structured fallback — honoring PlanHints (design-time budget,
 // per-release latency target, shard cap). The plan also fixes the
 // inference method explicitly: a one-time dense pseudo-inverse (small
-// strategies, fastest per release), matrix-free CGLS (structured or
-// large strategies, no O(n³) preprocessing), or normal-equations CG
-// (very tall strategies). Strategy.PlanInfo reports the decision.
+// strategies, fastest per release) or matrix-free "cgls" (structured or
+// large strategies, no O(n³) preprocessing). A matrix-free strategy with
+// an exact least-squares solver — an interval tree, or a Kronecker
+// product such as a hierarchical strategy over a product domain, whose
+// pseudo-inverse is the Kronecker product of its factors' — is solved in
+// one pass; any other runs CGLS iterations. Strategy.PlanInfo reports
+// the decision.
 //
 // # Sharded plans
 //
@@ -231,8 +235,8 @@ type ShardInfo struct {
 	Queries int
 	// Generator names the generator that won the shard's sub-plan.
 	Generator string
-	// Inference is the shard's inference method ("dense-pinv", "cgls",
-	// "normal-cg").
+	// Inference is the shard's inference method ("dense-pinv" or
+	// "cgls").
 	Inference string
 	// ModeledCost is the shard sub-plan's modeled design cost in work
 	// units.
@@ -245,9 +249,9 @@ type PlanInfo struct {
 	Generator string
 	// Note is the planner's one-line rationale.
 	Note string
-	// Inference is the chosen inference method ("dense-pinv", "cgls",
-	// "normal-cg", or "sharded" for composite plans that answer per
-	// shard).
+	// Inference is the chosen inference method ("dense-pinv", "cgls" —
+	// which runs the exact tree or Kronecker solver when the strategy
+	// has one — or "sharded" for composite plans that answer per shard).
 	Inference string
 	// ModeledCost is the winner's modeled design cost in work units
 	// (roughly floating-point operations).

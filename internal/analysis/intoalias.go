@@ -24,12 +24,10 @@ var intoFuncs = map[string]struct {
 	dst  int
 	srcs []int
 }{
-	"MulVecInto":        {dst: 1, srcs: []int{2}}, // MulVecInto(op, dst, x)
-	"MulVecTInto":       {dst: 1, srcs: []int{2}}, // MulVecTInto(op, dst, y)
-	"MulVecRangeInto":   {dst: 1, srcs: []int{2}}, // MulVecRangeInto(op, dst, x, lo, hi)
-	"SolveCGLSInto":     {dst: 2, srcs: []int{1}}, // SolveCGLSInto(a, b, dst, o, ws)
-	"SolveNormalCGInto": {dst: 2, srcs: []int{1}},
-	"SolveSymCGInto":    {dst: 2, srcs: []int{1}},
+	"MulVecInto":      {dst: 1, srcs: []int{2}}, // MulVecInto(op, dst, x)
+	"MulVecTInto":     {dst: 1, srcs: []int{2}}, // MulVecTInto(op, dst, y)
+	"MulVecRangeInto": {dst: 1, srcs: []int{2}}, // MulVecRangeInto(op, dst, x, lo, hi)
+	"SolveCGLSInto":   {dst: 2, srcs: []int{1}}, // SolveCGLSInto(a, b, dst, o, ws)
 }
 
 // intoMethods maps method names (on any operator/solver type) to the
@@ -42,7 +40,7 @@ var intoMethods = map[string]struct {
 	"MulVecTInto":     {dst: 0, srcs: []int{1}},
 	"MulVecRangeInto": {dst: 0, srcs: []int{1}}, // MulVecRangeInto(dst, x, lo, hi)
 	"AnswerInto":      {dst: 0, srcs: []int{1}}, // TreeSolver.AnswerInto(dst, x, ws)
-	"SolveLSInto":     {dst: 0, srcs: []int{1}}, // TreeSolver.SolveLSInto(dst, y, ws)
+	"SolveLSInto":     {dst: 0, srcs: []int{1}}, // LSSolver.SolveLSInto(dst, y, ws)
 	"MulQueriesInto":  {dst: 0, srcs: []int{1}},
 }
 

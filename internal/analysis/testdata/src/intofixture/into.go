@@ -21,6 +21,11 @@ func methods(o fakeOp, dst, x []float64) {
 	o.MulVecRangeInto(x, x, 0, 1) // want `destination x aliases input`
 }
 
+func solvers(s linalg.LSSolver, dst, y []float64, ws *linalg.CGWorkspace) {
+	s.SolveLSInto(dst, y, ws)
+	s.SolveLSInto(y, y, ws) // want `destination y aliases input`
+}
+
 func funcs(op linalg.Operator, dst, x []float64) {
 	linalg.MulVecInto(op, dst, x)
 	linalg.MulVecInto(op, x, x) // want `destination x aliases input`

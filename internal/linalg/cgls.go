@@ -10,6 +10,12 @@ import (
 // values (an ill-posed operator or catastrophically scaled input).
 var ErrCGDiverged = errors.New("linalg: conjugate-gradient iteration diverged")
 
+// ErrCGNotConverged is returned, wrapped with the iteration count and
+// the relative residual reached, when a CGLS solve runs out of MaxIter
+// before meeting its tolerance: its iterate is not the least-squares
+// solution and must not be served as one.
+var ErrCGNotConverged = errors.New("linalg: conjugate-gradient iteration did not converge")
+
 // CGOptions tunes the iterative least-squares solvers.
 type CGOptions struct {
 	// Tol is the relative stopping tolerance on ‖Aᵀr‖ (CGLS) or ‖r‖ (CG),
@@ -41,7 +47,7 @@ type CGWorkspace struct {
 	s []float64 // Aᵀr / rhs scratch (cols)
 	p []float64 // search direction (cols / n)
 	q []float64 // A·p (rows) or G·p (n)
-	t []float64 // extra pass state (normal-equations inner product, tree solver)
+	t []float64 // extra pass state (Kronecker solver passes)
 }
 
 // growVec returns buf resized to n, reallocating only when capacity is
@@ -53,32 +59,23 @@ func growVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// SolveCGLS solves the least-squares problem min ‖Ax − b‖₂ by conjugate
-// gradients on the normal equations in factored form (CGLS / CGNR). Only
-// MulVec and MulVecT are used, so A may be any Operator — this is the
-// matrix-free inference path that replaces the dense pseudo-inverse for
-// structured strategies. Starting from x₀ = 0 the iterates stay in
-// range(Aᵀ), so for rank-deficient A the result converges to the
-// minimum-norm least-squares solution A⁺b, matching PseudoInverse.
-func SolveCGLS(a Operator, b []float64, o CGOptions) ([]float64, error) {
-	x := make([]float64, a.Cols())
-	if err := SolveCGLSInto(a, b, x, o, &CGWorkspace{}); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveCGLSInto is SolveCGLS writing the solution into dst (length
-// a.Cols()) using caller-owned scratch. Every operator writes its
-// products into the caller's buffer, so the steady state allocates
-// nothing.
+// SolveCGLSInto solves the least-squares problem min ‖Ax − b‖₂ by
+// conjugate gradients on the normal equations in factored form (CGLS /
+// CGNR), writing the solution into dst (length a.Cols()) with
+// caller-owned scratch. Only products are used, so A may be any Operator
+// — this is the matrix-free inference path for structured strategies
+// without an exact solver — and the steady state allocates nothing.
+// Starting from x₀ = 0 the iterates stay in range(Aᵀ), so for
+// rank-deficient A the result converges to the minimum-norm
+// least-squares solution A⁺b, matching PseudoInverse. A solve that runs
+// out of MaxIter returns ErrCGNotConverged.
 func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) error {
 	if len(b) != a.Rows() {
-		panic(fmt.Sprintf("linalg: SolveCGLS rhs length %d, want %d", len(b), a.Rows()))
+		panic(fmt.Sprintf("linalg: SolveCGLSInto rhs length %d, want %d", len(b), a.Rows()))
 	}
 	rows, n := a.Rows(), a.Cols()
 	if len(dst) != n {
-		panic(fmt.Sprintf("linalg: SolveCGLS dst length %d, want %d", len(dst), n))
+		panic(fmt.Sprintf("linalg: SolveCGLSInto dst length %d, want %d", len(dst), n))
 	}
 	o = o.withDefaults(n)
 
@@ -101,12 +98,13 @@ func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) e
 	if gamma == 0 {
 		return nil // b ⟂ range(A): least-squares solution is 0
 	}
+	gamma0 := gamma
 	tol2 := o.Tol * o.Tol * gamma
 	for it := 0; it < o.MaxIter; it++ {
 		MulVecInto(a, q, p)
 		qq := dot(q, q)
 		if qq == 0 {
-			break // p in the null space; nothing further to gain
+			return nil // p in the null space; nothing further to gain
 		}
 		alpha := gamma / qq
 		for i := range x {
@@ -129,7 +127,8 @@ func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) e
 		}
 		gamma = gammaNew
 	}
-	return nil
+	return fmt.Errorf("%w: %d iterations, relative residual ‖Aᵀr‖/‖Aᵀb‖ = %.3g",
+		ErrCGNotConverged, o.MaxIter, math.Sqrt(gamma/gamma0))
 }
 
 // SolveNormalCG solves (AᵀA)·x = b by plain conjugate gradients with the
@@ -138,25 +137,15 @@ func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) e
 // wᵢᵀ(AᵀA)⁺wᵢ without forming a pseudo-inverse.
 func SolveNormalCG(a Operator, b []float64, o CGOptions) ([]float64, error) {
 	x := make([]float64, a.Cols())
-	if err := SolveNormalCGInto(a, b, x, o, &CGWorkspace{}); err != nil {
+	mid := make([]float64, a.Rows())
+	err := symCGInto(func(gp, p []float64) {
+		MulVecInto(a, mid, p)
+		MulVecTInto(a, gp, mid)
+	}, b, x, o, &CGWorkspace{})
+	if err != nil {
 		return nil, err
 	}
 	return x, nil
-}
-
-// SolveNormalCGInto is SolveNormalCG writing into dst with caller-owned
-// scratch; the Gram product flows through ws.t (length a.Rows()).
-func SolveNormalCGInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) error {
-	n := a.Cols()
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: SolveNormalCG rhs length %d, want %d", len(b), n))
-	}
-	ws.t = growVec(ws.t, a.Rows())
-	mid := ws.t
-	return symCGInto(func(gp, p []float64) {
-		MulVecInto(a, mid, p)
-		MulVecTInto(a, gp, mid)
-	}, b, dst, o, ws)
 }
 
 // symCGInto is the shared plain-CG core for a symmetric positive-
@@ -213,34 +202,6 @@ func symCGInto(matvec func(dst, p []float64), b, dst []float64, o CGOptions, ws 
 		rr = rrNew
 	}
 	return nil
-}
-
-// SolveSymCG solves g·x = b for a symmetric positive-semidefinite dense
-// matrix g by plain conjugate gradients. Starting from x₀ = 0 the iterates
-// stay in the Krylov span of b, so for a consistent system (b ∈ range(g))
-// the result converges to the minimum-norm solution g⁺b. It is the
-// normal-equations inference path: with g = AᵀA computed once, each solve
-// costs O(n²) per iteration independent of the strategy's row count —
-// the right trade for very tall strategies.
-func SolveSymCG(g *Matrix, b []float64, o CGOptions) ([]float64, error) {
-	x := make([]float64, g.Rows())
-	if err := SolveSymCGInto(g, b, x, o, &CGWorkspace{}); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveSymCGInto is SolveSymCG writing into dst with caller-owned scratch;
-// the steady state allocates nothing.
-func SolveSymCGInto(g *Matrix, b, dst []float64, o CGOptions, ws *CGWorkspace) error {
-	n := g.Rows()
-	if g.Cols() != n {
-		panic(fmt.Sprintf("linalg: SolveSymCG of non-square %dx%d", g.Rows(), g.Cols()))
-	}
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: SolveSymCG rhs length %d, want %d", len(b), n))
-	}
-	return symCGInto(g.MulVecInto, b, dst, o, ws)
 }
 
 func dot(a, b []float64) float64 {

@@ -227,8 +227,9 @@ func TestMulVecRangeIntoPanics(t *testing.T) {
 	}
 }
 
-// TestSolveCGLSIntoMatchesSolveCGLS checks the workspace solver against
-// the allocating wrapper and pins its zero-alloc steady state.
+// TestSolveCGLSIntoMatchesSolveCGLS checks a solve through a reused,
+// warmed workspace against one through a fresh workspace, and pins the
+// warmed solve's zero-alloc steady state.
 func TestSolveCGLSIntoMatchesSolveCGLS(t *testing.T) {
 	b := NewSparseBuilder(8)
 	for _, iv := range [][2]int{{0, 7}, {0, 3}, {4, 7}, {0, 1}, {2, 3}, {4, 5}, {6, 7}} {
@@ -239,7 +240,7 @@ func TestSolveCGLSIntoMatchesSolveCGLS(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = float64(i%5) - 2
 	}
-	want, err := SolveCGLS(a, rhs, CGOptions{})
+	want, err := solveCGLS(a, rhs, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,14 @@ type KronOp struct {
 	factors []Operator
 	rows    int
 	cols    int
-	// stage is the longest intermediate tensor of the transposed
-	// product. scratch holds max(kronRangeLen, 2·stage + max mᵢ + max nᵢ)
+	// stage is the longest intermediate tensor of a mode-by-mode pass;
+	// modesLen = 2·stage + max mᵢ + max nᵢ is the scratch such a pass
+	// needs (see modes). scratch holds max(kronRangeLen, modesLen)
 	// values: the forward slabs and fibers, or the transpose's two
 	// ping-pong tensors and its fibers.
-	stage   int
-	scratch *vecPool
+	stage    int
+	modesLen int
+	scratch  *vecPool
 }
 
 // NewKronOp returns the Kronecker product of the factors, in order. A
@@ -40,8 +42,8 @@ func NewKronOp(factors ...Operator) Operator {
 		left *= f.Cols()
 		stage = max(stage, left*kronDim(factors[i+1:], Operator.Rows))
 	}
-	o := &KronOp{factors: factors, rows: rows, cols: cols, stage: stage}
-	o.scratch = newVecPool(max(kronRangeLen(factors), 2*stage+maxM+maxN))
+	o := &KronOp{factors: factors, rows: rows, cols: cols, stage: stage, modesLen: 2*stage + maxM + maxN}
+	o.scratch = newVecPool(max(kronRangeLen(factors), o.modesLen))
 	return o
 }
 
@@ -129,25 +131,34 @@ func kronRange(factors []Operator, dst, x []float64, lo, hi int, ws []float64) {
 	}
 }
 
-// MulVecTInto applies the factors' transposes mode by mode: before factor
-// i the working tensor has shape (n₁…nᵢ₋₁) × mᵢ × (mᵢ₊₁…m_k); factor i
-// maps its middle mode from mᵢ to nᵢ. Intermediate tensors alternate
-// between two scratch halves; the last mode product writes dst.
+// MulVecTInto applies the factors' transposes mode by mode (see modes).
 func (o *KronOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.rows, true)
 	checkMulVecLen(o, len(dst), o.cols, true)
 	s := o.scratch.get()
 	defer o.scratch.put(s)
-	ws := *s
-	fibers := ws[2*o.stage:]
+	o.modes(dst, y, *s, func(i int, out, in []float64) {
+		o.factors[i].MulVecTInto(out, in)
+	})
+}
+
+// modes applies one linear map per factor, mode by mode: before mode i
+// the working tensor has shape (n₁…nᵢ₋₁) × mᵢ × (mᵢ₊₁…m_k), where mᵢ × nᵢ
+// is factor i's shape, and apply(i, out, in) maps each length-mᵢ fiber
+// of the middle mode to a length-nᵢ fiber. Intermediate tensors
+// alternate between two stage-long halves of ws, the fibers sit after
+// them (ws holds modesLen values), and the last mode writes dst.
+func (o *KronOp) modes(dst, y, ws []float64, apply func(i int, out, in []float64)) {
+	factors, stage := o.factors, o.stage
+	fibers := ws[2*stage:]
 	cur := y
 	left := 1
-	for fi, f := range o.factors {
+	for fi, f := range factors {
 		m, n := f.Rows(), f.Cols()
-		right := kronDim(o.factors[fi+1:], Operator.Rows)
+		right := kronDim(factors[fi+1:], Operator.Rows)
 		next := dst
-		if fi < len(o.factors)-1 {
-			next = ws[(fi%2)*o.stage:][:left*n*right]
+		if fi < len(factors)-1 {
+			next = ws[(fi%2)*stage:][:left*n*right]
 		}
 		in, out := fibers[:m], fibers[m:m+n]
 		for l := 0; l < left; l++ {
@@ -156,7 +167,7 @@ func (o *KronOp) MulVecTInto(dst, y []float64) {
 				for j := 0; j < m; j++ {
 					in[j] = cur[base+j*right+r]
 				}
-				f.MulVecTInto(out, in)
+				apply(fi, out, in)
 				obase := l * n * right
 				for i := 0; i < n; i++ {
 					next[obase+i*right+r] = out[i]

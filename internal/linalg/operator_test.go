@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -227,6 +229,15 @@ func TestKronEigenFactoredMatchesDense(t *testing.T) {
 	}
 }
 
+// solveCGLS runs SolveCGLSInto with a fresh destination and workspace.
+func solveCGLS(a Operator, b []float64, o CGOptions) ([]float64, error) {
+	x := make([]float64, a.Cols())
+	if err := SolveCGLSInto(a, b, x, o, &CGWorkspace{}); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestSolveCGLSMatchesPseudoInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 5; trial++ {
@@ -239,7 +250,7 @@ func TestSolveCGLSMatchesPseudoInverse(t *testing.T) {
 		}
 		b := randVec(r, m)
 		want := MulVec(pinv, b)
-		got, err := SolveCGLS(a, b, CGOptions{})
+		got, err := solveCGLS(a, b, CGOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +268,29 @@ func TestSolveCGLSRankDeficientMinNorm(t *testing.T) {
 	}
 	b := []float64{1, 5}
 	want := MulVec(pinv, b)
-	got, err := SolveCGLS(a, b, CGOptions{})
+	got, err := solveCGLS(a, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vecsClose(t, got, want, 1e-10, "rank-deficient CGLS")
+}
+
+// TestSolveCGLSNotConverged: a solve that runs out of MaxIter reports
+// ErrCGNotConverged with the iteration count and residual reached,
+// instead of returning its unconverged iterate as the solution.
+func TestSolveCGLSNotConverged(t *testing.T) {
+	a := NewPrefixOp(64)
+	b := randVec(rand.New(rand.NewSource(3)), 64)
+	_, err := solveCGLS(a, b, CGOptions{MaxIter: 1})
+	if !errors.Is(err, ErrCGNotConverged) || errors.Is(err, ErrCGDiverged) {
+		t.Fatalf("MaxIter 1: err = %v, want ErrCGNotConverged", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "1 iterations") || !strings.Contains(msg, "relative residual") {
+		t.Fatalf("error %q does not report the iterations and residual", msg)
+	}
+	if _, err := solveCGLS(a, b, CGOptions{}); err != nil {
+		t.Fatalf("default options: %v", err)
+	}
 }
 
 func TestSolveNormalCG(t *testing.T) {

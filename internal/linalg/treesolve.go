@@ -55,14 +55,7 @@ type TreeSolver struct {
 // exactly tiled by its children. NormedOp wrappers are looked through.
 // The second result is false when the structure does not hold.
 func NewTreeSolver(op Operator) (*TreeSolver, bool) {
-	for {
-		if n, ok := op.(*NormedOp); ok {
-			op = n.Operator
-			continue
-		}
-		break
-	}
-	s, ok := op.(*Sparse)
+	s, ok := unwrapNormed(op).(*Sparse)
 	if !ok || s.rows == 0 {
 		return nil, false
 	}

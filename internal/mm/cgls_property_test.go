@@ -62,8 +62,8 @@ func TestCGLSInferenceMatchesPseudoInverse(t *testing.T) {
 					y[i] = 10 * r.NormFloat64()
 				}
 				want := linalg.MulVec(pinv, y)
-				got, err := linalg.SolveCGLS(c.op, y, linalg.CGOptions{})
-				if err != nil {
+				got := make([]float64, c.op.Cols())
+				if err := linalg.SolveCGLSInto(c.op, y, got, linalg.CGOptions{}, &linalg.CGWorkspace{}); err != nil {
 					t.Fatal(err)
 				}
 				var diff, norm float64

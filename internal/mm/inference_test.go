@@ -233,7 +233,7 @@ func TestInferenceMethodsAgree(t *testing.T) {
 	for i := range x {
 		x[i] = float64((i*7 + 2) % 11)
 	}
-	methods := []Inference{InferDensePinv, InferCGLS, InferNormalCG}
+	methods := []Inference{InferDensePinv, InferCGLS}
 	var baseline []float64
 	for _, inf := range methods {
 		mech, err := NewMechanismInference(a, inf)
@@ -282,7 +282,25 @@ func TestInferenceResolution(t *testing.T) {
 	if _, err := NewMechanismInference(huge, InferDensePinv); err == nil {
 		t.Fatal("dense-pinv on a ~4M-cell operator did not error")
 	}
-	if _, err := NewMechanismInference(huge, InferNormalCG); err == nil {
-		t.Fatal("normal-CG on a ~4M-cell operator did not error (n×n Gram)")
+	exact, err := NewMechanismInference(huge, InferCGLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := exact.exact.(*linalg.KronSolver); !ok {
+		t.Fatalf("hierarchical Kronecker strategy got exact solver %T, want *linalg.KronSolver", exact.exact)
+	}
+	// A Kronecker factor with no exact solver past the dense cap leaves
+	// the product on iterative CGLS.
+	oversized, err := NewMechanismInference(linalg.NewKronOp(linalg.NewPrefixOp(DenseInferenceCap+1), linalg.Eye(2)), InferCGLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oversized.exact != nil || oversized.Inference() != InferCGLS {
+		t.Fatalf("oversized prefix factor: exact solver %T, inference %s; want none, cgls", oversized.exact, oversized.Inference())
+	}
+	// Wire byte 3 named the retired normal-CG method; it must be refused,
+	// not read as some other method.
+	if _, err := NewMechanismInference(small.Strategy(), Inference(3)); err == nil {
+		t.Fatal("retired inference byte 3 was accepted")
 	}
 }

@@ -12,40 +12,37 @@ import (
 )
 
 // DenseInferenceCap is the largest cell count for which a dense strategy
-// matrix gets an eagerly materialized pseudo-inverse. The pseudo-inverse
-// costs O(n³) once and O(m·n) per release; past the cap (or for any
-// structured operator) inference runs matrix-free through CGLS, which
-// needs only matvecs and no cubic preprocessing.
+// matrix, or a factor of a Kronecker strategy, gets an eagerly
+// materialized pseudo-inverse. The pseudo-inverse costs O(n³) once and
+// O(m·n) per release; past the cap (or for any structured operator)
+// inference runs matrix-free, through an exact solver or CGLS.
 const DenseInferenceCap = 1024
 
 // Inference names a least-squares inference method for deriving the cell
 // estimate x̂ from noisy strategy answers. The planner picks one per plan;
-// InferAuto preserves the representation-driven default.
+// InferAuto preserves the representation-driven default. The values are
+// plan-store wire bytes; 3, the retired normal-CG method, is not reused.
 type Inference int
 
 const (
 	// InferAuto selects dense-pinv for small dense strategies and CGLS
 	// otherwise — the historical automatic choice.
-	InferAuto Inference = iota
+	InferAuto Inference = 0
 	// InferDensePinv materializes the Moore-Penrose pseudo-inverse once
 	// (O(n³)) and answers each release with one m×n product — the lowest
 	// per-release latency. Structured operators are densified when they
 	// fit the materialization cap.
-	InferDensePinv
-	// InferCGLS solves each release matrix-free by conjugate gradients on
-	// the factored normal equations: no preprocessing, only matvecs.
-	InferCGLS
-	// InferNormalCG computes the dense Gram AᵀA once and solves
-	// (AᵀA)·x̂ = Aᵀy by plain CG per release: O(n²) per iteration
-	// independent of the strategy's row count — the right trade for very
-	// tall strategies whose Gram is affordable.
-	InferNormalCG
+	InferDensePinv Inference = 1
+	// InferCGLS solves each release matrix-free: in one pass when the
+	// strategy has an exact solver (linalg.NewExactSolver), else by
+	// conjugate gradients on the factored normal equations.
+	InferCGLS Inference = 2
 	// InferSharded answers per shard and concatenates: the measurement
 	// vector is split at shard boundaries, each slice is solved by that
 	// shard's own prepared inference method (with bounded parallelism),
 	// and the estimate is the concatenation of the per-shard sub-domain
 	// estimates. Only NewShardedMechanism produces this method.
-	InferSharded
+	InferSharded Inference = 4
 )
 
 // String returns the wire name used in plans and server responses.
@@ -55,8 +52,6 @@ func (i Inference) String() string {
 		return "dense-pinv"
 	case InferCGLS:
 		return "cgls"
-	case InferNormalCG:
-		return "normal-cg"
 	case InferSharded:
 		return "sharded"
 	default:
@@ -70,11 +65,10 @@ func (i Inference) String() string {
 // NewMechanismOp, or explicitly by the planner in NewMechanismInference.
 type Mechanism struct {
 	a         linalg.Operator
-	dense     *linalg.Matrix     // a as dense, when that is its representation
-	apinv     *linalg.Matrix     // dense pseudo-inverse for InferDensePinv
-	gram      *linalg.Matrix     // dense AᵀA for InferNormalCG
-	tree      *linalg.TreeSolver // exact O(n) solver for interval-tree strategies
-	inference Inference          // resolved method, never InferAuto
+	dense     *linalg.Matrix  // a as dense, when that is its representation
+	apinv     *linalg.Matrix  // dense pseudo-inverse for InferDensePinv
+	exact     linalg.LSSolver // exact solver (interval tree or Kronecker) for InferCGLS
+	inference Inference       // resolved method, never InferAuto
 	sensL2    float64
 
 	scratch sync.Pool // recycled *ReleaseScratch
@@ -130,8 +124,7 @@ func NewMechanismOp(a linalg.Operator) (*Mechanism, error) {
 // NewMechanismInference prepares a mechanism with an explicit inference
 // method — the planner's entry point, so the mechanism no longer guesses.
 // InferDensePinv densifies structured operators under the materialization
-// cap and errors past it; InferNormalCG computes the dense Gram once
-// (using an analytic form when the operator has one).
+// cap and errors past it; InferCGLS looks for an exact solver.
 func NewMechanismInference(a linalg.Operator, inf Inference) (*Mechanism, error) {
 	m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a)}
 	if d, ok := a.(*linalg.Matrix); ok {
@@ -159,20 +152,11 @@ func NewMechanismInference(a linalg.Operator, inf Inference) (*Mechanism, error)
 			return nil, err
 		}
 		m.apinv = pinv
-	case InferNormalCG:
-		// The dense Gram is n×n: refuse domains whose Gram would blow the
-		// materialization budget instead of attempting the allocation.
-		if n := a.Cols(); n > 0 && n > linalg.MaterializeCap/n {
-			return nil, fmt.Errorf("mm: strategy Gram too large to materialize for normal-CG inference (%d x %d cells)", n, n)
-		}
-		m.gram = linalg.OperatorGram(a)
 	case InferCGLS:
-		// Nothing dense to prepare — but when the strategy is an interval
-		// forest (hierarchical trees and friends), precompute the exact
-		// O(rows) tree solver. Detection runs on the CSR form, so plans
-		// rehydrated from the store accelerate without any codec change;
-		// anything unrecognized keeps pure CGLS.
-		m.tree, _ = linalg.NewTreeSolver(a)
+		// Nothing dense to prepare; an interval forest or a Kronecker
+		// product of factors with exact solvers gets its one-pass solver,
+		// anything else keeps pure CGLS.
+		m.exact, _ = linalg.NewExactSolver(a, DenseInferenceCap)
 	case InferSharded:
 		return nil, fmt.Errorf("mm: sharded inference requires per-shard mechanisms; use NewShardedMechanism")
 	default:
@@ -182,45 +166,24 @@ func NewMechanismInference(a linalg.Operator, inf Inference) (*Mechanism, error)
 	return m, nil
 }
 
-// NewMechanismPrepared rebuilds a mechanism from persisted artifacts: a
-// strategy operator, its resolved inference method, and — when the
-// method precomputes one — the pseudo-inverse or Gram matrix saved from
-// the original mechanism. Supplying the artifact skips the O(n³)
-// preparation that NewMechanismInference would redo, which is the whole
-// point of rehydrating a plan instead of re-designing it; a nil artifact
-// falls back to recomputation. Artifacts with the wrong shape are
+// NewMechanismPrepared rebuilds a mechanism from a strategy operator, its
+// resolved inference method and, for InferDensePinv, the persisted
+// pseudo-inverse, skipping the O(n³) preparation NewMechanismInference
+// would redo; a nil one is recomputed. One with the wrong shape is
 // refused: a stale pseudo-inverse would silently corrupt every release.
-func NewMechanismPrepared(a linalg.Operator, inf Inference, pinv, gram *linalg.Matrix) (*Mechanism, error) {
-	switch inf {
-	case InferDensePinv:
-		if pinv == nil {
-			return NewMechanismInference(a, inf)
-		}
-		if pinv.Rows() != a.Cols() || pinv.Cols() != a.Rows() {
-			return nil, fmt.Errorf("mm: persisted pseudo-inverse is %dx%d for a %dx%d strategy",
-				pinv.Rows(), pinv.Cols(), a.Rows(), a.Cols())
-		}
-		m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a), apinv: pinv, inference: inf}
-		if d, ok := a.(*linalg.Matrix); ok {
-			m.dense = d
-		}
-		return m, nil
-	case InferNormalCG:
-		if gram == nil {
-			return NewMechanismInference(a, inf)
-		}
-		if gram.Rows() != a.Cols() || gram.Cols() != a.Cols() {
-			return nil, fmt.Errorf("mm: persisted Gram is %dx%d for a strategy with %d cells",
-				gram.Rows(), gram.Cols(), a.Cols())
-		}
-		m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a), gram: gram, inference: inf}
-		if d, ok := a.(*linalg.Matrix); ok {
-			m.dense = d
-		}
-		return m, nil
-	default:
+func NewMechanismPrepared(a linalg.Operator, inf Inference, pinv *linalg.Matrix) (*Mechanism, error) {
+	if inf != InferDensePinv || pinv == nil {
 		return NewMechanismInference(a, inf)
 	}
+	if pinv.Rows() != a.Cols() || pinv.Cols() != a.Rows() {
+		return nil, fmt.Errorf("mm: persisted pseudo-inverse is %dx%d for a %dx%d strategy",
+			pinv.Rows(), pinv.Cols(), a.Rows(), a.Cols())
+	}
+	m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a), apinv: pinv, inference: inf}
+	if d, ok := a.(*linalg.Matrix); ok {
+		m.dense = d
+	}
+	return m, nil
 }
 
 // PreparedPinv returns the precomputed dense pseudo-inverse backing
@@ -228,9 +191,10 @@ func NewMechanismPrepared(a linalg.Operator, inf Inference, pinv, gram *linalg.M
 // rehydrated mechanism skips the O(n³) preparation.
 func (m *Mechanism) PreparedPinv() *linalg.Matrix { return m.apinv }
 
-// PreparedGram returns the precomputed dense Gram backing InferNormalCG,
-// or nil.
-func (m *Mechanism) PreparedGram() *linalg.Matrix { return m.gram }
+// PreparedGram returns nil: no inference method keeps a Gram matrix. It
+// stays only for the benchmark module's caller, which the next benchmark
+// change drops along with this method.
+func (m *Mechanism) PreparedGram() *linalg.Matrix { return nil }
 
 // Inference returns the resolved inference method.
 func (m *Mechanism) Inference() Inference { return m.inference }
@@ -250,8 +214,8 @@ func (m *Mechanism) StrategyDense() (*linalg.Matrix, error) {
 	return linalg.ToDense(m.a), nil
 }
 
-// MatrixFree reports whether inference runs through CGLS instead of a
-// materialized pseudo-inverse.
+// MatrixFree reports whether inference runs matrix-free (an exact solver
+// or CGLS) instead of through a materialized pseudo-inverse.
 func (m *Mechanism) MatrixFree() bool { return m.apinv == nil }
 
 // SensitivityL2 returns ‖A‖₂.

@@ -34,7 +34,6 @@ type ReleaseScratch struct {
 	noise []float64 // raw noise draws (rows)
 	est   []float64 // cell estimate x̂
 	ans   []float64 // workload answers
-	rhs   []float64 // normal-equations right-hand side (cols)
 	tmp   []float64 // sharded answer scatter staging
 	chunk []float64 // streaming answer chunk (AnswerStream)
 	ws    linalg.CGWorkspace
@@ -83,8 +82,8 @@ func (m *Mechanism) PutScratch(sc *ReleaseScratch) {
 
 // EstimateGaussianInto is EstimateGaussian computing through caller-owned
 // scratch: the returned estimate is sc.est, valid until sc is reused. On
-// the dense-pinv and CGLS (tree or iterative) paths the steady state
-// performs zero allocations.
+// the dense-pinv and CGLS (exact tree or Kronecker, or iterative) paths
+// the steady state performs zero allocations.
 func (m *Mechanism) EstimateGaussianInto(sc *ReleaseScratch, x []float64, p Privacy, r NoiseSource) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -216,8 +215,8 @@ func (m *Mechanism) workloadAnswersInto(sc *ReleaseScratch, w *workload.Workload
 // answersInto writes the strategy answers A·x into dst, through the tree
 // fast path when the strategy is an interval forest.
 func (m *Mechanism) answersInto(dst, x []float64, sc *ReleaseScratch) {
-	if m.tree != nil {
-		m.tree.AnswerInto(dst, x, &sc.ws)
+	if t, ok := m.exact.(*linalg.TreeSolver); ok {
+		t.AnswerInto(dst, x, &sc.ws)
 		return
 	}
 	linalg.MulVecInto(m.a, dst, x)
@@ -245,15 +244,11 @@ func (m *Mechanism) inferInto(dst, y []float64, sc *ReleaseScratch) error {
 	case InferDensePinv:
 		m.apinv.MulVecInto(dst, y)
 		return nil
-	case InferNormalCG:
-		sc.rhs = growFloats(sc.rhs, m.a.Cols())
-		linalg.MulVecTInto(m.a, sc.rhs, y)
-		return linalg.SolveSymCGInto(m.gram, sc.rhs, dst, linalg.CGOptions{}, &sc.ws)
 	case InferSharded:
 		return m.inferShardedInto(dst, y, sc)
 	default:
-		if m.tree != nil {
-			m.tree.SolveLSInto(dst, y, &sc.ws)
+		if m.exact != nil {
+			m.exact.SolveLSInto(dst, y, &sc.ws)
 			return nil
 		}
 		return linalg.SolveCGLSInto(m.a, y, dst, linalg.CGOptions{}, &sc.ws)

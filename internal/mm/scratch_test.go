@@ -24,8 +24,10 @@ func testTreeStrategy(n int) *linalg.Sparse {
 
 // scratchMechanisms returns one mechanism per steady-state inference
 // path: dense pseudo-inverse, exact tree least squares, iterative CGLS
-// over a write-into operator, and CGLS over the two Kronecker strategy
-// shapes of the Census benchmarks (n must be a power of two ≥ 16).
+// over a write-into operator, and the two Kronecker strategy shapes of
+// the Census benchmarks — the exact Kronecker solver over two trees and
+// CGLS over the factored principal-vectors assembly (n must be a power
+// of two ≥ 16).
 func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	t.Helper()
 	tree := testTreeStrategy(n)
@@ -50,9 +52,12 @@ func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := kronTree.exact.(*linalg.KronSolver); !ok || factored.exact != nil {
+		t.Fatalf("exact solvers: kron-tree %T, kron-factored %T; want *linalg.KronSolver and none", kronTree.exact, factored.exact)
+	}
 	return map[string]*Mechanism{
 		"dense-pinv": pinv, "tree-cgls": cgls, "iterative-cgls": iter,
-		"kron-tree-cgls": kronTree, "kron-factored-cgls": factored,
+		"kron-tree": kronTree, "kron-factored-cgls": factored,
 	}
 }
 

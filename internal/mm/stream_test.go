@@ -46,11 +46,6 @@ func TestStreamReleaseMatchesBufferedBitExact(t *testing.T) {
 	w := workload.FromOperator("intervals", domain.MustShape(n), linalg.NewIntervalsOp(n))
 	rows := w.NumQueries()
 	mechs := scratchMechanisms(t, n)
-	ncg, err := NewMechanismInference(testTreeStrategy(n), InferNormalCG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mechs["normal-cg"] = ncg
 	for name, m := range mechs {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {

@@ -755,15 +755,6 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 	return plan, nil
 }
 
-// normalCGCellCap bounds the dense Gram the normal-equations inference
-// precomputes; tallRowFactor is how much taller than square a strategy
-// must be before the O(n²)-per-iteration normal path beats CGLS's two
-// operator matvecs.
-const (
-	normalCGCellCap = 2048
-	tallRowFactor   = 4
-)
-
 // chooseInference picks the inference method for a built strategy —
 // explicitly, so mm.Mechanism executes rather than guesses.
 func (p *Planner) chooseInference(b Built, h Hints) mm.Inference {
@@ -779,11 +770,6 @@ func (p *Planner) chooseInference(b Built, h Hints) mm.Inference {
 		h.LatencyTarget < p.estimateIterativeLatency(op) {
 		return mm.InferDensePinv
 	}
-	// Very tall strategies with an affordable Gram: per-release cost
-	// O(n²) per iteration regardless of the row count.
-	if n <= normalCGCellCap && op.Rows() > tallRowFactor*n {
-		return mm.InferNormalCG
-	}
 	return mm.InferCGLS
 }
 
@@ -794,10 +780,16 @@ func (p *Planner) chooseInference(b Built, h Hints) mm.Inference {
 // cached plan it freezes — depend on which requests arrived first.
 const matvecOpsPerSecond = 5e8
 
-// estimateIterativeLatency is a coarse model of one CGLS release:
-// ~150 iterations of two matvecs, each touching rows+cols values.
+// estimateIterativeLatency is a coarse model of one matrix-free release,
+// counting passes that each touch rows+cols values: one for a strategy
+// with an exact solver (interval tree or Kronecker), else ~150 CGLS
+// iterations of two matvecs.
 func (p *Planner) estimateIterativeLatency(op linalg.Operator) time.Duration {
-	ops := 150 * 2 * 8 * float64(op.Rows()+op.Cols())
+	passes := 150 * 2.0
+	if _, ok := linalg.NewExactSolver(op, mm.DenseInferenceCap); ok {
+		passes = 1
+	}
+	ops := passes * 8 * float64(op.Rows()+op.Cols())
 	return time.Duration(ops / matvecOpsPerSecond * float64(time.Second))
 }
 

@@ -271,6 +271,16 @@ func TestInferenceSelection(t *testing.T) {
 	if relaxed.Inference != mm.InferCGLS {
 		t.Fatalf("relaxed hierarchical plan inference = %s, want cgls", relaxed.Inference)
 	}
+	// The tree strategy has an exact solver, so the latency model charges
+	// it one pass (~12µs here), not 150 CGLS iterations (~4ms): a 1ms
+	// target keeps it matrix-free.
+	moderate, err := p.Plan(workload.Prefix(256), Hints{Generator: "hierarchical", LatencyTarget: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moderate.Inference != mm.InferCGLS {
+		t.Fatalf("1ms-target hierarchical plan inference = %s, want cgls (one exact pass)", moderate.Inference)
+	}
 }
 
 // Every candidate over a microscopic budget still yields a plan: the

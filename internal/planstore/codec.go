@@ -5,9 +5,10 @@
 //   - the winning generator's name and rationale;
 //   - the planned workload (name, domain shape, query operator);
 //   - the strategy operator, its dense form and eigenvalues when the
-//     generator computed them, and the precomputed inference artifact
-//     (pseudo-inverse or Gram matrix) so rehydration skips the O(n³)
-//     preparation;
+//     generator computed them, and the dense pseudo-inverse of a
+//     dense-pinv plan so rehydration skips the O(n³) preparation (exact
+//     tree and Kronecker solvers are rebuilt from the operator, which is
+//     linear-time);
 //   - the explicit inference method, modeled cost, design time and the
 //     full admission-decision list (so /design of a warm plan still
 //     explains itself);
@@ -175,8 +176,8 @@ func encodePlan(w *bytes.Buffer, plan *planner.Plan, depth int) error {
 	return nil
 }
 
-// encodeMonolithicStrategy writes the strategy operator and the prepared
-// inference artifacts of a non-sharded plan. (A sharded plan's composite
+// encodeMonolithicStrategy writes the strategy operator of a non-sharded
+// plan and, for a dense-pinv plan, its pseudo-inverse. (A sharded plan's composite
 // operator is not persisted: rehydration rebuilds it, with its lifted
 // column norms, from the shard structure.)
 func encodeMonolithicStrategy(w *bytes.Buffer, st planner.PlanState) error {
@@ -199,13 +200,6 @@ func encodeMonolithicStrategy(w *bytes.Buffer, st planner.PlanState) error {
 	binenc.PutBool(w, pinv != nil)
 	if pinv != nil {
 		if err := putOperator(w, pinv); err != nil {
-			return err
-		}
-	}
-	gram := st.Mechanism.PreparedGram()
-	binenc.PutBool(w, gram != nil)
-	if gram != nil {
-		if err := putOperator(w, gram); err != nil {
 			return err
 		}
 	}
@@ -339,17 +333,7 @@ func readMonolithicStrategy(r *binenc.Reader, st *planner.PlanState) error {
 			return err
 		}
 	}
-	hasGram, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	var gram *linalg.Matrix
-	if hasGram {
-		if gram, err = readMatrix(r, "Gram matrix"); err != nil {
-			return err
-		}
-	}
-	st.Mechanism, err = mm.NewMechanismPrepared(st.Op, st.Inference, pinv, gram)
+	st.Mechanism, err = mm.NewMechanismPrepared(st.Op, st.Inference, pinv)
 	if err != nil {
 		return fmt.Errorf("planstore: rebuilding mechanism: %w", err)
 	}

@@ -3,6 +3,7 @@ package planstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -23,8 +24,8 @@ var testPrivacy = mm.Privacy{Epsilon: 0.5, Delta: 1e-4}
 
 // plansUnderTest builds one plan per serving regime: small dense exact
 // (dense-pinv inference), forced hierarchical (CGLS), closed-form
-// marginals, a tall strategy (normal-CG with a persisted Gram), and a
-// sharded two-block composition.
+// marginals, a tall non-tree sparse strategy (iterative CGLS, nothing
+// persisted beyond the operator), and a sharded two-block composition.
 func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	t.Helper()
 	out := map[string]*planner.Plan{}
@@ -41,13 +42,14 @@ func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	build("eigen-pinv", workload.Prefix(64), planner.Hints{})
 	build("hierarchical-cgls", workload.Prefix(512), planner.Hints{Generator: "hierarchical"})
 	build("marginals", workload.Marginals(domain.MustShape(8, 8, 4), 2), planner.Hints{})
-	build("tall-normal-cg", workload.Prefix(128), planner.Hints{Generator: "tall"})
+	build("tall-cgls", workload.Prefix(128), planner.Hints{Generator: "tall"})
 	build("sharded", workload.Marginals(domain.MustShape(8, 8), 1), planner.Hints{})
 	return out
 }
 
-// tallGen produces a strategy with 6n rows so the planner picks normal-CG
-// inference and the mechanism persists a precomputed Gram matrix.
+// tallGen produces a sparse strategy with 6n rows that is no interval
+// forest, so the planner picks plain CGLS and the mechanism has no exact
+// solver and no precomputed artifact.
 type tallGen struct{}
 
 func (tallGen) Name() string { return "tall" }
@@ -169,7 +171,7 @@ func assertPlansEquivalent(t *testing.T, want, got *planner.Plan) {
 
 // TestRehydratedPlanSkipsPreparation asserts the artifacts were actually
 // persisted: a dense-pinv plan decodes with its pseudo-inverse present,
-// the normal-CG plan with its Gram.
+// while a CGLS plan's entry carries no inference artifact at all.
 func TestRehydratedPlanSkipsPreparation(t *testing.T) {
 	plans := plansUnderTest(t)
 	blob, _, err := EncodeEntry("k", plans["eigen-pinv"], time.Now())
@@ -183,18 +185,24 @@ func TestRehydratedPlanSkipsPreparation(t *testing.T) {
 	if got.Mechanism.PreparedPinv() == nil {
 		t.Fatal("rehydrated dense-pinv mechanism has no persisted pseudo-inverse")
 	}
-	if plans["tall-normal-cg"].Inference != mm.InferNormalCG {
-		t.Fatalf("tall plan chose %s, want normal-cg", plans["tall-normal-cg"].Inference)
+	tall := plans["tall-cgls"]
+	if tall.Inference != mm.InferCGLS {
+		t.Fatalf("tall plan chose %s, want cgls", tall.Inference)
 	}
-	blob, _, err = EncodeEntry("k2", plans["tall-normal-cg"], time.Now())
+	blob, _, err = EncodeEntry("k2", tall, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _, err = DecodeEntry(blob); err != nil {
 		t.Fatal(err)
 	}
-	if got.Mechanism.PreparedGram() == nil {
-		t.Fatal("rehydrated normal-CG mechanism has no persisted Gram")
+	if got.Mechanism.PreparedPinv() != nil {
+		t.Fatal("rehydrated CGLS mechanism carries a dense inference artifact")
+	}
+	// The entry is the strategy's CSR form (2 nonzeros a row) plus plan
+	// metadata, well under the 8n² bytes of one dense n×n artifact.
+	if n := tall.Op.Cols(); len(blob) > 4*n*n {
+		t.Fatalf("CGLS entry is %d bytes, want under half a dense %dx%d artifact (%d)", len(blob), n, n, 8*n*n)
 	}
 }
 
@@ -284,6 +292,50 @@ func TestIncompatibleFormatVersionSkipped(t *testing.T) {
 	reseal(blob)
 	if _, _, err := DecodeEntry(blob); err == nil || !strings.Contains(err.Error(), "format version") {
 		t.Fatalf("future-version entry: err = %v, want a format-version refusal", err)
+	}
+}
+
+// TestFormatOneEntrySkipped: an entry written under format 1, the
+// layout that still carried a Gram matrix field, is skipped with a
+// version reason while the other entries load.
+func TestFormatOneEntrySkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := plansUnderTest(t)
+	good, err := s.Put("good", plans["marginals"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.Put("old", plans["tall-cgls"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, old.ID+planExt)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(planMagic)] = 1
+	reseal(blob)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	loaded, err := s.LoadAll(func(format string, args ...any) {
+		reasons = append(reasons, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+	if len(loaded) != 1 || loaded[0].Meta.ID != good.ID {
+		t.Fatalf("loaded %d entries, want only the format-%d one", len(loaded), FormatVersion)
+	}
+	want := fmt.Sprintf("format version 1, this build reads %d", FormatVersion)
+	if len(reasons) != 1 || !strings.Contains(reasons[0], want) {
+		t.Fatalf("skip reasons %q, want one naming %q", reasons, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -181,6 +182,74 @@ func TestCorruptStoreEntrySkippedOnStartup(t *testing.T) {
 	defer ts2.Close()
 	if dr := designSpecOn(t, ts2, `{"workload":"prefix:64"}`); dr.Cached {
 		t.Fatal("design served from a corrupt entry")
+	}
+}
+
+// TestFormatOneEntryReplanned: a plan entry written under store format
+// 1 (before the Gram field was dropped) is skipped at startup with its
+// reason logged; the next /design of its workload re-plans instead of
+// serving it, and the re-plan is persisted in the current format.
+func TestFormatOneEntryReplanned(t *testing.T) {
+	dir := t.TempDir()
+	const spec = `{"workload":"rangemarginals:2:4x8"}`
+	s1, err := Open(Options{StoreDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	designSpecOn(t, ts1, spec)
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.plan"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store entries: %v, %v", entries, err)
+	}
+	blob, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The format version is the one-byte varint after the 4-byte magic;
+	// re-seal the checksum so only the version differs.
+	blob[4] = 1
+	sum := sha256.Sum256(blob[:len(blob)-sha256.Size])
+	copy(blob[len(blob)-sha256.Size:], sum[:])
+	if err := os.WriteFile(entries[0], blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var skipped []string
+	s2, err := Open(Options{StoreDir: dir, Logf: func(format string, args ...any) {
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "skipping") {
+			skipped = append(skipped, msg)
+		}
+	}})
+	if err != nil {
+		t.Fatalf("format-1 entry made startup fail: %v", err)
+	}
+	want := fmt.Sprintf("format version 1, this build reads %d", planstore.FormatVersion)
+	if len(skipped) != 1 || !strings.Contains(skipped[0], want) {
+		t.Fatalf("skip log %q, want one line naming %q", skipped, want)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	if dr := designSpecOn(t, ts2, spec); dr.Cached {
+		t.Fatal("design served from a format-1 entry")
+	}
+	ts2.Close()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := Open(Options{StoreDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	ts3 := httptest.NewServer(s3.Handler())
+	defer ts3.Close()
+	if dr := designSpecOn(t, ts3, spec); !dr.Cached {
+		t.Fatal("re-planned entry was not persisted in the current format")
 	}
 }
 
