@@ -374,7 +374,7 @@ func IdentityStrategy(dims ...int) (*Strategy, error) {
 }
 
 func newStrategy(name string, a linalg.Operator, eigenvalues []float64) (*Strategy, error) {
-	mech, err := mm.NewMechanismOp(a)
+	mech, err := mm.NewMechanism(a)
 	if err != nil {
 		return nil, err
 	}

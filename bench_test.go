@@ -183,7 +183,7 @@ func BenchmarkEstimate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if mech.MatrixFree() {
+				if mech.Inference() != mm.InferDensePinv {
 					b.Fatal("expected dense pseudo-inverse path")
 				}
 				r := rand.New(rand.NewSource(1))
@@ -196,11 +196,11 @@ func BenchmarkEstimate(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("operator/%d", n), func(b *testing.B) {
-			mech, err := mm.NewMechanismOp(op)
+			mech, err := mm.NewMechanism(op)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !mech.MatrixFree() {
+			if mech.Inference() == mm.InferDensePinv {
 				b.Fatal("expected matrix-free path")
 			}
 			r := rand.New(rand.NewSource(1))

@@ -150,8 +150,9 @@ func main() {
 	}
 
 	fmt.Printf("workload:        %s (%d queries, %d cells)\n", w.Name(), w.NumQueries(), w.Cells())
+	dense, isDense := plan.Op.(*linalg.Matrix)
 	form := "dense"
-	if plan.Dense == nil {
+	if !isDense {
 		form = "operator (matrix-free)"
 	}
 	fmt.Printf("strategy:        %d queries, %s\n", plan.Op.Rows(), form)
@@ -204,10 +205,10 @@ func main() {
 	}
 
 	if *stratOut != "" {
-		if plan.Dense == nil {
+		if !isDense {
 			fail(fmt.Errorf("amdesign: structured strategy is matrix-free; -strategy-out requires a dense design (smaller domain)"))
 		}
-		if err := writeStrategy(*stratOut, plan.Dense); err != nil {
+		if err := writeStrategy(*stratOut, dense); err != nil {
 			fail(err)
 		}
 		fmt.Printf("strategy written to %s\n", *stratOut)

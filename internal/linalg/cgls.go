@@ -11,9 +11,9 @@ import (
 var ErrCGDiverged = errors.New("linalg: conjugate-gradient iteration diverged")
 
 // ErrCGNotConverged is returned, wrapped with the iteration count and
-// the relative residual reached, when a CGLS solve runs out of MaxIter
-// before meeting its tolerance: its iterate is not the least-squares
-// solution and must not be served as one.
+// the relative residual reached, when a CGLS or normal-equation CG solve
+// runs out of MaxIter before meeting its tolerance: its iterate is not
+// the solution and must not be served as one.
 var ErrCGNotConverged = errors.New("linalg: conjugate-gradient iteration did not converge")
 
 // CGOptions tunes the iterative least-squares solvers.
@@ -43,11 +43,11 @@ func (o CGOptions) withDefaults(n int) CGOptions {
 // to use; buffers grow on demand and are retained at their high-water
 // mark. A workspace must not be shared by concurrent solves.
 type CGWorkspace struct {
-	r []float64 // residual (rows for CGLS, n for symmetric CG)
-	s []float64 // Aᵀr / rhs scratch (cols)
-	p []float64 // search direction (cols / n)
-	q []float64 // A·p (rows) or G·p (n)
-	t []float64 // extra pass state (Kronecker solver passes)
+	r []float64 // residual (rows); tree solver node sums
+	s []float64 // Aᵀr (cols)
+	p []float64 // search direction (cols)
+	q []float64 // A·p (rows)
+	t []float64 // Kronecker solver pass buffers
 }
 
 // growVec returns buf resized to n, reallocating only when capacity is
@@ -134,53 +134,35 @@ func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) e
 // SolveNormalCG solves (AᵀA)·x = b by plain conjugate gradients with the
 // Gram product evaluated as MulVecT(MulVec(·)). b must lie in range(AᵀA)
 // for an exact solution; it is used for per-query variance computation
-// wᵢᵀ(AᵀA)⁺wᵢ without forming a pseudo-inverse.
+// wᵢᵀ(AᵀA)⁺wᵢ without forming a pseudo-inverse. Starting from x₀ = 0 the
+// iterates stay in the Krylov span of b, so for consistent systems the
+// result converges to the minimum-norm solution. A direction with
+// pᵀAᵀAp ≤ 0 lies in the numerical null space and ends the solve with
+// the iterate reached; a solve that runs out of MaxIter returns
+// ErrCGNotConverged.
 func SolveNormalCG(a Operator, b []float64, o CGOptions) ([]float64, error) {
-	x := make([]float64, a.Cols())
-	mid := make([]float64, a.Rows())
-	err := symCGInto(func(gp, p []float64) {
-		MulVecInto(a, mid, p)
-		MulVecTInto(a, gp, mid)
-	}, b, x, o, &CGWorkspace{})
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// symCGInto is the shared plain-CG core for a symmetric positive-
-// semidefinite map presented as a write-into matvec. Starting from x₀ = 0
-// the iterates stay in the Krylov span of b, so for consistent systems the
-// result converges to the minimum-norm solution.
-func symCGInto(matvec func(dst, p []float64), b, dst []float64, o CGOptions, ws *CGWorkspace) error {
-	n := len(b)
-	if len(dst) != n {
-		panic(fmt.Sprintf("linalg: symCG dst length %d, want %d", len(dst), n))
+	n := a.Cols()
+	if len(b) != n {
+		panic(fmt.Sprintf("linalg: SolveNormalCG rhs length %d, want %d", len(b), n))
 	}
 	o = o.withDefaults(n)
-
-	x := dst
-	for i := range x {
-		x[i] = 0
-	}
-	ws.r = growVec(ws.r, n)
-	r := ws.r
-	copy(r, b)
-	ws.p = growVec(ws.p, n)
-	p := ws.p
-	copy(p, r)
-	ws.q = growVec(ws.q, n)
-	gp := ws.q
+	x := make([]float64, n)
+	r := append([]float64(nil), b...)
+	p := append([]float64(nil), b...)
+	mid := make([]float64, a.Rows())
+	gp := make([]float64, n)
 	rr := dot(r, r)
 	if rr == 0 {
-		return nil
+		return x, nil
 	}
+	rr0 := rr
 	tol2 := o.Tol * o.Tol * rr
 	for it := 0; it < o.MaxIter; it++ {
-		matvec(gp, p)
+		MulVecInto(a, mid, p)
+		MulVecTInto(a, gp, mid)
 		pgp := dot(p, gp)
 		if pgp <= 0 {
-			break // numerical null-space direction
+			return x, nil // numerical null-space direction
 		}
 		alpha := rr / pgp
 		for i := range x {
@@ -191,17 +173,18 @@ func symCGInto(matvec func(dst, p []float64), b, dst []float64, o CGOptions, ws 
 		}
 		rrNew := dot(r, r)
 		if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
-			return ErrCGDiverged
+			return nil, ErrCGDiverged
 		}
 		if rrNew <= tol2 {
-			return nil
+			return x, nil
 		}
 		for i := range p {
 			p[i] = r[i] + (rrNew/rr)*p[i]
 		}
 		rr = rrNew
 	}
-	return nil
+	return nil, fmt.Errorf("%w: %d iterations, relative residual ‖r‖/‖b‖ = %.3g",
+		ErrCGNotConverged, o.MaxIter, math.Sqrt(rr/rr0))
 }
 
 func dot(a, b []float64) float64 {

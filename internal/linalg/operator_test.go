@@ -275,21 +275,28 @@ func TestSolveCGLSRankDeficientMinNorm(t *testing.T) {
 	vecsClose(t, got, want, 1e-10, "rank-deficient CGLS")
 }
 
-// TestSolveCGLSNotConverged: a solve that runs out of MaxIter reports
-// ErrCGNotConverged with the iteration count and residual reached,
-// instead of returning its unconverged iterate as the solution.
+// TestSolveCGLSNotConverged: a CGLS or normal-equation CG solve that
+// runs out of MaxIter reports ErrCGNotConverged with the iteration count
+// and residual reached, instead of returning its unconverged iterate as
+// the solution.
 func TestSolveCGLSNotConverged(t *testing.T) {
 	a := NewPrefixOp(64)
 	b := randVec(rand.New(rand.NewSource(3)), 64)
-	_, err := solveCGLS(a, b, CGOptions{MaxIter: 1})
-	if !errors.Is(err, ErrCGNotConverged) || errors.Is(err, ErrCGDiverged) {
-		t.Fatalf("MaxIter 1: err = %v, want ErrCGNotConverged", err)
+	solvers := map[string]func(CGOptions) ([]float64, error){
+		"cgls":      func(o CGOptions) ([]float64, error) { return solveCGLS(a, b, o) },
+		"normal-cg": func(o CGOptions) ([]float64, error) { return SolveNormalCG(a, b, o) },
 	}
-	if msg := err.Error(); !strings.Contains(msg, "1 iterations") || !strings.Contains(msg, "relative residual") {
-		t.Fatalf("error %q does not report the iterations and residual", msg)
-	}
-	if _, err := solveCGLS(a, b, CGOptions{}); err != nil {
-		t.Fatalf("default options: %v", err)
+	for name, solve := range solvers {
+		x, err := solve(CGOptions{MaxIter: 1})
+		if !errors.Is(err, ErrCGNotConverged) || errors.Is(err, ErrCGDiverged) || x != nil {
+			t.Fatalf("%s, MaxIter 1: x = %v, err = %v; want no solution and ErrCGNotConverged", name, x, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "1 iterations") || !strings.Contains(msg, "relative residual") {
+			t.Fatalf("%s: error %q does not report the iterations and residual", name, msg)
+		}
+		if _, err := solve(CGOptions{}); err != nil {
+			t.Fatalf("%s, default options: %v", name, err)
+		}
 	}
 }
 

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting of a square matrix.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization with partial pivoting of a square
@@ -29,7 +28,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -48,7 +46,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -63,7 +60,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves a x = b for a single right-hand side.
@@ -95,40 +92,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// Inverse computes the inverse matrix via the factorization.
-func (f *LU) Inverse() *Matrix {
-	n := f.lu.rows
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		col := f.Solve(e)
-		e[j] = 0
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns a⁻¹ for a square matrix a, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse(), nil
 }
 
 // Cholesky holds the lower-triangular Cholesky factor of a symmetric
@@ -194,25 +157,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	}
 	return x
 }
-
-// Inverse computes the inverse of the factored matrix.
-func (c *Cholesky) Inverse() *Matrix {
-	n := c.l.rows
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		col := c.Solve(e)
-		e[j] = 0
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv
-}
-
-// L returns the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l }
 
 // SolveSPD solves a x = b for symmetric positive-definite a, falling back
 // to LU with a tiny diagonal ridge when a is only semi-definite. This is

@@ -20,44 +20,10 @@ func TestLUSolveKnown(t *testing.T) {
 	}
 }
 
-func TestLUInverseRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		a := randMatrix(r, n, n)
-		// Diagonal boost makes singularity vanishingly unlikely.
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n))
-		}
-		inv, err := Inverse(a)
-		if err != nil {
-			return false
-		}
-		return a.Mul(inv).Equal(Identity(n), 1e-8) && inv.Mul(a).Equal(Identity(n), 1e-8)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLUSingular(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := FactorLU(a); err != ErrSingular {
 		t.Fatalf("FactorLU(singular) err = %v, want ErrSingular", err)
-	}
-	if _, err := Inverse(a); err != ErrSingular {
-		t.Fatalf("Inverse(singular) err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-(-2)) > 1e-12 {
-		t.Fatalf("Det = %g, want -2", f.Det())
 	}
 }
 
@@ -80,7 +46,7 @@ func TestCholeskyKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := c.L()
+	l := c.l
 	if !l.Mul(l.T()).Equal(a, 1e-12) {
 		t.Fatalf("LLᵀ != a: %v", l)
 	}
@@ -121,19 +87,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := FactorCholesky(a); err != ErrSingular {
 		t.Fatalf("FactorCholesky(indefinite) err = %v, want ErrSingular", err)
-	}
-}
-
-func TestCholeskyInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	a := randSPD(r, 6)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := c.Inverse()
-	if !a.Mul(inv).Equal(Identity(6), 1e-8) {
-		t.Fatal("Cholesky inverse round trip failed")
 	}
 }
 

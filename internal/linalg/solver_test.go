@@ -73,13 +73,7 @@ func TestKronSolverMatchesPseudoInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, c := range kronSolverCases(r) {
 		t.Run(c.name, func(t *testing.T) {
-			s, ok := linalg.NewExactSolver(c.op, denseCap)
-			if !ok {
-				t.Fatal("no exact solver")
-			}
-			if _, ok := s.(*linalg.KronSolver); !ok {
-				t.Fatalf("exact solver is a %T, want *linalg.KronSolver", s)
-			}
+			s := kronSolver(t, c.op)
 			pinv, err := linalg.PseudoInverse(linalg.ToDense(c.op))
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +83,9 @@ func TestKronSolverMatchesPseudoInverse(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				y := randVec(r, c.op.Rows())
 				want := linalg.MulVec(pinv, y)
-				s.SolveLSInto(got, y, &ws)
+				if err := s.SolveLSInto(got, y, &ws); err != nil {
+					t.Fatal(err)
+				}
 				var scale, diff float64
 				for i := range want {
 					scale = max(scale, math.Abs(want[i]))
@@ -103,16 +99,36 @@ func TestKronSolverMatchesPseudoInverse(t *testing.T) {
 	}
 }
 
+// kronSolver returns NewSolver's solver for op, which must be a
+// *linalg.KronSolver.
+func kronSolver(t testing.TB, op linalg.Operator) *linalg.KronSolver {
+	t.Helper()
+	s, err := linalg.NewSolver(op, denseCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := s.(*linalg.KronSolver)
+	if !ok {
+		t.Fatalf("solver is a %T, want *linalg.KronSolver", s)
+	}
+	return k
+}
+
 // TestNoExactSolverPastDenseCap: a Kronecker factor that is no interval
 // forest and has more cells than the dense cap leaves the whole product
-// to CGLS.
+// to CGLS, as it does a lone structured operator with no exact solver.
 func TestNoExactSolverPastDenseCap(t *testing.T) {
-	op := linalg.NewKronOp(linalg.NewPrefixOp(denseCap+1), linalg.Eye(2))
-	if s, ok := linalg.NewExactSolver(op, denseCap); ok {
-		t.Fatalf("oversized prefix factor got exact solver %T", s)
-	}
-	if _, ok := linalg.NewExactSolver(linalg.NewPrefixOp(8), denseCap); ok {
-		t.Fatal("a lone prefix operator got an exact solver")
+	for _, op := range []linalg.Operator{
+		linalg.NewKronOp(linalg.NewPrefixOp(denseCap+1), linalg.Eye(2)),
+		linalg.NewPrefixOp(8),
+	} {
+		s, err := linalg.NewSolver(op, denseCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(*linalg.CGLSSolver); !ok {
+			t.Fatalf("%dx%d operator got solver %T, want *linalg.CGLSSolver", op.Rows(), op.Cols(), s)
+		}
 	}
 }
 
@@ -123,10 +139,7 @@ func TestNoExactSolverPastDenseCap(t *testing.T) {
 func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	op := strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)
-	s, ok := linalg.NewExactSolver(op, denseCap)
-	if !ok {
-		t.Fatal("no exact solver for the Census range-marginals strategy")
-	}
+	s := kronSolver(t, op)
 	var ws linalg.CGWorkspace
 	y, dst := randVec(r, op.Rows()), make([]float64, op.Cols())
 	s.SolveLSInto(dst, y, &ws)
@@ -172,10 +185,7 @@ func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
 // 2,048): the exact Kronecker solve against the CGLS solve it replaces.
 func BenchmarkKronSolver(b *testing.B) {
 	op := strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)
-	s, ok := linalg.NewExactSolver(op, denseCap)
-	if !ok {
-		b.Fatal("no exact solver")
-	}
+	s := kronSolver(b, op)
 	y, dst := randVec(rand.New(rand.NewSource(1)), op.Rows()), make([]float64, op.Cols())
 	var ws linalg.CGWorkspace
 	b.Run("kron", func(b *testing.B) {

@@ -216,8 +216,9 @@ func (t *TreeSolver) Cols() int { return t.cols }
 
 // SolveLSInto writes the exact minimum-norm least-squares solution of
 // min ‖Ax − y‖₂ into dst (length Cols). ws provides the single node-sized
-// workspace vector; the call performs no allocation once ws has warmed.
-func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) {
+// workspace vector; the call performs no allocation once ws has warmed,
+// and never fails.
+func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 	if len(y) != t.rows {
 		panic("linalg: TreeSolver rhs length mismatch")
 	}
@@ -274,6 +275,7 @@ func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) {
 			dst[j] = val
 		}
 	}
+	return nil
 }
 
 // AnswerInto writes the strategy answers A·x into dst (length Rows) in

@@ -92,14 +92,14 @@ func TestMechanismPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo, err := NewMechanismOp(op)
+	mo, err := NewMechanism(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md.MatrixFree() {
+	if md.Inference() != InferDensePinv {
 		t.Fatal("dense mechanism unexpectedly matrix-free")
 	}
-	if !mo.MatrixFree() {
+	if mo.Inference() == InferDensePinv {
 		t.Fatal("operator mechanism should be matrix-free")
 	}
 	if math.Abs(md.SensitivityL2()-mo.SensitivityL2()) > 1e-9*md.SensitivityL2() {
@@ -134,7 +134,7 @@ func TestMechanismPathsAgree(t *testing.T) {
 // to materialize (per-query variances need explicit rows).
 func TestQueryVariancesRejectsHugeWorkload(t *testing.T) {
 	w := workload.AllRange(domain.MustShape(2048))
-	mech, err := NewMechanismOp(linalg.NewIntervalsOp(2048))
+	mech, err := NewMechanism(linalg.NewIntervalsOp(2048))
 	if err != nil {
 		t.Fatal(err)
 	}

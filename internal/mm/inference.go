@@ -129,8 +129,8 @@ func (m *Mechanism) QueryVariances(w *workload.Workload, p Privacy) ([]float64, 
 		return nil, fmt.Errorf("mm: per-query variances need explicit workload rows; %q has %d queries, past the materialization cap", w.Name(), w.NumQueries())
 	}
 	sigma := p.GaussianSigma(m.sensL2)
-	if m.apinv != nil {
-		wa := w.Matrix().Mul(m.apinv)
+	if pinv := m.PreparedPinv(); pinv != nil {
+		wa := w.Matrix().Mul(pinv)
 		out := make([]float64, wa.Rows())
 		for i := range out {
 			var s float64

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -261,46 +262,53 @@ func TestInferenceMethodsAgree(t *testing.T) {
 	}
 }
 
-// InferAuto resolves by representation and size, and dense-pinv refuses
-// operators past the materialization cap instead of exhausting memory.
+// Each mechanism gets one solver, by linalg.NewSolver's rule under
+// InferAuto (tree, then Kronecker, then dense-pinv for a dense matrix
+// within the cap, else CGLS) or by an explicit method, and reports the
+// solver's kind as its Inference. Dense-pinv refuses operators past the
+// materialization cap instead of exhausting memory.
 func TestInferenceResolution(t *testing.T) {
-	small, err := NewMechanismOp(strategy.Hierarchical(domain.MustShape(8), 2).A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Inference() != InferDensePinv {
-		t.Fatalf("small dense resolved to %s", small.Inference())
-	}
-	structured, err := NewMechanismOp(strategy.HierarchicalOperator(domain.MustShape(64, 64), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if structured.Inference() != InferCGLS {
-		t.Fatalf("structured resolved to %s", structured.Inference())
+	tall := linalg.NewSparseBuilder(64) // sparse, small, and no interval forest
+	for rep := 0; rep < 6; rep++ {
+		for j := 0; j < 64; j++ {
+			tall.AppendRow([]int{j, (j + 1) % 64}, []float64{1, 0.5})
+		}
 	}
 	huge := strategy.HierarchicalOperator(domain.MustShape(2048, 2048), 2)
+	cases := []struct {
+		name   string
+		op     linalg.Operator
+		inf    Inference
+		solver string // the solver's concrete type
+		want   Inference
+	}{
+		{"small-dense", strategy.Hierarchical(domain.MustShape(8), 2).A, InferAuto, "*linalg.PinvSolver", InferDensePinv},
+		{"dense-past-cap", linalg.ToDense(linalg.NewPrefixOp(DenseInferenceCap + 1)), InferAuto, "*linalg.CGLSSolver", InferCGLS},
+		{"tree", strategy.HierarchicalOperator(domain.MustShape(64), 2), InferAuto, "*linalg.TreeSolver", InferCGLS},
+		{"kron-trees", strategy.HierarchicalOperator(domain.MustShape(64, 64), 2), InferAuto, "*linalg.KronSolver", InferCGLS},
+		{"tall-cgls", tall.Build(), InferAuto, "*linalg.CGLSSolver", InferCGLS},
+		{"forced-cgls-dense", strategy.Hierarchical(domain.MustShape(8), 2).A, InferCGLS, "*linalg.CGLSSolver", InferCGLS},
+		{"forced-pinv-tree", strategy.HierarchicalOperator(domain.MustShape(64), 2), InferDensePinv, "*linalg.PinvSolver", InferDensePinv},
+		{"huge-cgls", huge, InferCGLS, "*linalg.KronSolver", InferCGLS},
+		// A Kronecker factor with no exact solver past the dense cap
+		// leaves the product on iterative CGLS.
+		{"oversized-factor", linalg.NewKronOp(linalg.NewPrefixOp(DenseInferenceCap+1), linalg.Eye(2)), InferCGLS, "*linalg.CGLSSolver", InferCGLS},
+	}
+	for _, c := range cases {
+		m, err := NewMechanismInference(c.op, c.inf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fmt.Sprintf("%T", m.solver) != c.solver || m.Inference() != c.want {
+			t.Fatalf("%s: solver %T, inference %s; want %s, %s", c.name, m.solver, m.Inference(), c.solver, c.want)
+		}
+	}
 	if _, err := NewMechanismInference(huge, InferDensePinv); err == nil {
 		t.Fatal("dense-pinv on a ~4M-cell operator did not error")
 	}
-	exact, err := NewMechanismInference(huge, InferCGLS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := exact.exact.(*linalg.KronSolver); !ok {
-		t.Fatalf("hierarchical Kronecker strategy got exact solver %T, want *linalg.KronSolver", exact.exact)
-	}
-	// A Kronecker factor with no exact solver past the dense cap leaves
-	// the product on iterative CGLS.
-	oversized, err := NewMechanismInference(linalg.NewKronOp(linalg.NewPrefixOp(DenseInferenceCap+1), linalg.Eye(2)), InferCGLS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oversized.exact != nil || oversized.Inference() != InferCGLS {
-		t.Fatalf("oversized prefix factor: exact solver %T, inference %s; want none, cgls", oversized.exact, oversized.Inference())
-	}
 	// Wire byte 3 named the retired normal-CG method; it must be refused,
 	// not read as some other method.
-	if _, err := NewMechanismInference(small.Strategy(), Inference(3)); err == nil {
+	if _, err := NewMechanismInference(linalg.Eye(4), Inference(3)); err == nil {
 		t.Fatal("retired inference byte 3 was accepted")
 	}
 }

@@ -11,22 +11,25 @@ import (
 	"adaptivemm/internal/workload"
 )
 
-// DenseInferenceCap is the largest cell count for which a dense strategy
+// DenseInferenceCap is the denseCap the mechanism passes to
+// linalg.NewSolver: the largest cell count for which a dense strategy
 // matrix, or a factor of a Kronecker strategy, gets an eagerly
 // materialized pseudo-inverse. The pseudo-inverse costs O(n³) once and
-// O(m·n) per release; past the cap (or for any structured operator)
-// inference runs matrix-free, through an exact solver or CGLS.
+// O(m·n) per release; past the cap (or for any other structured
+// operator) inference runs matrix-free, through an exact solver or CGLS.
 const DenseInferenceCap = 1024
 
-// Inference names a least-squares inference method for deriving the cell
-// estimate x̂ from noisy strategy answers. The planner picks one per plan;
-// InferAuto preserves the representation-driven default. The values are
-// plan-store wire bytes; 3, the retired normal-CG method, is not reused.
+// Inference names the kind of a mechanism's least-squares solver, which
+// derives the cell estimate x̂ = A⁺y from noisy strategy answers. Every
+// kind computes the same estimate; the kind is a cost choice, made once
+// per mechanism. The values are plan-store wire bytes; 3, the retired
+// normal-CG method, is not reused.
 type Inference int
 
 const (
-	// InferAuto selects dense-pinv for small dense strategies and CGLS
-	// otherwise — the historical automatic choice.
+	// InferAuto asks for linalg.NewSolver's choice: an exact solver,
+	// dense-pinv for a dense strategy within DenseInferenceCap, else CGLS.
+	// A mechanism never reports it.
 	InferAuto Inference = 0
 	// InferDensePinv materializes the Moore-Penrose pseudo-inverse once
 	// (O(n³)) and answers each release with one m×n product — the lowest
@@ -34,8 +37,9 @@ const (
 	// fit the materialization cap.
 	InferDensePinv Inference = 1
 	// InferCGLS solves each release matrix-free: in one pass when the
-	// strategy has an exact solver (linalg.NewExactSolver), else by
-	// conjugate gradients on the factored normal equations.
+	// strategy has an exact solver (an interval tree or a Kronecker
+	// product of solvable factors), else by conjugate gradients on the
+	// factored normal equations.
 	InferCGLS Inference = 2
 	// InferSharded answers per shard and concatenates: the measurement
 	// vector is split at shard boundaries, each slice is solved by that
@@ -60,16 +64,13 @@ func (i Inference) String() string {
 }
 
 // Mechanism is a prepared instance of the matrix mechanism for one
-// strategy operator. The inference path (see Inference) is fixed at
-// construction: automatically by representation and size in
-// NewMechanismOp, or explicitly by the planner in NewMechanismInference.
+// strategy operator. Its least-squares solver is fixed at construction:
+// by linalg.NewSolver's rule in NewMechanism, or by an explicit
+// Inference in NewMechanismInference.
 type Mechanism struct {
-	a         linalg.Operator
-	dense     *linalg.Matrix  // a as dense, when that is its representation
-	apinv     *linalg.Matrix  // dense pseudo-inverse for InferDensePinv
-	exact     linalg.LSSolver // exact solver (interval tree or Kronecker) for InferCGLS
-	inference Inference       // resolved method, never InferAuto
-	sensL2    float64
+	a      linalg.Operator
+	solver linalg.LSSolver // nil for sharded composites, which solve per shard
+	sensL2 float64
 
 	scratch sync.Pool // recycled *ReleaseScratch
 
@@ -109,61 +110,45 @@ type StageTimers struct {
 // latency histograms. Safe against concurrent releases.
 func (m *Mechanism) SetStageTimers(t *StageTimers) { m.timers.Store(t) }
 
-// NewMechanism prepares a mechanism for a dense strategy matrix. It is
-// NewMechanismOp with the dense representation.
-func NewMechanism(a *linalg.Matrix) (*Mechanism, error) {
-	return NewMechanismOp(a)
-}
-
-// NewMechanismOp prepares a mechanism for any strategy operator, selecting
-// the inference path by representation and size.
-func NewMechanismOp(a linalg.Operator) (*Mechanism, error) {
+// NewMechanism prepares a mechanism for a strategy operator with the
+// solver linalg.NewSolver picks for it.
+func NewMechanism(a linalg.Operator) (*Mechanism, error) {
 	return NewMechanismInference(a, InferAuto)
 }
 
 // NewMechanismInference prepares a mechanism with an explicit inference
-// method — the planner's entry point, so the mechanism no longer guesses.
-// InferDensePinv densifies structured operators under the materialization
-// cap and errors past it; InferCGLS looks for an exact solver.
+// method. InferDensePinv densifies structured operators under the
+// materialization cap and errors past it; InferCGLS takes the strategy's
+// exact solver when it has one and never a pseudo-inverse.
 func NewMechanismInference(a linalg.Operator, inf Inference) (*Mechanism, error) {
-	m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a)}
-	if d, ok := a.(*linalg.Matrix); ok {
-		m.dense = d
-	}
-	if inf == InferAuto {
-		if m.dense != nil && a.Cols() <= DenseInferenceCap {
-			inf = InferDensePinv
-		} else {
-			inf = InferCGLS
-		}
-	}
+	var solver linalg.LSSolver
+	var err error
 	switch inf {
+	case InferAuto:
+		solver, err = linalg.NewSolver(a, DenseInferenceCap)
 	case InferDensePinv:
-		d := m.dense
-		if d == nil {
-			if a.Cols() > 0 && a.Rows() > linalg.MaterializeCap/a.Cols() {
-				return nil, fmt.Errorf("mm: strategy too large to materialize for dense-pinv inference (%d x %d)", a.Rows(), a.Cols())
-			}
-			d = linalg.ToDense(a)
-			m.dense = d
+		var d *linalg.Matrix
+		if d, err = densify(a); err != nil {
+			return nil, fmt.Errorf("%w for dense-pinv inference", err)
 		}
-		pinv, err := linalg.PseudoInverse(d)
-		if err != nil {
-			return nil, err
-		}
-		m.apinv = pinv
+		solver, err = linalg.NewPinvSolver(d)
 	case InferCGLS:
-		// Nothing dense to prepare; an interval forest or a Kronecker
-		// product of factors with exact solvers gets its one-pass solver,
-		// anything else keeps pure CGLS.
-		m.exact, _ = linalg.NewExactSolver(a, DenseInferenceCap)
+		if _, dense := a.(*linalg.Matrix); dense {
+			// A dense matrix has no exact solver; NewSolver would give it
+			// a pseudo-inverse.
+			solver = &linalg.CGLSSolver{Op: a}
+		} else {
+			solver, err = linalg.NewSolver(a, DenseInferenceCap)
+		}
 	case InferSharded:
 		return nil, fmt.Errorf("mm: sharded inference requires per-shard mechanisms; use NewShardedMechanism")
 	default:
 		return nil, fmt.Errorf("mm: unknown inference method %d", inf)
 	}
-	m.inference = inf
-	return m, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Mechanism{a: a, solver: solver, sensL2: linalg.MaxColNorm2Op(a)}, nil
 }
 
 // NewMechanismPrepared rebuilds a mechanism from a strategy operator, its
@@ -179,44 +164,58 @@ func NewMechanismPrepared(a linalg.Operator, inf Inference, pinv *linalg.Matrix)
 		return nil, fmt.Errorf("mm: persisted pseudo-inverse is %dx%d for a %dx%d strategy",
 			pinv.Rows(), pinv.Cols(), a.Rows(), a.Cols())
 	}
-	m := &Mechanism{a: a, sensL2: linalg.MaxColNorm2Op(a), apinv: pinv, inference: inf}
-	if d, ok := a.(*linalg.Matrix); ok {
-		m.dense = d
-	}
-	return m, nil
+	return &Mechanism{a: a, solver: &linalg.PinvSolver{Pinv: pinv}, sensL2: linalg.MaxColNorm2Op(a)}, nil
 }
 
 // PreparedPinv returns the precomputed dense pseudo-inverse backing
 // InferDensePinv, or nil — the artifact the plan store persists so a
 // rehydrated mechanism skips the O(n³) preparation.
-func (m *Mechanism) PreparedPinv() *linalg.Matrix { return m.apinv }
+func (m *Mechanism) PreparedPinv() *linalg.Matrix {
+	if p, ok := m.solver.(*linalg.PinvSolver); ok {
+		return p.Pinv
+	}
+	return nil
+}
 
 // PreparedGram returns nil: no inference method keeps a Gram matrix. It
 // stays only for the benchmark module's caller, which the next benchmark
 // change drops along with this method.
 func (m *Mechanism) PreparedGram() *linalg.Matrix { return nil }
 
-// Inference returns the resolved inference method.
-func (m *Mechanism) Inference() Inference { return m.inference }
+// Solver returns the mechanism's least-squares solver, or nil for a
+// sharded composite, whose shards each hold their own.
+func (m *Mechanism) Solver() linalg.LSSolver { return m.solver }
+
+// Inference returns the resolved inference method, named by the kind of
+// the mechanism's solver; never InferAuto.
+func (m *Mechanism) Inference() Inference {
+	if m.shards != nil {
+		return InferSharded
+	}
+	if _, ok := m.solver.(*linalg.PinvSolver); ok {
+		return InferDensePinv
+	}
+	return InferCGLS
+}
 
 // Strategy returns the strategy operator.
 func (m *Mechanism) Strategy() linalg.Operator { return m.a }
 
 // StrategyDense returns the strategy as a dense matrix, materializing a
 // structured operator when rows×cols is affordable.
-func (m *Mechanism) StrategyDense() (*linalg.Matrix, error) {
-	if m.dense != nil {
-		return m.dense, nil
-	}
-	if m.a.Cols() > 0 && m.a.Rows() > linalg.MaterializeCap/m.a.Cols() {
-		return nil, fmt.Errorf("mm: strategy too large to materialize (%d x %d)", m.a.Rows(), m.a.Cols())
-	}
-	return linalg.ToDense(m.a), nil
-}
+func (m *Mechanism) StrategyDense() (*linalg.Matrix, error) { return densify(m.a) }
 
-// MatrixFree reports whether inference runs matrix-free (an exact solver
-// or CGLS) instead of through a materialized pseudo-inverse.
-func (m *Mechanism) MatrixFree() bool { return m.apinv == nil }
+// densify returns a as a dense matrix: itself when that is its
+// representation, else materialized when rows×cols is affordable.
+func densify(a linalg.Operator) (*linalg.Matrix, error) {
+	if d, ok := a.(*linalg.Matrix); ok {
+		return d, nil
+	}
+	if a.Cols() > 0 && a.Rows() > linalg.MaterializeCap/a.Cols() {
+		return nil, fmt.Errorf("mm: strategy too large to materialize (%d x %d)", a.Rows(), a.Cols())
+	}
+	return linalg.ToDense(a), nil
+}
 
 // SensitivityL2 returns ‖A‖₂.
 func (m *Mechanism) SensitivityL2() float64 { return m.sensL2 }

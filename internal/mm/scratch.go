@@ -81,31 +81,62 @@ func (m *Mechanism) PutScratch(sc *ReleaseScratch) {
 }
 
 // EstimateGaussianInto is EstimateGaussian computing through caller-owned
-// scratch: the returned estimate is sc.est, valid until sc is reused. On
-// the dense-pinv and CGLS (exact tree or Kronecker, or iterative) paths
-// the steady state performs zero allocations.
+// scratch: the returned estimate is sc.est, valid until sc is reused.
+// Through every solver (dense pseudo-inverse, exact tree or Kronecker,
+// iterative CGLS) the steady state performs zero allocations.
 func (m *Mechanism) EstimateGaussianInto(sc *ReleaseScratch, x []float64, p Privacy, r NoiseSource) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return m.estimateInto(sc, x, gaussianNoise, p.GaussianSigma(m.sensL2), r)
+}
+
+// EstimateLaplaceInto is the scratch-based EstimateLaplace; the returned
+// estimate is sc.est, valid until sc is reused.
+func (m *Mechanism) EstimateLaplaceInto(sc *ReleaseScratch, x []float64, epsilon float64, r NoiseSource) ([]float64, error) {
+	if epsilon <= 0 {
+		return nil, fmt.Errorf("mm: epsilon = %g must be positive", epsilon)
+	}
+	return m.estimateInto(sc, x, laplaceNoise, m.SensitivityL1()/epsilon, r)
+}
+
+// noiseKind selects the noise distribution of a release.
+type noiseKind uint8
+
+const (
+	gaussianNoise noiseKind = iota // N(0, scale²) per answer
+	laplaceNoise                   // Laplace(0, scale) per answer
+)
+
+// estimateInto is the release pipeline shared by the Into entry points:
+// strategy answers, noise of the given kind and scale, then inference,
+// each stage timed when timers or a trace are attached. The estimate is
+// sc.est.
+func (m *Mechanism) estimateInto(sc *ReleaseScratch, x []float64, kind noiseKind, scale float64, r NoiseSource) ([]float64, error) {
 	if len(x) != m.a.Cols() {
 		return nil, fmt.Errorf("mm: data vector has %d cells, strategy expects %d", len(x), m.a.Cols())
 	}
-	sigma := p.GaussianSigma(m.sensL2)
 	rows := m.a.Rows()
 	timers := m.timers.Load()
-	instr := timers != nil || sc.Trace != nil
 	var t0 time.Time
-	if instr {
+	if timers != nil || sc.Trace != nil {
 		t0 = time.Now()
 	}
 	sc.y = growFloats(sc.y, rows)
 	m.answersInto(sc.y, x, sc)
 	t0 = m.stageDone(sc, timers, stageAnswer, t0)
 	sc.noise = growFloats(sc.noise, rows)
-	fillNormal(r, sc.noise)
-	for i, n := range sc.noise {
-		sc.y[i] += sigma * n
+	switch kind {
+	case laplaceNoise:
+		fillLaplace(r, sc.noise, scale)
+		for i, n := range sc.noise {
+			sc.y[i] += n
+		}
+	default:
+		fillNormal(r, sc.noise)
+		for i, n := range sc.noise {
+			sc.y[i] += scale * n
+		}
 	}
 	t0 = m.stageDone(sc, timers, stageNoise, t0)
 	sc.est = growFloats(sc.est, m.estimateLen())
@@ -148,40 +179,6 @@ func (m *Mechanism) stageDone(sc *ReleaseScratch, timers *StageTimers, stage str
 	return now
 }
 
-// EstimateLaplaceInto is the scratch-based EstimateLaplace; the returned
-// estimate is sc.est, valid until sc is reused.
-func (m *Mechanism) EstimateLaplaceInto(sc *ReleaseScratch, x []float64, epsilon float64, r NoiseSource) ([]float64, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("mm: epsilon = %g must be positive", epsilon)
-	}
-	if len(x) != m.a.Cols() {
-		return nil, fmt.Errorf("mm: data vector has %d cells, strategy expects %d", len(x), m.a.Cols())
-	}
-	b := m.SensitivityL1() / epsilon
-	rows := m.a.Rows()
-	timers := m.timers.Load()
-	instr := timers != nil || sc.Trace != nil
-	var t0 time.Time
-	if instr {
-		t0 = time.Now()
-	}
-	sc.y = growFloats(sc.y, rows)
-	m.answersInto(sc.y, x, sc)
-	t0 = m.stageDone(sc, timers, stageAnswer, t0)
-	sc.noise = growFloats(sc.noise, rows)
-	fillLaplace(r, sc.noise, b)
-	for i, n := range sc.noise {
-		sc.y[i] += n
-	}
-	t0 = m.stageDone(sc, timers, stageNoise, t0)
-	sc.est = growFloats(sc.est, m.estimateLen())
-	if err := m.inferInto(sc.est, sc.y, sc); err != nil {
-		return nil, err
-	}
-	m.stageDone(sc, timers, stageInfer, t0)
-	return sc.est, nil
-}
-
 // AnswerGaussianInto is the scratch-based AnswerGaussian; the returned
 // answers are sc.ans, valid until sc is reused.
 func (m *Mechanism) AnswerGaussianInto(sc *ReleaseScratch, w *workload.Workload, x []float64, p Privacy, r NoiseSource) ([]float64, error) {
@@ -215,7 +212,7 @@ func (m *Mechanism) workloadAnswersInto(sc *ReleaseScratch, w *workload.Workload
 // answersInto writes the strategy answers A·x into dst, through the tree
 // fast path when the strategy is an interval forest.
 func (m *Mechanism) answersInto(dst, x []float64, sc *ReleaseScratch) {
-	if t, ok := m.exact.(*linalg.TreeSolver); ok {
+	if t, ok := m.solver.(*linalg.TreeSolver); ok {
 		t.AnswerInto(dst, x, &sc.ws)
 		return
 	}
@@ -237,20 +234,11 @@ func (m *Mechanism) estimateLen() int {
 }
 
 // inferInto computes the least-squares estimate x̂ from noisy strategy
-// answers y into dst (length estimateLen) through the mechanism's
-// resolved inference method.
+// answers y into dst (length estimateLen): one call to the mechanism's
+// solver, or the per-shard fan-out of a sharded composite.
 func (m *Mechanism) inferInto(dst, y []float64, sc *ReleaseScratch) error {
-	switch m.inference {
-	case InferDensePinv:
-		m.apinv.MulVecInto(dst, y)
-		return nil
-	case InferSharded:
+	if m.shards != nil {
 		return m.inferShardedInto(dst, y, sc)
-	default:
-		if m.exact != nil {
-			m.exact.SolveLSInto(dst, y, &sc.ws)
-			return nil
-		}
-		return linalg.SolveCGLSInto(m.a, y, dst, linalg.CGOptions{}, &sc.ws)
 	}
+	return m.solver.SolveLSInto(dst, y, &sc.ws)
 }

@@ -52,8 +52,14 @@ func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := kronTree.exact.(*linalg.KronSolver); !ok || factored.exact != nil {
-		t.Fatalf("exact solvers: kron-tree %T, kron-factored %T; want *linalg.KronSolver and none", kronTree.exact, factored.exact)
+	_, pinvOK := pinv.solver.(*linalg.PinvSolver)
+	_, treeOK := cgls.solver.(*linalg.TreeSolver)
+	_, iterOK := iter.solver.(*linalg.CGLSSolver)
+	_, kronOK := kronTree.solver.(*linalg.KronSolver)
+	_, factoredOK := factored.solver.(*linalg.CGLSSolver)
+	if !pinvOK || !treeOK || !iterOK || !kronOK || !factoredOK {
+		t.Fatalf("solvers: dense-pinv %T, tree-cgls %T, iterative-cgls %T, kron-tree %T, kron-factored-cgls %T",
+			pinv.solver, cgls.solver, iter.solver, kronTree.solver, factored.solver)
 	}
 	return map[string]*Mechanism{
 		"dense-pinv": pinv, "tree-cgls": cgls, "iterative-cgls": iter,

@@ -132,7 +132,6 @@ func NewShardedMechanism(planned *workload.Workload, shards []Shard, parallelism
 	m := &Mechanism{
 		a:         composite,
 		sensL2:    linalg.MaxColNorm2Op(composite),
-		inference: InferSharded,
 		shards:    shards,
 		shardPar:  parallelism,
 		blockOnly: blockOnly,

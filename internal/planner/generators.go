@@ -123,7 +123,7 @@ func (marginalsGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propos
 			if err != nil {
 				return Built{}, err
 			}
-			return Built{Op: res.Strategy, Dense: res.Strategy, Eigenvalues: res.Eigenvalues}, nil
+			return Built{Op: res.Strategy, Eigenvalues: res.Eigenvalues}, nil
 		},
 	}, ""
 }
@@ -161,7 +161,7 @@ func (eigenGen) Propose(w *workload.Workload, h Hints, forced bool) (*Proposal, 
 			if err != nil {
 				return Built{}, err
 			}
-			return Built{Op: res.Op, Dense: res.Strategy, Eigenvalues: res.Eigenvalues}, nil
+			return Built{Op: res.Op, Eigenvalues: res.Eigenvalues}, nil
 		},
 	}, ""
 }
@@ -203,7 +203,7 @@ func (separationGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propo
 			if err != nil {
 				return Built{}, err
 			}
-			return Built{Op: res.Op, Dense: res.Strategy, Eigenvalues: res.Eigenvalues}, nil
+			return Built{Op: res.Op, Eigenvalues: res.Eigenvalues}, nil
 		},
 	}, ""
 }
@@ -246,7 +246,7 @@ func (principalGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propos
 			if err != nil {
 				return Built{}, err
 			}
-			return Built{Op: res.Op, Dense: res.Strategy, Eigenvalues: res.Eigenvalues}, nil
+			return Built{Op: res.Op, Eigenvalues: res.Eigenvalues}, nil
 		},
 	}, ""
 }

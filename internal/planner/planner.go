@@ -108,8 +108,9 @@ type Hints struct {
 	// set the tighter bound wins.
 	MaxDesignTime time.Duration
 	// LatencyTarget is the per-release latency the caller wants. A target
-	// tighter than the modeled iterative-inference latency makes the plan
-	// buy the one-time dense pseudo-inverse when the strategy fits it.
+	// tighter than the modeled inference latency of the strategy's own
+	// solver makes the plan buy the one-time dense pseudo-inverse when
+	// the strategy fits it.
 	LatencyTarget time.Duration
 	// Size restricts the domain-size class (it can only tighten the
 	// derived class, never relax it).
@@ -203,11 +204,9 @@ type Proposal struct {
 // Built is a generator's raw output before the planner prepares the
 // mechanism around it.
 type Built struct {
-	// Op is the strategy operator (always set).
+	// Op is the strategy operator (always set); a *linalg.Matrix when
+	// the pipeline produced an explicit strategy.
 	Op linalg.Operator
-	// Dense is the explicit strategy matrix when the pipeline produced
-	// one.
-	Dense *linalg.Matrix
 	// Eigenvalues of WᵀW when the generator computed them.
 	Eigenvalues []float64
 	// Prepared is a mechanism the generator already built around the
@@ -272,14 +271,13 @@ type Plan struct {
 	Note string
 	// Workload is the planned workload.
 	Workload *workload.Workload
-	// Op is the strategy operator.
+	// Op is the strategy operator; a *linalg.Matrix when the strategy is
+	// explicit.
 	Op linalg.Operator
-	// Dense is the explicit strategy matrix when one exists.
-	Dense *linalg.Matrix
 	// Eigenvalues of WᵀW when the winning generator computed them (they
 	// feed the Thm 2 lower bound).
 	Eigenvalues []float64
-	// Inference is the explicitly chosen inference method.
+	// Inference is the kind of the mechanism's solver.
 	Inference mm.Inference
 	// Mechanism is the prepared release mechanism.
 	Mechanism *mm.Mechanism
@@ -715,17 +713,12 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 	}
 	decisions[win.di].Selected = true
 
+	// The generator may have prepared the mechanism itself (sharded
+	// composites fix their own inference); the planner only reports it.
 	mech := built.Prepared
-	var inf mm.Inference
-	if mech != nil {
-		// The generator prepared the mechanism itself (sharded composites
-		// fix their own inference); the planner only reports it.
-		inf = mech.Inference()
-	} else {
-		inf = p.chooseInference(*built, h)
-		mech, err = mm.NewMechanismInference(built.Op, inf)
-		if err != nil {
-			return nil, fmt.Errorf("planner: preparing %s inference for generator %s: %w", inf, win.gen.Name(), err)
+	if mech == nil {
+		if mech, err = prepare(built.Op, h); err != nil {
+			return nil, fmt.Errorf("planner: preparing inference for generator %s: %w", win.gen.Name(), err)
 		}
 	}
 	plan := &Plan{
@@ -733,9 +726,8 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 		Note:        win.prop.Note,
 		Workload:    w,
 		Op:          built.Op,
-		Dense:       built.Dense,
 		Eigenvalues: built.Eigenvalues,
-		Inference:   inf,
+		Inference:   mech.Inference(),
 		Mechanism:   mech,
 		ModeledCost: win.prop.Cost,
 		DesignTime:  elapsed,
@@ -755,22 +747,22 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 	return plan, nil
 }
 
-// chooseInference picks the inference method for a built strategy —
-// explicitly, so mm.Mechanism executes rather than guesses.
-func (p *Planner) chooseInference(b Built, h Hints) mm.Inference {
-	op := b.Op
+// prepare builds the mechanism for a strategy with the solver
+// linalg.NewSolver picks, and trades it for a dense pseudo-inverse only
+// when the latency target is tighter than a release through that solver
+// and the strategy fits the dense cap.
+func prepare(op linalg.Operator, h Hints) (*mm.Mechanism, error) {
+	mech, err := mm.NewMechanism(op)
+	if err != nil {
+		return nil, err
+	}
 	n := op.Cols()
-	if b.Dense != nil && n <= mm.DenseInferenceCap {
-		return mm.InferDensePinv
+	if h.LatencyTarget > 0 && mech.Inference() != mm.InferDensePinv &&
+		n > 0 && n <= mm.DenseInferenceCap && op.Rows() <= linalg.MaterializeCap/n &&
+		h.LatencyTarget < releaseLatency(op, mech.Solver()) {
+		return mm.NewMechanismInference(op, mm.InferDensePinv)
 	}
-	// A latency target tighter than the modeled iterative solve buys the
-	// one-time pseudo-inverse when the strategy can be densified.
-	if h.LatencyTarget > 0 && n <= mm.DenseInferenceCap &&
-		n > 0 && op.Rows() <= linalg.MaterializeCap/n &&
-		h.LatencyTarget < p.estimateIterativeLatency(op) {
-		return mm.InferDensePinv
-	}
-	return mm.InferCGLS
+	return mech, nil
 }
 
 // matvecOpsPerSecond is the fixed throughput the release-latency model
@@ -780,14 +772,14 @@ func (p *Planner) chooseInference(b Built, h Hints) mm.Inference {
 // cached plan it freezes — depend on which requests arrived first.
 const matvecOpsPerSecond = 5e8
 
-// estimateIterativeLatency is a coarse model of one matrix-free release,
-// counting passes that each touch rows+cols values: one for a strategy
-// with an exact solver (interval tree or Kronecker), else ~150 CGLS
-// iterations of two matvecs.
-func (p *Planner) estimateIterativeLatency(op linalg.Operator) time.Duration {
-	passes := 150 * 2.0
-	if _, ok := linalg.NewExactSolver(op, mm.DenseInferenceCap); ok {
-		passes = 1
+// releaseLatency is a coarse model of one matrix-free inference through
+// s, counting passes that each touch rows+cols values: one for an exact
+// solver (interval tree or Kronecker), ~150 iterations of two matvecs
+// for CGLS.
+func releaseLatency(op linalg.Operator, s linalg.LSSolver) time.Duration {
+	passes := 1.0
+	if _, iterative := s.(*linalg.CGLSSolver); iterative {
+		passes = 150 * 2
 	}
 	ops := passes * 8 * float64(op.Rows()+op.Cols())
 	return time.Duration(ops / matvecOpsPerSecond * float64(time.Second))
@@ -802,7 +794,6 @@ type PlanState struct {
 	Note        string
 	Workload    *workload.Workload
 	Op          linalg.Operator
-	Dense       *linalg.Matrix
 	Eigenvalues []float64
 	Inference   mm.Inference
 	Mechanism   *mm.Mechanism
@@ -836,7 +827,6 @@ func (p *Plan) State() PlanState {
 		Note:        p.Note,
 		Workload:    p.Workload,
 		Op:          p.Op,
-		Dense:       p.Dense,
 		Eigenvalues: p.Eigenvalues,
 		Inference:   p.Inference,
 		Mechanism:   p.Mechanism,
@@ -879,7 +869,6 @@ func RehydratePlan(st PlanState) (*Plan, error) {
 		Note:        st.Note,
 		Workload:    st.Workload,
 		Op:          st.Op,
-		Dense:       st.Dense,
 		Eigenvalues: st.Eigenvalues,
 		Inference:   st.Inference,
 		Mechanism:   st.Mechanism,

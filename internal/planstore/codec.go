@@ -4,11 +4,11 @@
 //
 //   - the winning generator's name and rationale;
 //   - the planned workload (name, domain shape, query operator);
-//   - the strategy operator, its dense form and eigenvalues when the
-//     generator computed them, and the dense pseudo-inverse of a
-//     dense-pinv plan so rehydration skips the O(n³) preparation (exact
-//     tree and Kronecker solvers are rebuilt from the operator, which is
-//     linear-time);
+//   - the strategy operator, the eigenvalues when the generator computed
+//     them, and the dense pseudo-inverse of a dense-pinv plan so
+//     rehydration skips the O(n³) preparation (every other solver is
+//     rebuilt from the operator by the same rule that chose it, in
+//     linear time);
 //   - the explicit inference method, modeled cost, design time and the
 //     full admission-decision list (so /design of a warm plan still
 //     explains itself);
@@ -184,18 +184,6 @@ func encodeMonolithicStrategy(w *bytes.Buffer, st planner.PlanState) error {
 	if err := putOperator(w, st.Op); err != nil {
 		return err
 	}
-	// Dense: usually the operator itself (flagged, not re-encoded).
-	switch {
-	case st.Dense == nil:
-		w.WriteByte(0)
-	case func() bool { m, ok := st.Op.(*linalg.Matrix); return ok && m == st.Dense }():
-		w.WriteByte(1)
-	default:
-		w.WriteByte(2)
-		if err := putOperator(w, st.Dense); err != nil {
-			return err
-		}
-	}
 	pinv := st.Mechanism.PreparedPinv()
 	binenc.PutBool(w, pinv != nil)
 	if pinv != nil {
@@ -303,25 +291,6 @@ func readMonolithicStrategy(r *binenc.Reader, st *planner.PlanState) error {
 	var err error
 	if st.Op, err = readOperator(r); err != nil {
 		return fmt.Errorf("planstore: strategy operator: %w", err)
-	}
-	denseMode, err := r.Byte()
-	if err != nil {
-		return err
-	}
-	switch denseMode {
-	case 0:
-	case 1:
-		m, ok := st.Op.(*linalg.Matrix)
-		if !ok {
-			return fmt.Errorf("planstore: dense-is-op flag on a %T strategy", st.Op)
-		}
-		st.Dense = m
-	case 2:
-		if st.Dense, err = readMatrix(r, "dense strategy"); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("planstore: unknown dense mode %d", denseMode)
 	}
 	hasPinv, err := r.Bool()
 	if err != nil {

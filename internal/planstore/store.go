@@ -56,8 +56,9 @@ const (
 	// FormatVersion is the store wire-format version. Entries written
 	// under a different version are skipped, never decoded: bump it on
 	// any incompatible codec change. Version 2 dropped the Gram matrix
-	// that normal-CG plans persisted.
-	FormatVersion = 2
+	// that normal-CG plans persisted; version 3 dropped the byte that
+	// flagged a separate dense form of the strategy.
+	FormatVersion = 3
 
 	// LibraryVersion tags entries with the build that wrote them. It is
 	// recorded and reported, not matched — the format version is the

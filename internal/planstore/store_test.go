@@ -23,9 +23,12 @@ import (
 var testPrivacy = mm.Privacy{Epsilon: 0.5, Delta: 1e-4}
 
 // plansUnderTest builds one plan per serving regime: small dense exact
-// (dense-pinv inference), forced hierarchical (CGLS), closed-form
+// (dense-pinv inference), forced hierarchical over one dimension (exact
+// tree solver) and over two (exact Kronecker solver), a latency target
+// that buys a pseudo-inverse for a structured strategy, closed-form
 // marginals, a tall non-tree sparse strategy (iterative CGLS, nothing
 // persisted beyond the operator), and a sharded two-block composition.
+// regimeSolvers names the solver each regime's mechanism must hold.
 func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	t.Helper()
 	out := map[string]*planner.Plan{}
@@ -41,10 +44,22 @@ func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	}
 	build("eigen-pinv", workload.Prefix(64), planner.Hints{})
 	build("hierarchical-cgls", workload.Prefix(512), planner.Hints{Generator: "hierarchical"})
+	build("hierarchical-kron", workload.AllRange(domain.MustShape(8, 16)), planner.Hints{Generator: "hierarchical"})
+	build("latency-pinv", workload.Prefix(256), planner.Hints{Generator: "hierarchical", LatencyTarget: time.Nanosecond})
 	build("marginals", workload.Marginals(domain.MustShape(8, 8, 4), 2), planner.Hints{})
 	build("tall-cgls", workload.Prefix(128), planner.Hints{Generator: "tall"})
 	build("sharded", workload.Marginals(domain.MustShape(8, 8), 1), planner.Hints{})
 	return out
+}
+
+var regimeSolvers = map[string]string{
+	"eigen-pinv":        "*linalg.PinvSolver",
+	"hierarchical-cgls": "*linalg.TreeSolver",
+	"hierarchical-kron": "*linalg.KronSolver",
+	"latency-pinv":      "*linalg.PinvSolver",
+	"marginals":         "*linalg.PinvSolver",
+	"tall-cgls":         "*linalg.CGLSSolver",
+	"sharded":           "<nil>", // each shard holds its own solver
 }
 
 // tallGen produces a sparse strategy with 6n rows that is no interval
@@ -78,6 +93,9 @@ func TestPlanRoundTripAllRegimes(t *testing.T) {
 	}
 	for name, plan := range plansUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
+			if got := fmt.Sprintf("%T", plan.Mechanism.Solver()); got != regimeSolvers[name] {
+				t.Fatalf("solver %s, want %s", got, regimeSolvers[name])
+			}
 			key := CanonicalKey("test:"+name, 1, "fp")
 			meta, err := s.Put(key, plan)
 			if err != nil {
@@ -108,6 +126,13 @@ func assertPlansEquivalent(t *testing.T, want, got *planner.Plan) {
 	}
 	if got.Inference != want.Inference {
 		t.Fatalf("inference = %s, want %s", got.Inference, want.Inference)
+	}
+	// Answers agree to 1e-9 through any solver, so only the solver's type
+	// shows that rehydration kept the fast one (a tree or Kronecker plan
+	// on plain CGLS would run ~100× slower).
+	assertSameSolver(t, "plan", want.Mechanism, got.Mechanism)
+	for i, s := range want.Mechanism.Shards() {
+		assertSameSolver(t, fmt.Sprintf("shard %d", i), s.Mechanism, got.Mechanism.Shards()[i].Mechanism)
 	}
 	if got.ModeledCost != want.ModeledCost || got.DesignTime != want.DesignTime {
 		t.Fatalf("cost/time = %g/%s, want %g/%s", got.ModeledCost, got.DesignTime, want.ModeledCost, want.DesignTime)
@@ -166,6 +191,13 @@ func assertPlansEquivalent(t *testing.T, want, got *planner.Plan) {
 		if math.Abs(gotAns[i]-wantAns[i]) > 1e-9*(1+math.Abs(wantAns[i])) {
 			t.Fatalf("answer %d = %g, want %g", i, gotAns[i], wantAns[i])
 		}
+	}
+}
+
+func assertSameSolver(t *testing.T, what string, want, got *mm.Mechanism) {
+	t.Helper()
+	if ws, gs := fmt.Sprintf("%T", want.Solver()), fmt.Sprintf("%T", got.Solver()); gs != ws {
+		t.Fatalf("%s: rehydrated solver %s, want %s", what, gs, ws)
 	}
 }
 
@@ -295,9 +327,10 @@ func TestIncompatibleFormatVersionSkipped(t *testing.T) {
 	}
 }
 
-// TestFormatOneEntrySkipped: an entry written under format 1, the
-// layout that still carried a Gram matrix field, is skipped with a
-// version reason while the other entries load.
+// TestFormatOneEntrySkipped: entries written under format 1, the layout
+// that still carried a Gram matrix field, and format 2, which still
+// flagged a separate dense strategy, are skipped with a version reason
+// while the other entries load.
 func TestFormatOneEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -309,19 +342,22 @@ func TestFormatOneEntrySkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := s.Put("old", plans["tall-cgls"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, old.ID+planExt)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(planMagic)] = 1
-	reseal(blob)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
+	oldVersions := []byte{1, 2}
+	for _, v := range oldVersions {
+		old, err := s.Put(fmt.Sprintf("old-%d", v), plans["tall-cgls"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, old.ID+planExt)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(planMagic)] = v
+		reseal(blob)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var reasons []string
 	loaded, err := s.LoadAll(func(format string, args ...any) {
@@ -333,9 +369,14 @@ func TestFormatOneEntrySkipped(t *testing.T) {
 	if len(loaded) != 1 || loaded[0].Meta.ID != good.ID {
 		t.Fatalf("loaded %d entries, want only the format-%d one", len(loaded), FormatVersion)
 	}
-	want := fmt.Sprintf("format version 1, this build reads %d", FormatVersion)
-	if len(reasons) != 1 || !strings.Contains(reasons[0], want) {
-		t.Fatalf("skip reasons %q, want one naming %q", reasons, want)
+	if len(reasons) != len(oldVersions) {
+		t.Fatalf("skip reasons %q, want one per old entry", reasons)
+	}
+	for _, v := range oldVersions {
+		want := fmt.Sprintf("format version %d, this build reads %d", v, FormatVersion)
+		if !strings.Contains(strings.Join(reasons, "\n"), want) {
+			t.Fatalf("skip reasons %q, want one naming %q", reasons, want)
+		}
 	}
 }
 
