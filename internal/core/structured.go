@@ -23,9 +23,12 @@ import (
 //	A = [ diag(λ) · P · (V₁ ⊗ … ⊗ V_k) ;  D ]
 //
 // (weighted, eigenvalue-sorted Kronecker eigenbasis plus sparse completion
-// rows D), whose matvecs cost O(n·Σdᵢ) — the form the CGLS inference path
-// consumes. This converts the old dense O(n²)-memory/O(n³)-time ceiling on
-// Design into a per-dimension cost.
+// rows D), whose matvecs cost O(n·Σdᵢ). linalg.NewSolver recognizes this
+// form: a principal-vectors design, whose weights differ from one shared
+// tail weight on k rows, gets the exact Woodbury solver; the exact and
+// separation designs weight nearly every row apart, so past the solver's
+// row cap they infer by CGLS. This converts the old dense
+// O(n²)-memory/O(n³)-time ceiling on Design into a per-dimension cost.
 
 // FactoredEligible reports whether the factored pipeline can run on w:
 // product (Kronecker) form with at least two Gram factors. The planner

@@ -52,10 +52,10 @@ func KronEigen(factors ...*EigenSym) *EigenSym {
 
 	values := make([]float64, n)
 	vectors := New(n, n)
+	vecs := eigenVectors(factors)
 	for r, pr := range pairs {
 		values[r] = pr.val
-		row := vectors.Row(r)
-		kronRowInto(row, factors, pr.idx)
+		kronRowInto(vectors.Row(r), vecs, pr.idx)
 	}
 	return &EigenSym{Values: values, Vectors: vectors}
 }
@@ -146,7 +146,7 @@ func (fe *FactoredEigen) multiIndex(r int) []int {
 // Kronecker product of the per-factor eigenvector rows. Cost O(n).
 func (fe *FactoredEigen) Row(r int) []float64 {
 	dst := make([]float64, fe.N())
-	kronRowInto(dst, fe.Factors, fe.multiIndex(r))
+	kronRowInto(dst, eigenVectors(fe.Factors), fe.multiIndex(r))
 	return dst
 }
 
@@ -161,13 +161,22 @@ func (fe *FactoredEigen) VectorsOperator() Operator {
 	return PermuteRows(NewKronOp(parts...), fe.perm)
 }
 
-// kronRowInto writes the Kronecker product of the selected factor
-// eigenvectors into dst.
-func kronRowInto(dst []float64, factors []*EigenSym, idx []int) {
+// eigenVectors returns the factors' eigenvector matrices.
+func eigenVectors(factors []*EigenSym) []*Matrix {
+	out := make([]*Matrix, len(factors))
+	for i, f := range factors {
+		out[i] = f.Vectors
+	}
+	return out
+}
+
+// kronRowInto writes the Kronecker product of row idx[i] of each factor
+// into dst: row Σ idx[i]·Π_{j>i} rows(j) of their Kronecker product.
+func kronRowInto(dst []float64, factors []*Matrix, idx []int) {
 	dst[0] = 1
 	length := 1
 	for fi, f := range factors {
-		vec := f.Vectors.Row(idx[fi])
+		vec := f.Row(idx[fi])
 		fl := len(vec)
 		// Expand dst[:length] by vec.
 		for i := length - 1; i >= 0; i-- {

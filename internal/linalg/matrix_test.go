@@ -163,16 +163,18 @@ func TestMulVecMatchesMul(t *testing.T) {
 
 func TestTMulVecMatchesTransposeMul(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	a := randMatrix(r, 6, 4)
-	v := make([]float64, 6)
-	for i := range v {
-		v[i] = r.NormFloat64()
-	}
-	got := MulVecT(a, v)
-	want := MulVec(a.T(), v)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MulVecT[%d] = %g, want %g", i, got[i], want[i])
+	for _, cols := range []int{4, 7} { // 7 leaves a tail past the unrolled loop
+		a := randMatrix(r, 6, cols)
+		v := make([]float64, 6)
+		for i := range v {
+			v[i] = r.NormFloat64()
+		}
+		got := MulVecT(a, v)
+		want := MulVec(a.T(), v)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("%d columns: MulVecT[%d] = %g, want %g", cols, i, got[i], want[i])
+			}
 		}
 	}
 }

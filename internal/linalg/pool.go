@@ -192,20 +192,30 @@ func (m *Matrix) mulRows(dst, x []float64, lo, hi int) {
 }
 
 // tMulVecRange accumulates the column stripe [lo, hi) of mᵀ·y into
-// dst[lo:hi], skipping zero weights.
+// dst[lo:hi], skipping zero weights. The inner loop is unrolled by four:
+// each dst[j] still takes its terms one at a time in row order, so the
+// result is unchanged, and the loop runs at one speed wherever the
+// linker places it (the rolled loop ran ~40% slower in some builds,
+// which showed as set-up time in the principal-vectors design).
 func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = 0
-	}
+	out := dst[lo:hi]
+	clear(out)
 	for i := 0; i < m.rows; i++ {
 		a := y[i]
 		if a == 0 {
 			continue
 		}
 		row := m.data[i*m.cols+lo : i*m.cols+hi]
-		out := dst[lo:hi]
-		for j, b := range row {
-			out[j] += a * b
+		j := 0
+		for ; j+4 <= len(row); j += 4 {
+			r, o := row[j:j+4:j+4], out[j:j+4:j+4]
+			o[0] += a * r[0]
+			o[1] += a * r[1]
+			o[2] += a * r[2]
+			o[3] += a * r[3]
+		}
+		for ; j < len(row); j++ {
+			out[j] += a * row[j]
 		}
 	}
 }

@@ -1,10 +1,12 @@
 // Least-squares solvers: x̂ = A⁺y for one fixed strategy A. NewSolver
 // picks the cheapest solver the operator admits — a one-pass exact solver
 // when A⁺ has a closed form (TreeSolver for interval forests, KronSolver
-// through (A₁ ⊗ … ⊗ A_k)⁺ = A₁⁺ ⊗ … ⊗ A_k⁺), a materialized
-// pseudo-inverse for a small dense matrix, else iterative CGLS. The
-// choice is made from the operator alone, so plans rehydrated from the
-// store need no codec field to get the same solver.
+// through (A₁ ⊗ … ⊗ A_k)⁺ = A₁⁺ ⊗ … ⊗ A_k⁺, EigenSolver through the
+// Woodbury identity for an orthogonal eigenbasis whose weights differ
+// from one shared value on few rows), a materialized pseudo-inverse for a
+// small dense matrix, else iterative CGLS. The choice is made from the
+// operator alone, so plans rehydrated from the store need no codec field
+// to get the same solver.
 
 package linalg
 
@@ -22,16 +24,21 @@ type LSSolver interface {
 // NewSolver returns the least-squares solver for op, trying in order: a
 // TreeSolver for an interval forest; a KronSolver for a Kronecker
 // product whose every factor is an interval forest or has at most
-// denseCap cells (solved by its pseudo-inverse); a PinvSolver when op is
-// itself a dense matrix with at most denseCap columns; else a CGLSSolver.
-// NormedOp wrappers are looked through by the exact solvers. It fails
-// only when computing a dense matrix's pseudo-inverse does.
+// denseCap cells (solved by its pseudo-inverse); an EigenSolver for a
+// factored eigen-design strategy with at most denseCap rows off its
+// modal weight (see newEigenSolver); a PinvSolver when op is itself a
+// dense matrix with at most denseCap columns; else a CGLSSolver. NormedOp
+// wrappers are looked through by the exact solvers. It fails only when
+// computing a dense matrix's pseudo-inverse does.
 func NewSolver(op Operator, denseCap int) (LSSolver, error) {
 	if t, ok := NewTreeSolver(op); ok {
 		return t, nil
 	}
 	if k, ok := newKronSolver(op, denseCap); ok {
 		return k, nil
+	}
+	if e, ok := newEigenSolver(op, denseCap); ok {
+		return e, nil
 	}
 	if d, ok := op.(*Matrix); ok && d.cols <= denseCap {
 		return NewPinvSolver(d)

@@ -7,9 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"adaptivemm/internal/core"
 	"adaptivemm/internal/domain"
 	"adaptivemm/internal/linalg"
 	"adaptivemm/internal/strategy"
+	"adaptivemm/internal/workload"
 )
 
 // denseCap is the factor cap the mechanism passes (mm.DenseInferenceCap).
@@ -178,6 +180,270 @@ func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// principalStrategy is the factored principal-vectors strategy (k = 16)
+// for all-range queries on the given domain: the operator the planner
+// serves for census-3d, built by core.assembleFactored.
+func principalStrategy(t testing.TB, sides ...int) linalg.Operator {
+	t.Helper()
+	w := workload.AllRange(domain.MustShape(sides...))
+	res, err := core.PrincipalVectors(w, 16, core.Options{Pipeline: core.PipelineFactored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Op
+}
+
+// eigenSolver returns NewSolver's solver for op, which must be a
+// *linalg.EigenSolver.
+func eigenSolver(t testing.TB, op linalg.Operator) *linalg.EigenSolver {
+	t.Helper()
+	s, err := linalg.NewSolver(op, denseCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.(*linalg.EigenSolver)
+	if !ok {
+		t.Fatalf("solver is a %T, want *linalg.EigenSolver", s)
+	}
+	return e
+}
+
+// assertMatchesPinv checks s against op's dense pseudo-inverse on noisy
+// right-hand sides: max |x̂ − A⁺y| ≤ tol·max(1, max |A⁺y|).
+func assertMatchesPinv(t *testing.T, s linalg.LSSolver, op linalg.Operator, tol float64) {
+	t.Helper()
+	pinv, err := linalg.PseudoInverse(linalg.ToDense(op))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(31))
+	var ws linalg.CGWorkspace
+	got := make([]float64, op.Cols())
+	for trial := 0; trial < 3; trial++ {
+		y := randVec(r, op.Rows())
+		if err := s.SolveLSInto(got, y, &ws); err != nil {
+			t.Fatal(err)
+		}
+		if d := relDiff(got, linalg.MulVec(pinv, y)); d > tol {
+			t.Fatalf("trial %d: max |x̂ − A⁺y| / max |A⁺y| = %g, want ≤ %g", trial, d, tol)
+		}
+	}
+}
+
+// relDiff is max |a − b| / max(1, max |b|).
+func relDiff(a, b []float64) float64 {
+	var scale, diff float64
+	for i := range b {
+		scale = max(scale, math.Abs(b[i]))
+		diff = max(diff, math.Abs(a[i]-b[i]))
+	}
+	return diff / max(1, scale)
+}
+
+// TestEigenSolverMatchesPseudoInverse: on factored principal-vectors
+// strategies small enough to densify, the Woodbury solve equals the
+// dense pseudo-inverse's A⁺y to 1e-9 relative.
+func TestEigenSolverMatchesPseudoInverse(t *testing.T) {
+	for _, sides := range [][]int{{4, 8, 8}, {8, 16}} {
+		t.Run(fmt.Sprint(sides), func(t *testing.T) {
+			op := principalStrategy(t, sides...)
+			assertMatchesPinv(t, eigenSolver(t, op), op, 1e-9)
+		})
+	}
+}
+
+// TestEigenSolverMatchesCGLS: on census-3d's strategy (8×16×16, 2,048
+// cells), the Woodbury solve equals a CGLS solve run to Tol 1e-15.
+func TestEigenSolverMatchesCGLS(t *testing.T) {
+	op := principalStrategy(t, 8, 16, 16)
+	s := eigenSolver(t, op)
+	r := rand.New(rand.NewSource(37))
+	var ws linalg.CGWorkspace
+	got, want := make([]float64, op.Cols()), make([]float64, op.Cols())
+	for trial := 0; trial < 2; trial++ {
+		y := randVec(r, op.Rows())
+		if err := s.SolveLSInto(got, y, &ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := linalg.SolveCGLSInto(op, y, want, linalg.CGOptions{Tol: 1e-15}, &ws); err != nil {
+			t.Fatal(err)
+		}
+		if d := relDiff(got, want); d > 1e-10 {
+			t.Fatalf("trial %d: max |x̂ − x̂_cgls| / max |x̂_cgls| = %g", trial, d)
+		}
+	}
+}
+
+// woodburyCase describes a strategy in the factored eigen-design form
+// diag(s)·P·(V₁ ⊗ V₂), optionally stacked on completion rows, over 4×8
+// cells. V₁ and V₂ are random orthogonal matrices; distinct rows get
+// their own scale and the rest share tail.
+type woodburyCase struct {
+	tail     float64
+	distinct int
+	perturb  bool                  // add 1e-6 to one entry of V₁
+	comp     func() *linalg.Sparse // completion rows, or nil
+}
+
+func (c woodburyCase) build(r *rand.Rand) linalg.Operator {
+	orth := func(d int) *linalg.Matrix {
+		g := linalg.New(d, d)
+		for i := 0; i < d; i++ {
+			for j := 0; j <= i; j++ {
+				v := r.NormFloat64()
+				g.Set(i, j, v)
+				g.Set(j, i, v)
+			}
+		}
+		eg, err := linalg.SymEigen(g)
+		if err != nil {
+			panic(err)
+		}
+		return eg.Vectors
+	}
+	v1, v2 := orth(4), orth(8)
+	if c.perturb {
+		v1.Set(1, 2, v1.At(1, 2)+1e-6)
+	}
+	const n = 32
+	scales := make([]float64, n)
+	for i := range scales {
+		scales[i] = c.tail
+		if i < c.distinct {
+			scales[i] = 0.5 + 2*r.Float64()
+		}
+	}
+	var op linalg.Operator = linalg.ScaleRows(linalg.PermuteRows(linalg.NewKronOp(v1, v2), r.Perm(n)), scales)
+	if c.comp != nil {
+		op = linalg.StackOps(op, c.comp())
+	}
+	return linalg.WithColNorms(op, linalg.OperatorColNorms2(op), nil)
+}
+
+// TestEigenSolverSelection: NewSolver gives the factored eigen-design
+// form an EigenSolver (checked against the dense pseudo-inverse) exactly
+// when the Woodbury form holds and stays affordable, and CGLS otherwise.
+func TestEigenSolverSelection(t *testing.T) {
+	diag := func() *linalg.Sparse { return linalg.SparseDiag(32, []int{0, 5, 31}, []float64{0.5, 1, 2}) }
+	everyCol := func() *linalg.Sparse { // Δ = DᵀD is invertible without a tail weight
+		idx, vals := make([]int, 32), make([]float64, 32)
+		for j := range idx {
+			idx[j], vals[j] = j, 0.25+float64(j%3)
+		}
+		return linalg.SparseDiag(32, idx, vals)
+	}
+	sharedCol := func() *linalg.Sparse { // two rows on column 5: DᵀD stays diagonal
+		return linalg.SparseDiag(32, []int{5, 5, 9}, []float64{0.5, 1, 2})
+	}
+	sharedRow := func() *linalg.Sparse { // one row on columns 3 and 4: DᵀD is not diagonal
+		b := linalg.NewSparseBuilder(32)
+		b.AppendRow([]int{3, 4}, []float64{1, 0.5})
+		b.AppendRow([]int{7}, []float64{1})
+		return b.Build()
+	}
+	cases := []struct {
+		name string
+		c    woodburyCase
+		cap  int
+		want string
+	}{
+		{"completed", woodburyCase{tail: 0.3, distinct: 5, comp: diag}, denseCap, "*linalg.EigenSolver"},
+		{"no-completion", woodburyCase{tail: 0.3, distinct: 5}, denseCap, "*linalg.EigenSolver"},
+		{"shared-weight", woodburyCase{tail: 0.3, comp: diag}, denseCap, "*linalg.EigenSolver"},
+		{"two-rows-one-column", woodburyCase{tail: 0.3, distinct: 5, comp: sharedCol}, denseCap, "*linalg.EigenSolver"},
+		{"zero-tail-every-column-completed", woodburyCase{tail: 0, distinct: 5, comp: everyCol}, denseCap, "*linalg.EigenSolver"},
+		{"zero-tail", woodburyCase{tail: 0, comp: diag}, denseCap, "*linalg.CGLSSolver"},
+		{"past-dense-cap", woodburyCase{tail: 0.3, distinct: 5, comp: diag}, 4, "*linalg.CGLSSolver"},
+		{"non-orthogonal", woodburyCase{tail: 0.3, distinct: 5, comp: diag, perturb: true}, denseCap, "*linalg.CGLSSolver"},
+		{"two-columns-one-row", woodburyCase{tail: 0.3, distinct: 5, comp: sharedRow}, denseCap, "*linalg.CGLSSolver"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.c.build(rand.New(rand.NewSource(41)))
+			s, err := linalg.NewSolver(op, tc.cap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", s); got != tc.want {
+				t.Fatalf("solver %s, want %s", got, tc.want)
+			}
+			if _, ok := s.(*linalg.EigenSolver); ok {
+				assertMatchesPinv(t, s, op, 1e-9)
+			}
+		})
+	}
+}
+
+// TestEigenSolverZeroAllocAndConcurrent pins the warmed Woodbury solve on
+// census-3d's strategy at zero allocations and runs one shared solver
+// from 8 goroutines, each with its own workspace: every result must match
+// the sequential solve bit for bit (run under -race).
+func TestEigenSolverZeroAllocAndConcurrent(t *testing.T) {
+	op := principalStrategy(t, 8, 16, 16)
+	s := eigenSolver(t, op)
+	r := rand.New(rand.NewSource(43))
+	var ws linalg.CGWorkspace
+	y, dst := randVec(r, op.Rows()), make([]float64, op.Cols())
+	s.SolveLSInto(dst, y, &ws)
+	if n := testing.AllocsPerRun(20, func() { s.SolveLSInto(dst, y, &ws) }); n != 0 {
+		t.Fatalf("warmed EigenSolver.SolveLSInto allocates %v per solve, want 0", n)
+	}
+
+	const workers = 8
+	ys, want := make([][]float64, workers), make([][]float64, workers)
+	for g := range ys {
+		ys[g] = randVec(r, op.Rows())
+		want[g] = make([]float64, op.Cols())
+		s.SolveLSInto(want[g], ys[g], &ws)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var ws linalg.CGWorkspace
+			got := make([]float64, op.Cols())
+			for rep := 0; rep < 10; rep++ {
+				s.SolveLSInto(got, ys[g], &ws)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[g][i]) {
+						errs <- fmt.Errorf("worker %d: x̂[%d] = %v, want %v", g, i, got[i], want[g][i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// BenchmarkEigenSolver times one least-squares solve over census-3d's
+// principal-vectors strategy (8×16×16): the Woodbury solve against the
+// CGLS solve it replaces.
+func BenchmarkEigenSolver(b *testing.B) {
+	op := principalStrategy(b, 8, 16, 16)
+	s := eigenSolver(b, op)
+	y, dst := randVec(rand.New(rand.NewSource(1)), op.Rows()), make([]float64, op.Cols())
+	var ws linalg.CGWorkspace
+	b.Run("woodbury", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.SolveLSInto(dst, y, &ws)
+		}
+	})
+	b.Run("cgls", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := linalg.SolveCGLSInto(op, y, dst, linalg.CGOptions{}, &ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkKronSolver times one least-squares solve over the Census

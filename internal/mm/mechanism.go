@@ -37,9 +37,9 @@ const (
 	// fit the materialization cap.
 	InferDensePinv Inference = 1
 	// InferCGLS solves each release matrix-free: in one pass when the
-	// strategy has an exact solver (an interval tree or a Kronecker
-	// product of solvable factors), else by conjugate gradients on the
-	// factored normal equations.
+	// strategy has an exact solver (an interval tree, a Kronecker product
+	// of solvable factors, or a factored principal-vectors eigenbasis),
+	// else by conjugate gradients on the factored normal equations.
 	InferCGLS Inference = 2
 	// InferSharded answers per shard and concatenates: the measurement
 	// vector is split at shard boundaries, each slice is solved by that

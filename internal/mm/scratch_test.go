@@ -24,10 +24,11 @@ func testTreeStrategy(n int) *linalg.Sparse {
 
 // scratchMechanisms returns one mechanism per steady-state inference
 // path: dense pseudo-inverse, exact tree least squares, iterative CGLS
-// over a write-into operator, and the two Kronecker strategy shapes of
-// the Census benchmarks — the exact Kronecker solver over two trees and
-// CGLS over the factored principal-vectors assembly (n must be a power
-// of two ≥ 16).
+// over a write-into operator, and the Kronecker strategy shapes of the
+// Census benchmarks — the exact Kronecker solver over two trees, the
+// exact Woodbury solver over the factored principal-vectors assembly,
+// and CGLS over the same assembly with non-orthogonal factors (n must be
+// a power of two ≥ 16).
 func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	t.Helper()
 	tree := testTreeStrategy(n)
@@ -48,7 +49,11 @@ func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factored, err := NewMechanismInference(testFactoredStrategy(n), InferCGLS)
+	eigen, err := NewMechanismInference(testFactoredStrategy(n, true), InferCGLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factored, err := NewMechanismInference(testFactoredStrategy(n, false), InferCGLS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,33 +61,46 @@ func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	_, treeOK := cgls.solver.(*linalg.TreeSolver)
 	_, iterOK := iter.solver.(*linalg.CGLSSolver)
 	_, kronOK := kronTree.solver.(*linalg.KronSolver)
+	_, eigenOK := eigen.solver.(*linalg.EigenSolver)
 	_, factoredOK := factored.solver.(*linalg.CGLSSolver)
-	if !pinvOK || !treeOK || !iterOK || !kronOK || !factoredOK {
-		t.Fatalf("solvers: dense-pinv %T, tree-cgls %T, iterative-cgls %T, kron-tree %T, kron-factored-cgls %T",
-			pinv.solver, cgls.solver, iter.solver, kronTree.solver, factored.solver)
+	if !pinvOK || !treeOK || !iterOK || !kronOK || !eigenOK || !factoredOK {
+		t.Fatalf("solvers: dense-pinv %T, tree-cgls %T, iterative-cgls %T, kron-tree %T, kron-factored-eigen %T, kron-factored-cgls %T",
+			pinv.solver, cgls.solver, iter.solver, kronTree.solver, eigen.solver, factored.solver)
 	}
 	return map[string]*Mechanism{
 		"dense-pinv": pinv, "tree-cgls": cgls, "iterative-cgls": iter,
-		"kron-tree": kronTree, "kron-factored-cgls": factored,
+		"kron-tree": kronTree, "kron-factored-eigen": eigen, "kron-factored-cgls": factored,
 	}
 }
 
 // testFactoredStrategy mirrors the factored principal-vectors assembly
 // over n = 8·(n/8) cells: a row-scaled, row-permuted Kronecker product of
 // dense factors, stacked on sparse completion rows, with attached column
-// norms.
-func testFactoredStrategy(n int) linalg.Operator {
+// norms. With principal set the factors are orthogonal eigenbases and all
+// but four rows share one scale, the form the Woodbury solver takes;
+// otherwise the factors are random and every row has its own scale.
+func testFactoredStrategy(n int, principal bool) linalg.Operator {
 	r := rand.New(rand.NewSource(17))
 	dense := func(d int) *linalg.Matrix {
 		m := linalg.New(d, d)
 		for i := range m.Data() {
 			m.Data()[i] = r.NormFloat64()
 		}
+		if principal {
+			eg, err := linalg.SymEigen(m.Add(m.T()))
+			if err != nil {
+				panic(err)
+			}
+			return eg.Vectors
+		}
 		return m
 	}
 	scales := make([]float64, n)
 	for i := range scales {
 		scales[i] = 0.5 + r.Float64()
+		if principal && i >= 4 {
+			scales[i] = 0.75
+		}
 	}
 	eigen := linalg.ScaleRows(linalg.PermuteRows(linalg.NewKronOp(dense(8), dense(n/8)), r.Perm(n)), scales)
 	op := linalg.StackOps(eigen, linalg.SparseDiag(n, []int{1, n / 2, n - 1}, []float64{0.5, 1, 2}))

@@ -774,8 +774,8 @@ const matvecOpsPerSecond = 5e8
 
 // releaseLatency is a coarse model of one matrix-free inference through
 // s, counting passes that each touch rows+cols values: one for an exact
-// solver (interval tree or Kronecker), ~150 iterations of two matvecs
-// for CGLS.
+// solver (interval tree, Kronecker, or the Woodbury solve of a factored
+// principal-vectors strategy), ~150 iterations of two matvecs for CGLS.
 func releaseLatency(op linalg.Operator, s linalg.LSSolver) time.Duration {
 	passes := 1.0
 	if _, iterative := s.(*linalg.CGLSSolver); iterative {

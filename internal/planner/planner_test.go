@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adaptivemm/internal/domain"
+	"adaptivemm/internal/linalg"
 	"adaptivemm/internal/mm"
 	"adaptivemm/internal/workload"
 )
@@ -280,6 +281,30 @@ func TestInferenceSelection(t *testing.T) {
 	}
 	if moderate.Inference != mm.InferCGLS {
 		t.Fatalf("1ms-target hierarchical plan inference = %s, want cgls (one exact pass)", moderate.Inference)
+	}
+}
+
+// A factored principal-vectors plan infers through the exact Woodbury
+// solver, so the latency model charges it one pass: a 1ms target keeps
+// the EigenSolver, where the model's 150 CGLS iterations would price the
+// same release past the target.
+func TestLatencyTargetKeepsEigenSolver(t *testing.T) {
+	p := New(Config{})
+	w := workload.AllRange(domain.MustShape(25, 41))
+	plan, err := p.Plan(w, Hints{Generator: "principal-vectors", LatencyTarget: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := plan.Mechanism.Solver()
+	if _, ok := s.(*linalg.EigenSolver); !ok || plan.Inference != mm.InferCGLS {
+		t.Fatalf("tight-latency principal-vectors plan: solver %T, inference %s; want *linalg.EigenSolver, cgls", s, plan.Inference)
+	}
+	op := plan.Mechanism.Strategy()
+	if got := releaseLatency(op, s); got >= time.Millisecond {
+		t.Fatalf("modeled Woodbury release %s, want one pass under 1ms", got)
+	}
+	if cg := releaseLatency(op, &linalg.CGLSSolver{Op: op}); cg <= time.Millisecond {
+		t.Fatalf("modeled CGLS release %s, want past 1ms", cg)
 	}
 }
 

@@ -2,6 +2,9 @@ package planstore
 
 import (
 	"crypto/sha256"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,4 +57,26 @@ func FuzzPlanstoreEntry(f *testing.F) {
 		sum := sha256.Sum256(body)
 		check(append(body, sum[:]...))
 	})
+}
+
+// TestCheckedInSeedDecodes: the checked-in corpus entry seed-entry is an
+// envelope in the current format, so the fuzzer's mutations of it start
+// past the version gate, in the plan parser. A format bump must
+// regenerate it from EncodeEntry.
+func TestCheckedInSeedDecodes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzPlanstoreEntry/seed-entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed-entry is not a one-value []byte corpus file")
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeEntry([]byte(blob)); err != nil {
+		t.Fatalf("seed-entry does not decode: %v", err)
+	}
 }

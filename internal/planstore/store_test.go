@@ -24,10 +24,13 @@ var testPrivacy = mm.Privacy{Epsilon: 0.5, Delta: 1e-4}
 
 // plansUnderTest builds one plan per serving regime: small dense exact
 // (dense-pinv inference), forced hierarchical over one dimension (exact
-// tree solver) and over two (exact Kronecker solver), a latency target
-// that buys a pseudo-inverse for a structured strategy, closed-form
-// marginals, a tall non-tree sparse strategy (iterative CGLS, nothing
-// persisted beyond the operator), and a sharded two-block composition.
+// tree solver) and over two (exact Kronecker solver), factored principal
+// vectors (exact Woodbury solver) on the smallest product domain the
+// planner sends down the factored pipeline (25×41 = 1,025 cells, past
+// StructuredThreshold), a latency target that buys a pseudo-inverse for
+// a structured strategy, closed-form marginals, a tall non-tree sparse
+// strategy (iterative CGLS, nothing persisted beyond the operator), and
+// a sharded two-block composition.
 // regimeSolvers names the solver each regime's mechanism must hold.
 func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	t.Helper()
@@ -45,6 +48,7 @@ func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	build("eigen-pinv", workload.Prefix(64), planner.Hints{})
 	build("hierarchical-cgls", workload.Prefix(512), planner.Hints{Generator: "hierarchical"})
 	build("hierarchical-kron", workload.AllRange(domain.MustShape(8, 16)), planner.Hints{Generator: "hierarchical"})
+	build("principal-eigen", workload.AllRange(domain.MustShape(25, 41)), planner.Hints{Generator: "principal-vectors"})
 	build("latency-pinv", workload.Prefix(256), planner.Hints{Generator: "hierarchical", LatencyTarget: time.Nanosecond})
 	build("marginals", workload.Marginals(domain.MustShape(8, 8, 4), 2), planner.Hints{})
 	build("tall-cgls", workload.Prefix(128), planner.Hints{Generator: "tall"})
@@ -56,6 +60,7 @@ var regimeSolvers = map[string]string{
 	"eigen-pinv":        "*linalg.PinvSolver",
 	"hierarchical-cgls": "*linalg.TreeSolver",
 	"hierarchical-kron": "*linalg.KronSolver",
+	"principal-eigen":   "*linalg.EigenSolver",
 	"latency-pinv":      "*linalg.PinvSolver",
 	"marginals":         "*linalg.PinvSolver",
 	"tall-cgls":         "*linalg.CGLSSolver",

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivemm/internal/accountant"
@@ -21,6 +22,10 @@ import (
 // maxBatchReleases bounds one /release body; bigger jobs should be split
 // into several requests so no single call monopolizes the server.
 const maxBatchReleases = 256
+
+// traceHeaderKey is fleet.TraceHeader in canonical form, so reading it
+// does not build a canonicalized copy on every request.
+var traceHeaderKey = http.CanonicalHeaderKey(fleet.TraceHeader)
 
 // defaultBatchParallelism is how many releases of one batch run
 // concurrently when the request does not choose.
@@ -218,7 +223,7 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 	defer s.regMu.Unlock()
 
 	hist := req.Histogram
-	acctName := adHocPrefix + req.Dataset
+	var acctName string
 	if hist == nil {
 		d, err := s.reg.Get(req.Dataset)
 		if err != nil {
@@ -233,6 +238,8 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 	} else if _, err := s.reg.Get(req.Dataset); err == nil {
 		return nil, "", nil, releaseErrorf(http.StatusBadRequest,
 			"dataset %q is registered; omit the inline histogram so releases answer the registered data", req.Dataset)
+	} else {
+		acctName = adHocPrefix + req.Dataset
 	}
 	if len(hist) != ent.plan.Workload.Cells() {
 		return nil, "", nil, releaseErrorf(http.StatusBadRequest,
@@ -292,7 +299,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	var tr *obs.Trace
 	if req.Trace {
-		tr = obs.NewTrace("answer", r.Header.Get(fleet.TraceHeader))
+		tr = obs.NewTrace("answer", r.Header.Get(traceHeaderKey))
 	}
 	out, ledger, rerr := s.release(&req, tr)
 	if rerr != nil {
@@ -364,6 +371,10 @@ type releaseRequest struct {
 	answerRequest
 }
 
+// batchResult is one entry of the batch response. The handler encodes
+// successful entries by hand from Index, ledger and the entry's answers,
+// and failed ones through encoding/json; Answers and Ledger spell the
+// success fields for clients that decode the response.
 type batchResult struct {
 	Index   int       `json:"index"`
 	Status  int       `json:"status"`
@@ -372,12 +383,62 @@ type batchResult struct {
 	Error   string    `json:"error,omitempty"`
 	// Remaining reports the unspent budget for entries refused with 429.
 	Remaining *Budget `json:"remaining,omitempty"`
+	ledger    Budget  // the spend after a successful entry
 }
 
 type batchResponse struct {
 	Results   []batchResult `json:"results"`
 	Succeeded int           `json:"succeeded"`
 	Failed    int           `json:"failed"`
+}
+
+// batchState is one POST /release call's working set: the decoded
+// request and the per-entry strategy snapshot, results, scratch-owning
+// outputs and traces. It is pooled, so a steady stream of batches reuses
+// every slice at its high-water mark instead of leaving it to the
+// collector.
+type batchState struct {
+	req     releaseRequest
+	ents    []*entry
+	results []batchResult
+	outs    []releaseOut
+	traces  []*obs.Trace
+	parent  string       // incoming X-AM-Trace, the traces' parent ID
+	next    atomic.Int64 // the next entry a worker claims
+	wg      sync.WaitGroup
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchState) }}
+
+// getBatch rents a batch state whose request is zeroed. Releases keeps its
+// backing array with zeroed elements: json.Unmarshal appends into it and
+// must not see a previous batch's fields.
+func getBatch() *batchState {
+	st := batchPool.Get().(*batchState)
+	rel := st.req.Releases
+	clear(rel[:cap(rel)])
+	st.req = releaseRequest{}
+	st.req.Releases = rel[:0]
+	return st
+}
+
+// putBatch drops the state's references to entries, scratch and traces
+// and returns it to the pool.
+func putBatch(st *batchState) {
+	clear(st.ents)
+	clear(st.results)
+	clear(st.outs)
+	clear(st.traces)
+	st.req.Histogram = nil
+	batchPool.Put(st)
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // handleRelease answers a batch of (strategy, dataset, privacy) triples
@@ -391,10 +452,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req releaseRequest
-	if !decodeJSON(w, r, &req) {
+	st := getBatch()
+	defer putBatch(st)
+	if !decodeJSON(w, r, &st.req) {
 		return
 	}
+	req := &st.req
 	if req.Stream {
 		if len(req.Releases) > 0 {
 			httpError(w, http.StatusBadRequest, "streamed releases take one strategy/dataset inline, not a batch; drop \"releases\" or \"stream\"")
@@ -403,13 +466,14 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.handleStream(w, r, &req.answerRequest)
 		return
 	}
-	if len(req.Releases) == 0 {
+	n := len(req.Releases)
+	if n == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Releases) > maxBatchReleases {
+	if n > maxBatchReleases {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d releases exceeds the %d-release cap; split the batch", len(req.Releases), maxBatchReleases)
+			"batch of %d releases exceeds the %d-release cap; split the batch", n, maxBatchReleases)
 		return
 	}
 	// Bound the aggregate response, not just each entry: 256 entries near
@@ -419,21 +483,21 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	// here fails with 404 even if a concurrent /design registers it before
 	// the entry would execute — otherwise such entries would bypass this
 	// aggregate cap.
-	ents := make([]*entry, len(req.Releases))
+	st.ents = resize(st.ents, n)
 	s.mu.RLock()
-	for i, item := range req.Releases {
-		ents[i] = s.strategies[item.Strategy]
+	for i := range req.Releases {
+		st.ents[i] = s.strategies[req.Releases[i].Strategy]
 	}
 	s.mu.RUnlock()
 	var totalValues int
-	for i, item := range req.Releases {
-		if ents[i] == nil {
+	for i, ent := range st.ents {
+		if ent == nil {
 			continue // failed below with 404, never executed
 		}
-		if item.Mode == "estimate" {
-			totalValues += ents[i].plan.Workload.Cells()
+		if req.Releases[i].Mode == "estimate" {
+			totalValues += ent.plan.Workload.Cells()
 		} else {
-			totalValues += ents[i].plan.Workload.NumQueries()
+			totalValues += ent.plan.Workload.NumQueries()
 		}
 	}
 	if totalValues > maxAnswerRows {
@@ -447,65 +511,28 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if par <= 0 {
 		par = defaultBatchParallelism
 	}
-	if par > len(req.Releases) {
-		par = len(req.Releases)
-	}
+	par = min(par, n)
 
-	results := make([]batchResult, len(req.Releases))
+	st.results = resize(st.results, n)
 	// Successful entries keep their answers in mechanism-pool scratch
 	// until the response is encoded; outs[i] owns entry i's scratch.
-	outs := make([]releaseOut, len(req.Releases))
+	st.outs = resize(st.outs, n)
 	// traces[i] is entry i's opt-in trace (nil without "trace": true);
 	// the parent ID propagates from the incoming X-AM-Trace header.
-	traces := make([]*obs.Trace, len(req.Releases))
-	parentTrace := r.Header.Get(fleet.TraceHeader)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, item := range req.Releases {
-		wg.Add(1)
-		go func(i int, item batchItem) {
-			defer wg.Done()
-			if ents[i] == nil {
-				// Snapshot miss: fail without burning a parallelism slot.
-				results[i] = batchResult{Index: i, Status: http.StatusNotFound,
-					Error: fmt.Sprintf("unknown strategy %q", item.Strategy)}
-				return
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Unlike /answer, these goroutines are not covered by net/http's
-			// handler recover: an uncaught mechanism panic would crash the
-			// whole server. Fail the one entry instead (its reservation is
-			// refunded by releaseWith's deferred settle).
-			defer func() {
-				if r := recover(); r != nil {
-					results[i] = batchResult{Index: i, Status: http.StatusInternalServerError,
-						Error: fmt.Sprintf("internal error: %v", r)}
-				}
-			}()
-			if item.Trace {
-				traces[i] = obs.NewTrace("release", parentTrace)
-			}
-			out, ledger, rerr := s.releaseWith(&answerRequest{
-				Strategy: item.Strategy,
-				Dataset:  item.Dataset,
-				Epsilon:  item.Epsilon,
-				Delta:    item.Delta,
-				Seed:     item.Seed,
-				Mode:     item.Mode,
-			}, ents[i], traces[i])
-			if rerr != nil {
-				results[i] = batchResult{Index: i, Status: rerr.code, Error: rerr.msg, Remaining: rerr.remaining}
-				return
-			}
-			outs[i] = out
-			results[i] = batchResult{Index: i, Status: http.StatusOK, Ledger: &ledger}
-		}(i, item)
+	st.traces = resize(st.traces, n)
+	st.parent = r.Header.Get(traceHeaderKey)
+	// par workers, the handler's goroutine among them, claim entries by
+	// an atomic index until none is left.
+	st.next.Store(0)
+	st.wg.Add(par - 1)
+	for range par - 1 {
+		go s.batchWorker(st)
 	}
-	wg.Wait()
+	s.runBatchEntries(st)
+	st.wg.Wait()
 
 	var succeeded, failed int
-	for _, res := range results {
+	for _, res := range st.results {
 		if res.Status == http.StatusOK {
 			succeeded++
 		} else {
@@ -520,28 +547,29 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	// to its mechanism's pool as soon as its answers are serialized.
 	b := getBuf()
 	*b = append(*b, `{"results":[`...)
-	for i := range results {
+	for i := range st.results {
+		res, tr := &st.results[i], st.traces[i]
 		if i > 0 {
 			*b = append(*b, ',')
 		}
-		if results[i].Status == http.StatusOK {
+		if res.Status == http.StatusOK {
 			*b = append(*b, `{"index":`...)
 			*b = strconv.AppendInt(*b, int64(i), 10)
 			*b = append(*b, `,"status":200,"answers":`...)
 			tser := time.Now()
-			*b = appendFloats(*b, outs[i].ans)
-			traces[i].AddSpan("serialize", tser)
+			*b = appendFloats(*b, st.outs[i].ans)
+			tr.AddSpan("serialize", tser)
 			*b = append(*b, `,"ledger":`...)
-			*b = appendBudgetTrace(*b, *results[i].Ledger, traces[i])
+			*b = appendBudgetTrace(*b, res.ledger, tr)
 			*b = append(*b, '}')
-			outs[i].done()
-			traces[i].Finish(http.StatusOK)
-			s.metrics.ring.Put(traces[i])
+			st.outs[i].done()
+			tr.Finish(http.StatusOK)
+			s.metrics.ring.Put(tr)
 			continue
 		}
-		traces[i].Finish(results[i].Status)
-		s.metrics.ring.Put(traces[i])
-		enc, err := json.Marshal(&results[i])
+		tr.Finish(res.Status)
+		s.metrics.ring.Put(tr)
+		enc, err := json.Marshal(res)
 		if err != nil {
 			// Unreachable for these field types; keep the body well-formed.
 			enc = []byte(`{"index":` + strconv.Itoa(i) + `,"status":500,"error":"encoding failed"}`)
@@ -557,4 +585,61 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(*b)))
 	_, _ = w.Write(*b)
 	putBuf(b)
+}
+
+// batchWorker is one of a batch's extra workers.
+func (s *Server) batchWorker(st *batchState) {
+	defer st.wg.Done()
+	s.runBatchEntries(st)
+}
+
+// runBatchEntries runs the batch's entries one at a time until every
+// entry is claimed.
+func (s *Server) runBatchEntries(st *batchState) {
+	for {
+		i := int(st.next.Add(1) - 1)
+		if i >= len(st.req.Releases) {
+			return
+		}
+		s.runBatchEntry(st, i)
+	}
+}
+
+// runBatchEntry releases entry i into st.results[i] and, on success,
+// st.outs[i].
+func (s *Server) runBatchEntry(st *batchState, i int) {
+	item := &st.req.Releases[i]
+	if st.ents[i] == nil {
+		st.results[i] = batchResult{Index: i, Status: http.StatusNotFound,
+			Error: fmt.Sprintf("unknown strategy %q", item.Strategy)}
+		return
+	}
+	// Unlike /answer, batch workers are not covered by net/http's
+	// handler recover: an uncaught mechanism panic would crash the whole
+	// server. Fail the one entry instead (its reservation is refunded by
+	// releaseWith's deferred settle).
+	defer func() {
+		if r := recover(); r != nil {
+			st.results[i] = batchResult{Index: i, Status: http.StatusInternalServerError,
+				Error: fmt.Sprintf("internal error: %v", r)}
+		}
+	}()
+	if item.Trace {
+		st.traces[i] = obs.NewTrace("release", st.parent)
+	}
+	req := answerRequest{
+		Strategy: item.Strategy,
+		Dataset:  item.Dataset,
+		Epsilon:  item.Epsilon,
+		Delta:    item.Delta,
+		Seed:     item.Seed,
+		Mode:     item.Mode,
+	}
+	out, ledger, rerr := s.releaseWith(&req, st.ents[i], st.traces[i])
+	if rerr != nil {
+		st.results[i] = batchResult{Index: i, Status: rerr.code, Error: rerr.msg, Remaining: rerr.remaining}
+		return
+	}
+	st.outs[i] = out
+	st.results[i] = batchResult{Index: i, Status: http.StatusOK, ledger: ledger}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -638,6 +640,87 @@ func TestBatchReleaseValidation(t *testing.T) {
 	resp, _ = post(t, ts, "/release", map[string]any{"releases": big})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch status %d", resp.StatusCode)
+	}
+}
+
+// TestBatchReleaseBodyIsOneValue: every request body is decoded as one
+// JSON value, so trailing data after it is refused rather than ignored,
+// on /release and on the routes that share its decoder.
+func TestBatchReleaseBodyIsOneValue(t *testing.T) {
+	ts := httptest.NewServer(New().Handler())
+	defer ts.Close()
+	for path, body := range map[string]string{
+		"/release": `{"releases":[{"strategy":"s1","dataset":"d","epsilon":0.1,"delta":1e-4}]} {"releases":[]}`,
+		"/answer":  `{"strategy":"s1","epsilon":0.1,"delta":1e-4} {}`,
+		"/design":  `{"workload":"allrange:4"} x`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: trailing-data body status %d, want 400", path, resp.StatusCode)
+		}
+	}
+}
+
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBatchReleaseBodyCap: /release reads its body under the same
+// maxRequestBody cap as every other route, even when the oversized part
+// follows a complete request object.
+func TestBatchReleaseBodyCap(t *testing.T) {
+	h := New().Handler()
+	for _, path := range []string{"/release", "/answer"} {
+		body := io.MultiReader(strings.NewReader(`{"releases":[]}`), spaces{})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: endless body status %d, want 413: %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestBatchReleaseFieldsDoNotCarryOver: batch state is pooled, so a
+// request must never see a field an earlier one set. Estimate-mode and
+// answers-mode batches on one strategy alternate, and each returns its
+// own payload: 4 cell estimates or 10 workload answers.
+func TestBatchReleaseFieldsDoNotCarryOver(t *testing.T) {
+	ts := httptest.NewServer(New().Handler())
+	defer ts.Close()
+	d := designOn(t, ts, map[string]any{"workload": "allrange:4"})
+	registerDataset(t, ts, "c", []float64{1, 2, 3, 4}, nil)
+	for round := 0; round < 4; round++ {
+		item := map[string]any{"strategy": d.Strategy, "dataset": "c", "epsilon": 0.1, "delta": 1e-4}
+		want := 10
+		if round%2 == 0 {
+			item["mode"], want = "estimate", 4
+		}
+		resp, body := post(t, ts, "/release", map[string]any{"releases": []map[string]any{item, item}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, body)
+		}
+		var br batchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Succeeded != 2 {
+			t.Fatalf("round %d: %s", round, body)
+		}
+		for _, res := range br.Results {
+			if len(res.Answers) != want {
+				t.Fatalf("round %d: entry %d has %d values, want %d", round, res.Index, len(res.Answers), want)
+			}
+		}
 	}
 }
 

@@ -81,6 +81,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	//lint:allow noiserand: workload-spec sampling RNG for /design (query selection, not release noise); seeded deterministically so identical specs cache-hit
 	"math/rand"
@@ -436,23 +437,54 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/plans/", s.handlePlanByID)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/traces", s.handleTraces)
-	return s.metrics.wrap(http.MaxBytesHandler(mux, maxRequestBody))
+	return s.metrics.wrap(mux)
 }
 
-// decodeJSON decodes the request body into v, writing the error response
-// (413 for oversized bodies, 400 otherwise) itself; callers just return
-// on false.
+// decodeJSON reads the request body, which must hold exactly one JSON
+// value in at most maxRequestBody bytes, into v. It writes the error
+// response (413 for oversized bodies, 400 otherwise) itself; callers just
+// return on false. The body is read into a pooled buffer, so a steady
+// stream of requests reuses it instead of leaving it to the collector.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", mbe.Limit)
-		} else {
-			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		}
-		return false
+	b := getBuf()
+	err := readBody(r.Body, b)
+	if err == nil {
+		err = json.Unmarshal(*b, v)
 	}
-	return true
+	putBuf(b)
+	if err == nil {
+		return true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", mbe.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return false
+}
+
+// readBody appends body to *b. Once more than maxRequestBody bytes have
+// arrived it stops reading and fails with an *http.MaxBytesError.
+func readBody(body io.Reader, b *[]byte) error {
+	buf := *b
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):min(cap(buf), maxRequestBody+1)])
+		buf = buf[:len(buf)+n]
+		*b = buf
+		if len(buf) > maxRequestBody {
+			return &http.MaxBytesError{Limit: maxRequestBody}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 type designRequest struct {

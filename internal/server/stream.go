@@ -35,7 +35,6 @@ import (
 	//lint:allow noiserand: client-pinned seeds for reproducible streamed releases against ad-hoc data, same policy as the buffered path (resolveAndReserve)
 	"math/rand"
 
-	"adaptivemm/internal/fleet"
 	"adaptivemm/internal/mm"
 	"adaptivemm/internal/obs"
 )
@@ -121,7 +120,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, req *answe
 	// loop is the "stream" span.
 	var tr *obs.Trace
 	if req.Trace {
-		tr = obs.NewTrace("stream", r.Header.Get(fleet.TraceHeader))
+		tr = obs.NewTrace("stream", r.Header.Get(traceHeaderKey))
 	}
 	t0 := time.Now()
 
