@@ -32,6 +32,13 @@ func productCases(r *rand.Rand) []productCase {
 	}
 	inner := randMatrix(r, 7, 11)
 	outer := randMatrix(r, 19, 7)
+	orth := func(n int) *Matrix {
+		e, err := SymEigen(randSPD(r, n))
+		if err != nil {
+			panic(err)
+		}
+		return e.Vectors
+	}
 	return []productCase{
 		{"dense", dense},
 		{"sparse", sparse},
@@ -40,6 +47,14 @@ func productCases(r *rand.Rand) []productCase {
 		{"intervals", NewIntervalsOp(9)},
 		{"kron2", NewKronOp(NewPrefixOp(5), randMatrix(r, 4, 3))},
 		{"kron3", NewKronOp(randMatrix(r, 3, 2), NewIntervalsOp(3), NewPrefixOp(4))},
+		// Three binary trees, as the hierarchical strategy of a 3-D
+		// domain, and a product of dense orthogonal factors, as the
+		// eigenbasis of a factored eigen design.
+		{"kron-trees", NewKronOp(binaryTree(2), binaryTree(4), binaryTree(5))},
+		{"kron-orthogonal", NewKronOp(orth(3), orth(5), orth(4))},
+		// A wide last factor: the transposed product's last mode runs
+		// one column at a time.
+		{"kron-wide", NewKronOp(randMatrix(r, 3, 2), randMatrix(r, 2, 5))},
 		{"stack", StackOps(NewPrefixOp(8), Eye(8), randMatrix(r, 5, 8))},
 		{"blockdiag", BlockDiag(randMatrix(r, 4, 3), NewPrefixOp(5), NewIntervalsOp(4))},
 		{"scaled", ScaleOp(NewIntervalsOp(7), 1.0/3)},
@@ -49,6 +64,21 @@ func productCases(r *rand.Rand) []productCase {
 		{"normed", WithColNorms(NewPrefixOp(10), make([]float64, 10), make([]float64, 10))},
 		{"composed", ComposeOps(outer, inner)},
 	}
+}
+
+// binaryTree is the hierarchical strategy over d cells in CSR form: the
+// whole interval, halved breadth-first down to single cells.
+func binaryTree(d int) *Sparse {
+	b := NewSparseBuilder(d)
+	for queue := [][2]int{{0, d - 1}}; len(queue) > 0; queue = queue[1:] {
+		lo, hi := queue[0][0], queue[0][1]
+		b.AppendRangeRow(lo, hi, 1)
+		if lo < hi {
+			mid := (lo + hi) / 2
+			queue = append(queue, [2]int{lo, mid}, [2]int{mid + 1, hi})
+		}
+	}
+	return b.Build()
 }
 
 func nanVec(n int) []float64 {

@@ -220,6 +220,140 @@ func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
 	}
 }
 
+// slabTask is a pooled dense slab product over blocks of output rows:
+// each block writes its own rows of dst, every entry summed in the
+// sequential kernel's order (results are bit-identical).
+type slabTask struct {
+	m      *Matrix
+	dst, x []float64
+	w, lo  int
+	trans  bool
+}
+
+func (t *slabTask) runBlock(a, b int) {
+	if t.trans {
+		t.m.tSlabRows(t.dst, t.x, t.w, a, b)
+		return
+	}
+	t.m.slabRows(t.dst[a*t.w:], t.x, t.w, t.lo+a, t.lo+b)
+}
+
+var slabTaskPool = sync.Pool{New: func() any { return new(slabTask) }}
+
+// parallelSlab runs a slab product of n output rows starting at lo, each
+// costing rowWork flops, across the pool in blocks of the given rows, and
+// reports true when its flops pass denseMatvecThreshold; below that the
+// caller runs it inline.
+func (m *Matrix) parallelSlab(dst, x []float64, w, lo, n, rowWork, block int, trans bool) bool {
+	if n*rowWork <= denseMatvecThreshold || n < 2 {
+		return false
+	}
+	helpers := runtime.GOMAXPROCS(0) - 1
+	if helpers <= 0 {
+		return false
+	}
+	t := slabTaskPool.Get().(*slabTask)
+	*t = slabTask{m: m, dst: dst, x: x, w: w, lo: lo, trans: trans}
+	runParallel(t, n, block, helpers)
+	*t = slabTask{}
+	slabTaskPool.Put(t)
+	return true
+}
+
+// mulSlabRange writes rows [lo, hi) of m applied to every column of the
+// cols×w slab x into the (hi-lo)×w slab dst, split across the pool by
+// output rows as MulVecRangeInto is.
+func (m *Matrix) mulSlabRange(dst, x []float64, w, lo, hi int) {
+	if !m.parallelSlab(dst, x, w, lo, hi-lo, m.cols*w, matvecRowBlock(m.cols*w), false) {
+		m.slabRows(dst, x, w, lo, hi)
+	}
+}
+
+// mulSlabT writes mᵀ applied to every column of the rows×w slab y into
+// the cols×w slab dst, split across the pool by output rows as
+// MulVecTInto is. A block of output rows is a column stripe of m, at
+// least eight wide so each row of m gives it a whole cache line.
+func (m *Matrix) mulSlabT(dst, y []float64, w int) {
+	if !m.parallelSlab(dst, y, w, 0, m.cols, m.rows*w, max(8, matvecRowBlock(m.rows*w)), true) {
+		m.tSlabRows(dst, y, w, 0, m.cols)
+	}
+}
+
+// slabRows writes rows [lo, hi) of m applied to every column of the
+// cols×w slab x into the (hi-lo)×w slab dst. Each column keeps mulRows'
+// four partial sums, so the result equals mulRows column by column bit
+// for bit; the sums of one column block live on the stack.
+func (m *Matrix) slabRows(dst, x []float64, w, lo, hi int) {
+	var acc [4][slabBlock]float64
+	for c0 := 0; c0 < w; c0 += slabBlock {
+		bw := min(slabBlock, w-c0)
+		s0, s1, s2, s3 := acc[0][:bw], acc[1][:bw], acc[2][:bw], acc[3][:bw]
+		for i := lo; i < hi; i++ {
+			row := m.data[i*m.cols : (i+1)*m.cols]
+			clear(s0)
+			clear(s1)
+			clear(s2)
+			clear(s3)
+			j := 0
+			for ; j+4 <= len(row); j += 4 {
+				r0, r1, r2, r3 := row[j], row[j+1], row[j+2], row[j+3]
+				x0, x1 := x[j*w+c0:][:bw], x[(j+1)*w+c0:][:bw]
+				x2, x3 := x[(j+2)*w+c0:][:bw], x[(j+3)*w+c0:][:bw]
+				for c := range s0 {
+					s0[c] += r0 * x0[c]
+					s1[c] += r1 * x1[c]
+					s2[c] += r2 * x2[c]
+					s3[c] += r3 * x3[c]
+				}
+			}
+			out := dst[(i-lo)*w+c0:][:bw]
+			for c := range out {
+				out[c] = s0[c] + s1[c] + s2[c] + s3[c]
+			}
+			for ; j < len(row); j++ {
+				r, xj := row[j], x[j*w+c0:][:bw]
+				for c := range out {
+					out[c] += r * xj[c]
+				}
+			}
+		}
+	}
+}
+
+// tSlabRows writes rows [lo, hi) of mᵀ applied to every column of the
+// rows×w slab y into the same rows of the cols×w slab dst, accumulating
+// in row order as tMulVecRange does. Like Sparse.mulSlabT it does not
+// skip zero weights, which changes no bit while the entries are finite.
+// Four rows of m go into each pass over dst, still added one at a time in
+// row order, so a narrow slab does not pay a pass over dst per row.
+func (m *Matrix) tSlabRows(dst, y []float64, w, lo, hi int) {
+	clear(dst[lo*w : hi*w])
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		y0, y1, y2, y3 := y[i*w:][:w], y[(i+1)*w:][:w], y[(i+2)*w:][:w], y[(i+3)*w:][:w]
+		r0 := m.data[i*m.cols+lo : i*m.cols+hi]
+		r1 := m.data[(i+1)*m.cols+lo:][:len(r0)]
+		r2 := m.data[(i+2)*m.cols+lo:][:len(r0)]
+		r3 := m.data[(i+3)*m.cols+lo:][:len(r0)]
+		for j, a0 := range r0 {
+			a1, a2, a3 := r1[j], r2[j], r3[j]
+			out := dst[(lo+j)*w:][:w]
+			for c := range out {
+				out[c] = out[c] + y0[c]*a0 + y1[c]*a1 + y2[c]*a2 + y3[c]*a3
+			}
+		}
+	}
+	for ; i < m.rows; i++ {
+		yr := y[i*w : (i+1)*w]
+		for j, a := range m.data[i*m.cols+lo : i*m.cols+hi] {
+			out := dst[(lo+j)*w : (lo+j+1)*w]
+			for c := range out {
+				out[c] += yr[c] * a
+			}
+		}
+	}
+}
+
 // MulVecInto writes m·x into dst without allocating.
 func (m *Matrix) MulVecInto(dst, x []float64) { m.MulVecRangeInto(dst, x, 0, m.rows) }
 
@@ -229,14 +363,17 @@ func (m *Matrix) MulVecInto(dst, x []float64) { m.MulVecRangeInto(dst, x, 0, m.r
 func (m *Matrix) MulVecRangeInto(dst, x []float64, lo, hi int) {
 	checkRowRange(m, lo, hi, len(dst))
 	checkMulVecLen(m, len(x), m.cols, false)
-	n := hi - lo
-	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && n*m.cols > denseMatvecThreshold && n >= 2 {
-		t := matvecTaskPool.Get().(*matvecTask)
-		t.m, t.dst, t.x, t.lo = m, dst, x, lo
-		runParallel(t, n, matvecRowBlock(m.cols), helpers)
-		t.m, t.dst, t.x = nil, nil, nil
-		matvecTaskPool.Put(t)
-		return
+	// The size test runs first: runtime.GOMAXPROCS takes the scheduler's
+	// global lock, which small products should never touch.
+	if n := hi - lo; n*m.cols > denseMatvecThreshold && n >= 2 {
+		if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 {
+			t := matvecTaskPool.Get().(*matvecTask)
+			t.m, t.dst, t.x, t.lo = m, dst, x, lo
+			runParallel(t, n, matvecRowBlock(m.cols), helpers)
+			t.m, t.dst, t.x = nil, nil, nil
+			matvecTaskPool.Put(t)
+			return
+		}
 	}
 	m.mulRows(dst, x, lo, hi)
 }
@@ -246,14 +383,15 @@ func (m *Matrix) MulVecRangeInto(dst, x []float64, lo, hi int) {
 func (m *Matrix) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(m, len(y), m.rows, true)
 	checkMulVecLen(m, len(dst), m.cols, true)
-	work := m.rows * m.cols
-	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && work > denseMatvecThreshold && m.cols >= 2 {
-		t := matvecTTaskPool.Get().(*matvecTTask)
-		t.m, t.dst, t.y = m, dst, y
-		runParallel(t, m.cols, matvecRowBlock(m.rows), helpers)
-		t.m, t.dst, t.y = nil, nil, nil
-		matvecTTaskPool.Put(t)
-		return
+	if m.rows*m.cols > denseMatvecThreshold && m.cols >= 2 {
+		if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 {
+			t := matvecTTaskPool.Get().(*matvecTTask)
+			t.m, t.dst, t.y = m, dst, y
+			runParallel(t, m.cols, matvecRowBlock(m.rows), helpers)
+			t.m, t.dst, t.y = nil, nil, nil
+			matvecTTaskPool.Put(t)
+			return
+		}
 	}
 	m.tMulVecRange(dst, y, 0, m.cols)
 }

@@ -55,7 +55,7 @@ func newKronSolver(op Operator, denseCap int) (*KronSolver, bool) {
 	if !ok {
 		return nil, false
 	}
-	s := &KronSolver{op: k, solvers: make([]LSSolver, len(k.factors))}
+	s := &KronSolver{op: k, solvers: make([]slabSolver, len(k.factors))}
 	for i, f := range k.factors {
 		if s.solvers[i], ok = factorSolver(f, denseCap); !ok {
 			return nil, false
@@ -72,7 +72,7 @@ func unwrapNormed(op Operator) Operator {
 	return op
 }
 
-func factorSolver(f Operator, denseCap int) (LSSolver, bool) {
+func factorSolver(f Operator, denseCap int) (slabSolver, bool) {
 	if t, ok := NewTreeSolver(f); ok {
 		return t, true
 	}
@@ -83,13 +83,20 @@ func factorSolver(f Operator, denseCap int) (LSSolver, bool) {
 	return p, err == nil
 }
 
+// slabSolver solves one factor's least-squares problem for every column
+// of a row-major rows×w slab at once, writing the cols×w slab of
+// solutions; it never fails.
+type slabSolver interface {
+	solveSlab(dst, y []float64, w int, ws *CGWorkspace)
+}
+
 // KronSolver applies A₁⁺ ⊗ … ⊗ A_k⁺ mode by mode on the transposed
 // product's layout (see KronOp.modes), each mode through its factor's
-// solver. Its pass buffers are the workspace's t vector; factor tree
+// slab solver. Its pass buffers are the workspace's t vector; factor tree
 // solvers use r.
 type KronSolver struct {
 	op      *KronOp
-	solvers []LSSolver // TreeSolvers and PinvSolvers, which never fail
+	solvers []slabSolver // TreeSolvers and PinvSolvers
 }
 
 // SolveLSInto writes (A₁⁺ ⊗ … ⊗ A_k⁺)·y into dst; it never fails.
@@ -99,8 +106,8 @@ func (s *KronSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 			s.op.rows, s.op.cols, len(y), len(dst)))
 	}
 	ws.t = growVec(ws.t, s.op.modesLen)
-	s.op.modes(dst, y, ws.t, func(i int, out, in []float64) {
-		_ = s.solvers[i].SolveLSInto(out, in, ws) // tree and pinv solves never fail
+	s.op.modes(dst, y, ws.t, func(i int, out, in []float64, w int) {
+		s.solvers[i].solveSlab(out, in, w, ws)
 	})
 	return nil
 }
@@ -126,6 +133,11 @@ func NewPinvSolver(a *Matrix) (*PinvSolver, error) {
 func (p *PinvSolver) SolveLSInto(dst, y []float64, _ *CGWorkspace) error {
 	p.Pinv.MulVecInto(dst, y)
 	return nil
+}
+
+// solveSlab writes A⁺ applied to every column of the slab y into dst.
+func (p *PinvSolver) solveSlab(dst, y []float64, w int, _ *CGWorkspace) {
+	p.Pinv.mulSlabRange(dst, y, w, 0, p.Pinv.rows)
 }
 
 // CGLSSolver solves matrix-free by SolveCGLSInto with default options:

@@ -29,7 +29,8 @@ func randVec(r *rand.Rand, n int) []float64 {
 // solver: hierarchical products of two to four trees (power-of-two and
 // other sides, branching 2 and 4), and products with factors on the
 // dense pseudo-inverse path (an identity, a rank-deficient matrix and a
-// sparse factor that is no interval forest).
+// sparse factor that is no interval forest), two of them with a wide
+// last factor.
 func kronSolverCases(r *rand.Rand) []struct {
 	name string
 	op   linalg.Operator
@@ -51,6 +52,8 @@ func kronSolverCases(r *rand.Rand) []struct {
 	cross.AppendRangeRow(0, 2, 1)
 	cross.AppendRangeRow(1, 3, 1)
 	cross.AppendRangeRow(0, 3, 2)
+	total := linalg.NewSparseBuilder(6)
+	total.AppendRangeRow(0, 5, 1)
 	hier3 := hier(2, 5, 7, 3)
 	return []struct {
 		name string
@@ -64,6 +67,10 @@ func kronSolverCases(r *rand.Rand) []struct {
 		{"tree-identity", linalg.NewKronOp(tree(6), linalg.Eye(5))},
 		{"rank-deficient-dense", linalg.NewKronOp(lowRank, tree(5))},
 		{"non-laminar-sparse", linalg.NewKronOp(tree(3), cross.Build(), tree(4))},
+		// Wide last factors (more cells than rows): the solve's last mode
+		// runs one column at a time.
+		{"wide-last-total", linalg.NewKronOp(tree(5), total.Build())},
+		{"wide-last-dense", linalg.NewKronOp(tree(3), v)},
 		{"normed-kron", linalg.WithColNorms(hier3, linalg.OperatorColNorms2(hier3), nil)},
 	}
 }
@@ -466,4 +473,44 @@ func BenchmarkKronSolver(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKronProducts times the forward and transposed products of the
+// two Census strategies served through Kronecker products over 8×16×16:
+// census-rangemarg's three binary trees (sparse factors) and census-3d's
+// principal-vectors strategy, whose eigenbasis is a product of dense
+// orthogonal factors. A product of a 512² dense factor and an 8² one
+// covers the dense slab kernels past the size where they split across
+// cores.
+func BenchmarkKronProducts(b *testing.B) {
+	r := rand.New(rand.NewSource(2))
+	dense := func(n int) *linalg.Matrix {
+		m := linalg.New(n, n)
+		for i := range m.Data() {
+			m.Data()[i] = r.NormFloat64()
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		op   linalg.Operator
+	}{
+		{"rangemarg", strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)},
+		{"census3d", principalStrategy(b, 8, 16, 16)},
+		{"dense512x8", linalg.NewKronOp(dense(512), dense(8))},
+	} {
+		r := rand.New(rand.NewSource(1))
+		x, y := randVec(r, c.op.Cols()), randVec(r, c.op.Rows())
+		dst, dstT := make([]float64, c.op.Rows()), make([]float64, c.op.Cols())
+		b.Run(c.name+"/forward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.op.MulVecInto(dst, x)
+			}
+		})
+		b.Run(c.name+"/transposed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.op.MulVecTInto(dstT, y)
+			}
+		})
+	}
 }

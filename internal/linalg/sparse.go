@@ -151,6 +151,66 @@ func (s *Sparse) MulVecTInto(dst, y []float64) {
 	}
 }
 
+// mulSlabRange writes rows [lo,hi) of A applied to every column of the
+// cols×w slab x into the (hi-lo)×w slab dst: each output row accumulates
+// the slab rows its entries select, so every column takes the same terms
+// in the same order as MulVecRangeInto (bit-identical results).
+func (s *Sparse) mulSlabRange(dst, x []float64, w, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		out := dst[(i-lo)*w : (i-lo+1)*w]
+		clear(out)
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			v, xr := s.val[k], x[s.colIdx[k]*w:][:len(out)]
+			for c := range out {
+				out[c] += v * xr[c]
+			}
+		}
+	}
+}
+
+// mulRangeBatch writes rows [lo,hi) of A·x_r for each of the k
+// consecutive length-cols inputs x_r in x into k consecutive windows of
+// dst. Each row's entries are loaded once per block of slabBlock inputs,
+// whose sums run side by side; every sum takes MulVecRangeInto's terms in
+// its order (bit-identical results).
+func (s *Sparse) mulRangeBatch(dst, x []float64, k, lo, hi int) {
+	var acc [slabBlock]float64
+	m := hi - lo
+	for r0 := 0; r0 < k; r0 += slabBlock {
+		sum := acc[:min(slabBlock, k-r0)]
+		xb := x[r0*s.cols : (r0+len(sum))*s.cols]
+		for i := lo; i < hi; i++ {
+			clear(sum)
+			for e := s.rowPtr[i]; e < s.rowPtr[i+1]; e++ {
+				v, xs := s.val[e], xb[s.colIdx[e]:]
+				for r := range sum {
+					sum[r] += v * xs[r*s.cols]
+				}
+			}
+			for r, v := range sum {
+				dst[(r0+r)*m+i-lo] = v
+			}
+		}
+	}
+}
+
+// mulSlabT writes Aᵀ applied to every column of the rows×w slab y into
+// the cols×w slab dst, accumulating in row order as MulVecTInto does. It
+// does not skip zero weights: a zero adds ±0 to a sum that starts at +0
+// and so is never −0, which changes no bit while the entries are finite.
+func (s *Sparse) mulSlabT(dst, y []float64, w int) {
+	clear(dst[:s.cols*w])
+	for i := 0; i < s.rows; i++ {
+		yr := y[i*w : (i+1)*w]
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			v, out := s.val[k], dst[s.colIdx[k]*w:][:len(yr)]
+			for c := range out {
+				out[c] += yr[c] * v
+			}
+		}
+	}
+}
+
 // Gram returns the dense AᵀA accumulated row by row in O(Σ nnz(row)²).
 func (s *Sparse) Gram() *Matrix {
 	out := New(s.cols, s.cols)

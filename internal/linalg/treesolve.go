@@ -278,6 +278,95 @@ func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 	return nil
 }
 
+// solveSlab writes the solution for every column of the rows×w slab y
+// into the cols×w slab dst: the two passes of SolveLSInto run over rows
+// of slabBlock columns at a time, so ws.r grows by one column block per
+// node, not by the slab. Every column takes SolveLSInto's operations in
+// its order (bit-identical results).
+func (t *TreeSolver) solveSlab(dst, y []float64, w int, ws *CGWorkspace) {
+	if len(y) != t.rows*w || len(dst) != t.cols*w {
+		panic("linalg: TreeSolver slab length mismatch")
+	}
+	ws.r = growVec(ws.r, (t.rows+1)*min(w, slabBlock))
+	if !t.covered {
+		clear(dst)
+	}
+	for c0 := 0; c0 < w; c0 += slabBlock {
+		bw := min(slabBlock, w-c0)
+		t.solveBlock(dst, y, w, c0, ws.r[:(t.rows+1)*bw])
+	}
+}
+
+// solveBlock solves columns [c0, c0+bw) of the slab, where bw is
+// len(buf)/(rows+1): node v's values sit at buf[v·bw:(v+1)·bw] and the
+// last bw values hold sums over children.
+func (t *TreeSolver) solveBlock(dst, y []float64, w, c0 int, buf []float64) {
+	bw := len(buf) / (t.rows + 1)
+	sum := buf[t.rows*bw:]
+	// Upward: fuse each node's own measurement with its children's sum.
+	for v := t.rows - 1; v >= 0; v-- {
+		u, yv := buf[v*bw:][:len(sum)], y[t.row[v]*w+c0:][:len(sum)]
+		ch0, ch1 := t.childOff[v], t.childOff[v+1]
+		if ch0 == ch1 {
+			inv := t.invW[v]
+			for j := range sum {
+				u[j] = yv[j] * inv
+			}
+			continue
+		}
+		t.sumChildren(sum, buf, ch0, ch1)
+		a, b := t.coefA[v], t.coefB[v]
+		for j := range sum {
+			u[j] = a*yv[j] + b*sum[j]
+		}
+	}
+	// Downward: condition children on the parent's final estimate; sum
+	// turns into the parent's surplus.
+	for v := 0; v < t.rows; v++ {
+		ch0, ch1 := t.childOff[v], t.childOff[v+1]
+		if ch0 == ch1 {
+			continue
+		}
+		t.sumChildren(sum, buf, ch0, ch1)
+		u := buf[v*bw:][:len(sum)]
+		for j := range sum {
+			sum[j] = u[j] - sum[j]
+		}
+		for ci := ch0; ci < ch1; ci++ {
+			g, uc := t.childGain[ci], buf[t.childList[ci]*bw:][:len(sum)]
+			for j := range sum {
+				uc[j] += g * sum[j]
+			}
+		}
+	}
+	// Leaves spread their interval sums over their cells.
+	for v := 0; v < t.rows; v++ {
+		if t.childOff[v] != t.childOff[v+1] {
+			continue
+		}
+		u, inv := buf[v*bw:][:len(sum)], t.invLen[v]
+		for cell := t.lo[v]; cell <= t.hi[v]; cell++ {
+			d := dst[cell*w+c0:][:len(sum)]
+			for j := range sum {
+				d[j] = u[j] * inv
+			}
+		}
+	}
+}
+
+// sumChildren leaves the sum of the block values of the children
+// childList[ch0:ch1] in sum, added in child order from zero as
+// SolveLSInto adds them.
+func (t *TreeSolver) sumChildren(sum, buf []float64, ch0, ch1 int) {
+	clear(sum)
+	for _, c := range t.childList[ch0:ch1] {
+		uc := buf[c*len(sum):][:len(sum)]
+		for j := range sum {
+			sum[j] += uc[j]
+		}
+	}
+}
+
 // AnswerInto writes the strategy answers A·x into dst (length Rows) in
 // O(rows + cells): leaf sums from the cells, internal sums from children,
 // one reverse-topological pass. It is the matvec fast path paired with

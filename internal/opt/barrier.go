@@ -96,8 +96,10 @@ func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
 		t = math.Max(1, nConstraints/obj)
 	}
 
+	// One slack buffer serves every Newton and line-search step.
+	slackBuf := make([]float64, n)
 	for outer := 0; outer < opts.MaxOuter; outer++ {
-		if err := newtonCenter(p, u, t, opts); err != nil {
+		if err := newtonCenter(p, u, t, opts, slackBuf); err != nil {
 			return nil, err
 		}
 		if nConstraints/t < opts.Tol {
@@ -109,14 +111,15 @@ func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
 }
 
 // newtonCenter minimizes φ_t(u) = t·f(u) − Σ log s_j − Σ log u_i for fixed
-// t, updating u in place.
-func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions) error {
+// t, updating u in place. slackBuf (length B.Cols()) holds the slack of
+// the step being evaluated.
+func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions, slackBuf []float64) error {
 	k := len(p.C)
 	n := p.B.Cols()
 	pw := float64(p.Power)
 
 	for iter := 0; iter < opts.MaxNewton; iter++ {
-		s := slack(p, u)
+		s := slack(slackBuf, p, u)
 		for _, v := range s {
 			if v <= 0 {
 				return fmt.Errorf("opt: interior point left the feasible region (slack %g)", v)
@@ -166,14 +169,14 @@ func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions) error
 		}
 		// Backtracking line search keeping strict feasibility.
 		alpha := maxFeasibleStep(p, u, step)
-		phi0 := barrierValue(p, u, t)
+		phi0 := barrierValue(p, u, t, slackBuf)
 		gdotd := -dec
 		for ; alpha > 1e-14; alpha *= 0.5 {
 			cand := axpy(u, step, alpha)
-			if !strictlyFeasible(p, cand) {
+			if !strictlyFeasible(p, cand, slackBuf) {
 				continue
 			}
-			if barrierValue(p, cand, t) <= phi0+0.25*alpha*gdotd {
+			if barrierValue(p, cand, t, slackBuf) <= phi0+0.25*alpha*gdotd {
 				copy(u, cand)
 				break
 			}
@@ -186,22 +189,22 @@ func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions) error
 	return nil
 }
 
-// slack returns 1 - Bᵀu.
-func slack(p *Program, u []float64) []float64 {
-	s := linalg.MulVecT(p.B, u)
+// slack writes 1 - Bᵀu into s (length B.Cols()) and returns it.
+func slack(s []float64, p *Program, u []float64) []float64 {
+	linalg.MulVecTInto(p.B, s, u)
 	for j := range s {
 		s[j] = 1 - s[j]
 	}
 	return s
 }
 
-func strictlyFeasible(p *Program, u []float64) bool {
+func strictlyFeasible(p *Program, u, slackBuf []float64) bool {
 	for _, v := range u {
 		if v <= 0 {
 			return false
 		}
 	}
-	for _, v := range slack(p, u) {
+	for _, v := range slack(slackBuf, p, u) {
 		if v <= 0 {
 			return false
 		}
@@ -223,7 +226,7 @@ func maxFeasibleStep(p *Program, u, step []float64) float64 {
 	return alpha
 }
 
-func barrierValue(p *Program, u []float64, t float64) float64 {
+func barrierValue(p *Program, u []float64, t float64, slackBuf []float64) float64 {
 	v := t * p.Objective(u)
 	if math.IsInf(v, 1) {
 		return v
@@ -234,7 +237,7 @@ func barrierValue(p *Program, u []float64, t float64) float64 {
 		}
 		v -= math.Log(x)
 	}
-	for _, x := range slack(p, u) {
+	for _, x := range slack(slackBuf, p, u) {
 		if x <= 0 {
 			return math.Inf(1)
 		}
