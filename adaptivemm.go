@@ -70,8 +70,8 @@
 // block is planned independently (blocks may win different generators),
 // and the per-block designs are stitched into one composite strategy
 // that releases all blocks under a single privacy budget, with noise
-// calibrated to the end-to-end sensitivity and per-shard inference run
-// in parallel. This is how marginal workloads on domains far past the
+// calibrated to the end-to-end sensitivity, and inference solves each
+// shard with that shard's own solver. This is how marginal workloads on domains far past the
 // monolithic design caps (e.g. 1-way marginals over 64×64 = 4096 cells,
 // or disjoint marginal groups over 10⁵+ cells) keep the closed-form
 // optimal design per block instead of falling back to a tree strategy.

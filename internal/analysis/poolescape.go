@@ -1,12 +1,11 @@
 // The poolescape analyzer. PR 6's zero-alloc hot path works because
 // rented objects — release scratch, pooled crypto sources, response
-// buffers, solver jobs — go back to their pools on every path and never
-// outlive the release that rented them. A missed return is a silent
-// steady-state allocation regression (the pool drains and refills from
-// the heap); an escaped scratch is worse: two releases sharing one
-// buffer corrupt each other's answers. Hand review caught these while
-// the code was young; once per-shard releases cross goroutines that
-// stops scaling.
+// buffers — go back to their pools on every path and never outlive the
+// release that rented them. A missed return is a silent steady-state
+// allocation regression (the pool drains and refills from the heap); an
+// escaped scratch is worse: two releases sharing one buffer corrupt each
+// other's answers. Hand review caught these while the code was young;
+// once batch releases cross goroutines that stops scaling.
 //
 // Tracked rent/return pairs:
 //

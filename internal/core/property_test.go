@@ -106,29 +106,45 @@ func TestPropertySensitivityNormalized(t *testing.T) {
 	}
 }
 
+// scaleInvariant reports whether scaling the seed's random workload by
+// k scales its designed strategy's error by k, to 1e-6 relative.
+func scaleInvariant(seed int64) bool {
+	r := rand.New(rand.NewSource(seed))
+	w := randomSmallWorkload(r)
+	res, err := Design(w, Options{})
+	if err != nil {
+		return false
+	}
+	e1, err := mm.Error(w, res.Strategy, testPrivacy)
+	if err != nil {
+		return false
+	}
+	k := 1 + 5*r.Float64()
+	e2, err := mm.Error(w.Scale(k), res.Strategy, testPrivacy)
+	if err != nil {
+		return false
+	}
+	return abs(e2-k*e1) < 1e-6*k*e1
+}
+
 // TestPropertyScaleInvariance: scaling the whole workload scales the error
 // linearly and leaves the chosen strategy's relative quality unchanged.
 func TestPropertyScaleInvariance(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		w := randomSmallWorkload(r)
-		res, err := Design(w, Options{})
-		if err != nil {
-			return false
-		}
-		e1, err := mm.Error(w, res.Strategy, testPrivacy)
-		if err != nil {
-			return false
-		}
-		k := 1 + 5*r.Float64()
-		e2, err := mm.Error(w.Scale(k), res.Strategy, testPrivacy)
-		if err != nil {
-			return false
-		}
-		return abs(e2-k*e1) < 1e-6*k*e1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(scaleInvariant, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScaleInvariancePinnedSeeds pins seeds whose designed strategies
+// have AᵀA eigenvalues just above the pseudo-inverse cutoff. Summing
+// trace(WᵀW (AᵀA)⁺) over the entries of a formed pseudo-inverse cancelled
+// there (terms near 1e11 down to a trace near 7) and broke scale
+// invariance at about 1.3e-6 relative.
+func TestScaleInvariancePinnedSeeds(t *testing.T) {
+	for _, seed := range []int64{6263850036227742457, 3039845447521793759} {
+		if !scaleInvariant(seed) {
+			t.Errorf("seed %d: error does not scale linearly with the workload", seed)
+		}
 	}
 }
 

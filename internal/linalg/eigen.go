@@ -299,17 +299,19 @@ func PseudoInverseSym(a *Matrix, tol float64) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	return eg.PseudoInverse(tol), nil
+}
+
+// PseudoInverse assembles the pseudo-inverse Σₖ vₖvₖᵀ/λₖ of the
+// decomposed positive semi-definite matrix over its eigenpairs above the
+// cutoff (see pinvCutoff).
+func (eg *EigenSym) PseudoInverse(tol float64) *Matrix {
 	n := len(eg.Values)
-	var maxV float64
-	for _, v := range eg.Values {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	cut := eg.pinvCutoff(tol)
 	out := New(n, n)
 	for r := 0; r < n; r++ {
 		lam := eg.Values[r]
-		if lam <= tol*maxV || lam <= 0 {
+		if lam <= cut {
 			continue
 		}
 		inv := 1 / lam
@@ -325,7 +327,43 @@ func PseudoInverseSym(a *Matrix, tol float64) (*Matrix, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
+}
+
+// pinvCutoff is the eigenvalue at or below which a pseudo-inverse treats
+// an eigenpair as null: tol times the largest eigenvalue, and never
+// below zero.
+func (eg *EigenSym) pinvCutoff(tol float64) float64 {
+	var maxV float64
+	for _, v := range eg.Values {
+		maxV = max(maxV, v)
+	}
+	return max(tol*maxV, 0)
+}
+
+// TracePinv returns trace(G·A⁺) for a symmetric positive semi-definite
+// G and the decomposed A, with A⁺ cut off at tol as PseudoInverse does,
+// summed as Σₖ vₖᵀGvₖ/λₖ over A's kept eigenpairs: non-negative terms
+// that cannot cancel. Forming A⁺ first and summing its entrywise product
+// with G loses the result when A has eigenvalues just above the cutoff:
+// A⁺ then holds entries of order 1/λ, and a sum of terms near 1e11 can
+// cancel down to a trace near 7 with only a few digits left.
+func (eg *EigenSym) TracePinv(g *Matrix, tol float64) float64 {
+	if n := len(eg.Values); g.rows != n || g.cols != n {
+		panic(fmt.Sprintf("linalg: TracePinv of a %dx%d matrix against %d eigenpairs", g.rows, g.cols, n))
+	}
+	cut := eg.pinvCutoff(tol)
+	vg := eg.Vectors.MulParallel(g) // row k is vₖᵀG
+	var t float64
+	for k, lam := range eg.Values {
+		if lam <= cut {
+			continue
+		}
+		if q := dot(vg.Row(k), eg.Vectors.Row(k)); q > 0 {
+			t += q / lam
+		}
+	}
+	return t
 }
 
 // PseudoInverse computes the Moore-Penrose pseudo-inverse A⁺ of a general

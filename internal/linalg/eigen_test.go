@@ -183,6 +183,26 @@ func TestPseudoInverseSymProperties(t *testing.T) {
 	}
 }
 
+// TestTracePinvMatchesPseudoInverse: on well-conditioned PSD G and a
+// rank-deficient PSD A, TracePinv equals the entrywise trace of G·A⁺ with
+// the pseudo-inverse formed at the same cutoff.
+func TestTracePinvMatchesPseudoInverse(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(8)
+		eg, err := SymEigen(randMatrix(r, n-1, n).Gram())
+		if err != nil {
+			return false
+		}
+		g := randMatrix(r, n+2, n).Gram()
+		got, want := eg.TracePinv(g, 1e-10), g.TraceProduct(eg.PseudoInverse(1e-10))
+		return got >= 0 && math.Abs(got-want) <= 1e-9*math.Abs(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPseudoInverseFullColumnRank(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	a := randMatrix(r, 8, 4)

@@ -6,7 +6,8 @@
 // from one shared value on few rows), a materialized pseudo-inverse for a
 // small dense matrix, else iterative CGLS. The choice is made from the
 // operator alone, so plans rehydrated from the store need no codec field
-// to get the same solver.
+// to get the same solver. A BlockSolver joins solvers already in hand
+// into the solver of their block-diagonal sum (a sharded plan's).
 
 package linalg
 
@@ -15,8 +16,8 @@ import "fmt"
 // LSSolver writes the minimum-norm least-squares solution A⁺y of one
 // fixed strategy A into dst, taking its buffers from ws: a warmed call
 // allocates nothing, and concurrent calls are safe when each brings its
-// own workspace. Only the iterative CGLSSolver can fail; its failed
-// solution must not be served.
+// own workspace. Only the iterative CGLSSolver, and a BlockSolver over
+// one, can fail; a failed solution must not be served.
 type LSSolver interface {
 	SolveLSInto(dst, y []float64, ws *CGWorkspace) error
 }
@@ -138,6 +139,48 @@ func (p *PinvSolver) SolveLSInto(dst, y []float64, _ *CGWorkspace) error {
 // solveSlab writes A⁺ applied to every column of the slab y into dst.
 func (p *PinvSolver) solveSlab(dst, y []float64, w int, _ *CGWorkspace) {
 	p.Pinv.mulSlabRange(dst, y, w, 0, p.Pinv.rows)
+}
+
+// BlockSolver solves a block-diagonal strategy block by block, through
+// (A₁ ⊕ … ⊕ A_k)⁺ = A₁⁺ ⊕ … ⊕ A_k⁺: each block's own solver maps its
+// slice of y to its slice of dst. The blocks run one after another on
+// the caller's one workspace, so a warmed solve allocates nothing.
+type BlockSolver struct {
+	op      Operator   // BlockDiag(parts...)
+	parts   []Operator // the diagonal blocks, in order
+	solvers []LSSolver // solvers[i] solves parts[i]
+}
+
+// NewBlockSolver pairs each diagonal block with its solver, in order;
+// the solver's strategy is BlockDiag(parts...). The solvers are used as
+// given, so nothing is prepared twice.
+func NewBlockSolver(parts []Operator, solvers []LSSolver) *BlockSolver {
+	if len(parts) != len(solvers) {
+		panic(fmt.Sprintf("linalg: NewBlockSolver given %d blocks and %d solvers", len(parts), len(solvers)))
+	}
+	return &BlockSolver{op: BlockDiag(parts...), parts: parts, solvers: solvers}
+}
+
+// Op returns the block-diagonal strategy the solver inverts.
+func (b *BlockSolver) Op() Operator { return b.op }
+
+// SolveLSInto writes (A₁⁺ ⊕ … ⊕ A_k⁺)·y into dst. It fails only when a
+// block's solver does, naming the block.
+func (b *BlockSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
+	if len(y) != b.op.Rows() || len(dst) != b.op.Cols() {
+		panic(fmt.Sprintf("linalg: BlockSolver of a %dx%d strategy given rhs %d, dst %d",
+			b.op.Rows(), b.op.Cols(), len(y), len(dst)))
+	}
+	atR, atC := 0, 0
+	for i, p := range b.parts {
+		rows, cols := p.Rows(), p.Cols()
+		if err := b.solvers[i].SolveLSInto(dst[atC:atC+cols], y[atR:atR+rows], ws); err != nil {
+			return fmt.Errorf("linalg: block %d: %w", i, err)
+		}
+		atR += rows
+		atC += cols
+	}
+	return nil
 }
 
 // CGLSSolver solves matrix-free by SolveCGLSInto with default options:

@@ -141,19 +141,24 @@ func TestNoExactSolverPastDenseCap(t *testing.T) {
 	}
 }
 
-// TestKronSolverZeroAllocAndConcurrent pins the warmed solve at zero
-// allocations and runs one shared solver from 8 goroutines, each with its
-// own workspace: every result must match the sequential solve bit for
-// bit (run under -race).
+// TestKronSolverZeroAllocAndConcurrent pins the warmed Kronecker solve
+// at zero allocations and bit-identical under concurrent solves (see
+// assertZeroAllocAndConcurrent).
 func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
 	op := strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)
-	s := kronSolver(t, op)
+	assertZeroAllocAndConcurrent(t, kronSolver(t, op), op, rand.New(rand.NewSource(5)))
+}
+
+// assertZeroAllocAndConcurrent pins s's warmed solve at zero allocations
+// and runs it from 8 goroutines, each with its own workspace: every
+// result must match the sequential solve bit for bit (run under -race).
+func assertZeroAllocAndConcurrent(t *testing.T, s linalg.LSSolver, op linalg.Operator, r *rand.Rand) {
+	t.Helper()
 	var ws linalg.CGWorkspace
 	y, dst := randVec(r, op.Rows()), make([]float64, op.Cols())
 	s.SolveLSInto(dst, y, &ws)
 	if n := testing.AllocsPerRun(20, func() { s.SolveLSInto(dst, y, &ws) }); n != 0 {
-		t.Fatalf("warmed KronSolver.SolveLSInto allocates %v per solve, want 0", n)
+		t.Fatalf("warmed %T.SolveLSInto allocates %v per solve, want 0", s, n)
 	}
 
 	const workers = 8
@@ -161,7 +166,9 @@ func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
 	for g := range ys {
 		ys[g] = randVec(r, op.Rows())
 		want[g] = make([]float64, op.Cols())
-		s.SolveLSInto(want[g], ys[g], &ws)
+		if err := s.SolveLSInto(want[g], ys[g], &ws); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -384,51 +391,57 @@ func TestEigenSolverSelection(t *testing.T) {
 }
 
 // TestEigenSolverZeroAllocAndConcurrent pins the warmed Woodbury solve on
-// census-3d's strategy at zero allocations and runs one shared solver
-// from 8 goroutines, each with its own workspace: every result must match
-// the sequential solve bit for bit (run under -race).
+// census-3d's strategy at zero allocations and bit-identical under
+// concurrent solves (see assertZeroAllocAndConcurrent).
 func TestEigenSolverZeroAllocAndConcurrent(t *testing.T) {
 	op := principalStrategy(t, 8, 16, 16)
-	s := eigenSolver(t, op)
-	r := rand.New(rand.NewSource(43))
-	var ws linalg.CGWorkspace
-	y, dst := randVec(r, op.Rows()), make([]float64, op.Cols())
-	s.SolveLSInto(dst, y, &ws)
-	if n := testing.AllocsPerRun(20, func() { s.SolveLSInto(dst, y, &ws) }); n != 0 {
-		t.Fatalf("warmed EigenSolver.SolveLSInto allocates %v per solve, want 0", n)
-	}
+	assertZeroAllocAndConcurrent(t, eigenSolver(t, op), op, rand.New(rand.NewSource(43)))
+}
 
-	const workers = 8
-	ys, want := make([][]float64, workers), make([][]float64, workers)
-	for g := range ys {
-		ys[g] = randVec(r, op.Rows())
-		want[g] = make([]float64, op.Cols())
-		s.SolveLSInto(want[g], ys[g], &ws)
+// blockSolver returns a BlockSolver over four blocks, each with the
+// solver NewSolver picks for it: an interval tree, a Kronecker product of
+// trees, a dense matrix (pseudo-inverse) and a prefix operator (CGLS).
+func blockSolver(t *testing.T) *linalg.BlockSolver {
+	t.Helper()
+	r := rand.New(rand.NewSource(47))
+	dense := linalg.New(7, 5)
+	for i := range dense.Data() {
+		dense.Data()[i] = r.NormFloat64()
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var ws linalg.CGWorkspace
-			got := make([]float64, op.Cols())
-			for rep := 0; rep < 10; rep++ {
-				s.SolveLSInto(got, ys[g], &ws)
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[g][i]) {
-						errs <- fmt.Errorf("worker %d: x̂[%d] = %v, want %v", g, i, got[i], want[g][i])
-						return
-					}
-				}
-			}
-		}(g)
+	parts := []linalg.Operator{
+		strategy.HierarchicalOperator(domain.MustShape(8), 2),
+		strategy.HierarchicalOperator(domain.MustShape(4, 6), 2),
+		dense,
+		linalg.NewPrefixOp(8),
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	kinds := []string{"*linalg.TreeSolver", "*linalg.KronSolver", "*linalg.PinvSolver", "*linalg.CGLSSolver"}
+	solvers := make([]linalg.LSSolver, len(parts))
+	for i, p := range parts {
+		s, err := linalg.NewSolver(p, denseCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T", s); got != kinds[i] {
+			t.Fatalf("block %d solver is a %s, want %s", i, got, kinds[i])
+		}
+		solvers[i] = s
 	}
+	return linalg.NewBlockSolver(parts, solvers)
+}
+
+// TestBlockSolverMatchesPseudoInverse: solving block by block equals the
+// dense pseudo-inverse of the assembled block-diagonal matrix to 1e-10.
+func TestBlockSolverMatchesPseudoInverse(t *testing.T) {
+	s := blockSolver(t)
+	assertMatchesPinv(t, s, s.Op(), 1e-10)
+}
+
+// TestBlockSolverZeroAllocAndConcurrent: the block solves share the one
+// workspace, so a warmed solve allocates nothing, and concurrent solves
+// with their own workspaces agree bit for bit.
+func TestBlockSolverZeroAllocAndConcurrent(t *testing.T) {
+	s := blockSolver(t)
+	assertZeroAllocAndConcurrent(t, s, s.Op(), rand.New(rand.NewSource(53)))
 }
 
 // BenchmarkEigenSolver times one least-squares solve over census-3d's

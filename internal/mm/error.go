@@ -68,36 +68,38 @@ func Error(w *workload.Workload, a linalg.Operator, p Privacy) (float64, error) 
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	gA := linalg.OperatorGram(a)
-	inv, err := linalg.PseudoInverseSym(gA, 1e-11)
+	eg, err := linalg.SymEigen(linalg.OperatorGram(a))
 	if err != nil {
 		return 0, err
 	}
-	return errorFromParts(w, linalg.MaxColNorm2Op(a), w.Gram().TraceProduct(inv), p)
+	return errorFromParts(w, linalg.MaxColNorm2Op(a), eg.TracePinv(w.Gram(), pinvTol), p)
 }
+
+// pinvTol is the relative eigenvalue cutoff of (AᵀA)⁺ in the analytic
+// error: eigenvalues at or below pinvTol·λmax count as null. The trace
+// trace(WᵀW (AᵀA)⁺) goes through linalg.EigenSym.TracePinv, a sum of
+// non-negative terms.
+const pinvTol = 1e-11
 
 // ErrorChecked is Error plus a verification that the workload's row space
 // is contained in the strategy's; it returns ErrNotSupported otherwise.
 func ErrorChecked(w *workload.Workload, a linalg.Operator, p Privacy) (float64, error) {
 	gA := linalg.OperatorGram(a)
-	inv, err := linalg.PseudoInverseSym(gA, 1e-11)
+	eg, err := linalg.SymEigen(gA)
 	if err != nil {
 		return 0, err
 	}
 	// Support check: G·(AᵀA)⁺(AᵀA) must reproduce G = WᵀW.
 	g := w.Gram()
-	proj := g.MulParallel(inv).MulParallel(gA)
+	proj := g.MulParallel(eg.PseudoInverse(pinvTol)).MulParallel(gA)
 	scale := 1 + g.FrobeniusNorm()
 	if !proj.Equal(g, 1e-6*scale) {
 		return 0, ErrNotSupported
 	}
-	return errorFromParts(w, linalg.MaxColNorm2Op(a), g.TraceProduct(inv), p)
+	return errorFromParts(w, linalg.MaxColNorm2Op(a), eg.TracePinv(g, pinvTol), p)
 }
 
 func errorFromParts(w *workload.Workload, sens, trace float64, p Privacy) (float64, error) {
-	if trace < 0 {
-		trace = 0
-	}
 	m := float64(w.NumQueries())
 	if m == 0 {
 		return 0, errors.New("mm: empty workload")
@@ -116,14 +118,11 @@ func ErrorL1(w *workload.Workload, a linalg.Operator, epsilon float64) (float64,
 	if epsilon <= 0 {
 		return 0, fmt.Errorf("mm: epsilon = %g must be positive", epsilon)
 	}
-	inv, err := linalg.PseudoInverseSym(linalg.OperatorGram(a), 1e-11)
+	eg, err := linalg.SymEigen(linalg.OperatorGram(a))
 	if err != nil {
 		return 0, err
 	}
-	trace := w.Gram().TraceProduct(inv)
-	if trace < 0 {
-		trace = 0
-	}
+	trace := eg.TracePinv(w.Gram(), pinvTol)
 	m := float64(w.NumQueries())
 	if m == 0 {
 		return 0, errors.New("mm: empty workload")

@@ -38,14 +38,9 @@ func (m *Mechanism) EstimateGaussianNonNegative(x []float64, p Privacy, r NoiseS
 			xhat[i] = 0
 		}
 	}
-	// Sharded estimates live on the concatenated sub-domains, where the
-	// measurement operator is the block-diagonal stack (the projections
-	// are already folded into y).
-	polishOp := m.a
-	if m.shards != nil {
-		polishOp = m.blockOnly
-	}
-	return nnlsPolish(polishOp, y, xhat), nil
+	// Sharded estimates live on the concatenated sub-domains, so the
+	// polish runs on the operator the solver inverted.
+	return nnlsPolish(m.solvedOp(), y, xhat), nil
 }
 
 // nnlsPolish runs projected gradient descent for min ‖Ax−y‖² over x ≥ 0,

@@ -41,10 +41,10 @@ const (
 	// of solvable factors, or a factored principal-vectors eigenbasis),
 	// else by conjugate gradients on the factored normal equations.
 	InferCGLS Inference = 2
-	// InferSharded answers per shard and concatenates: the measurement
-	// vector is split at shard boundaries, each slice is solved by that
-	// shard's own prepared inference method (with bounded parallelism),
-	// and the estimate is the concatenation of the per-shard sub-domain
+	// InferSharded solves a sharded composite block by block through a
+	// linalg.BlockSolver: the measurement vector is split at shard
+	// boundaries, each slice is solved by that shard's own solver, and
+	// the estimate is the concatenation of the per-shard sub-domain
 	// estimates. Only NewShardedMechanism produces this method.
 	InferSharded Inference = 4
 )
@@ -65,27 +65,20 @@ func (i Inference) String() string {
 
 // Mechanism is a prepared instance of the matrix mechanism for one
 // strategy operator. Its least-squares solver is fixed at construction:
-// by linalg.NewSolver's rule in NewMechanism, or by an explicit
-// Inference in NewMechanismInference.
+// by linalg.NewSolver's rule in NewMechanism, by an explicit Inference
+// in NewMechanismInference, or as a linalg.BlockSolver over the shards'
+// solvers in NewShardedMechanism.
 type Mechanism struct {
 	a      linalg.Operator
-	solver linalg.LSSolver // nil for sharded composites, which solve per shard
+	solver linalg.LSSolver
 	sensL2 float64
 
 	scratch sync.Pool // recycled *ReleaseScratch
 
 	// Sharded (composite) mechanisms only — see NewShardedMechanism.
-	shards    []Shard
-	shardPar  int                // bounded shard-inference parallelism
-	blockOnly linalg.Operator    // blockdiag(shard strategies), no projections
-	planned   *workload.Workload // the one workload the composite answers
-	shardOnce sync.Once          // starts the persistent shard workers
-	shardCh   chan shardJob      // feeds the persistent shard workers
-
-	// Streaming releases (see stream.go): the scatter segments flattened
-	// into one sorted row index, built lazily on the first StreamRelease.
-	streamOnce sync.Once
-	streamSegs []streamSeg
+	shards  []Shard
+	planned *workload.Workload // the one workload the composite answers
+	scatter []scatterSeg       // the shards' row segments, sorted by row
 
 	l1Once sync.Once
 	sensL1 float64
@@ -182,17 +175,17 @@ func (m *Mechanism) PreparedPinv() *linalg.Matrix {
 // change drops along with this method.
 func (m *Mechanism) PreparedGram() *linalg.Matrix { return nil }
 
-// Solver returns the mechanism's least-squares solver, or nil for a
-// sharded composite, whose shards each hold their own.
+// Solver returns the mechanism's least-squares solver: for a sharded
+// composite, the linalg.BlockSolver over its shards' solvers.
 func (m *Mechanism) Solver() linalg.LSSolver { return m.solver }
 
 // Inference returns the resolved inference method, named by the kind of
 // the mechanism's solver; never InferAuto.
 func (m *Mechanism) Inference() Inference {
-	if m.shards != nil {
+	switch m.solver.(type) {
+	case *linalg.BlockSolver:
 		return InferSharded
-	}
-	if _, ok := m.solver.(*linalg.PinvSolver); ok {
+	case *linalg.PinvSolver:
 		return InferDensePinv
 	}
 	return InferCGLS
@@ -291,22 +284,12 @@ func (m *Mechanism) AnswerGaussian(w *workload.Workload, x []float64, p Privacy,
 // workload answers: W x̂ for ordinary mechanisms, per-shard sub-workload
 // answers scattered into the original row order for sharded ones (whose
 // estimates are concatenated sub-domain estimates). Sharded mechanisms
-// answer only the exact workload they were planned for — the shard row
-// segments are meaningless for any other — so a different workload is
-// refused even when its query count happens to match.
+// answer only the exact workload they were planned for.
 func (m *Mechanism) WorkloadAnswers(w *workload.Workload, xhat []float64) ([]float64, error) {
-	if m.shards == nil {
-		return w.MulQueries(xhat), nil
+	if err := m.checkPlanned(w); err != nil {
+		return nil, err
 	}
-	if m.planned != nil && w != m.planned {
-		return nil, fmt.Errorf("mm: sharded mechanism answers only the workload it was planned for (%q); answer %q with its own plan",
-			m.planned.Name(), w.Name())
-	}
-	if w.NumQueries() != m.totalShardQueries() {
-		return nil, fmt.Errorf("mm: sharded mechanism answers only its planned workload (%d queries), got one with %d",
-			m.totalShardQueries(), w.NumQueries())
-	}
-	return m.shardAnswers(xhat), nil
+	return m.answersOf(make([]float64, w.NumQueries()), w, xhat), nil
 }
 
 // Gaussian is the plain Gaussian mechanism of Prop. 2: independent noise

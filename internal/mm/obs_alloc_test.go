@@ -52,7 +52,7 @@ func TestInstrumentedReleaseZeroAlloc(t *testing.T) {
 
 func TestInstrumentedShardedReleaseZeroAlloc(t *testing.T) {
 	shards, full := buildCellShards(t)
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestInstrumentedStreamReleaseAllocBound(t *testing.T) {
 		t.Skip("race-mode sync.Pool poisoning makes the pooled stream scratch allocate; the bound is pinned in the non-race run")
 	}
 	shards, full := buildCellShards(t)
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ package mm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"adaptivemm/internal/linalg"
@@ -34,15 +33,8 @@ type ReleaseScratch struct {
 	noise []float64 // raw noise draws (rows)
 	est   []float64 // cell estimate x̂
 	ans   []float64 // workload answers
-	tmp   []float64 // sharded answer scatter staging
 	chunk []float64 // streaming answer chunk (AnswerStream)
 	ws    linalg.CGWorkspace
-
-	// Sharded fan-out state, hoisted here so a steady-state sharded
-	// release enqueues jobs to the mechanism's persistent shard workers
-	// without allocating error slots or a WaitGroup per call.
-	shardErrs []error
-	wg        sync.WaitGroup
 
 	// Trace, when non-nil, receives per-stage spans for this release.
 	// Tracing is opt-in per release — the always-on instrumentation is
@@ -190,23 +182,24 @@ func (m *Mechanism) AnswerGaussianInto(sc *ReleaseScratch, w *workload.Workload,
 }
 
 // workloadAnswersInto maps an estimate onto workload answers in sc.ans,
-// mirroring WorkloadAnswers' validation.
+// mirroring WorkloadAnswers.
 func (m *Mechanism) workloadAnswersInto(sc *ReleaseScratch, w *workload.Workload, xhat []float64) ([]float64, error) {
-	if m.shards == nil {
-		sc.ans = growFloats(sc.ans, w.NumQueries())
-		return w.MulQueriesInto(sc.ans, xhat), nil
+	if err := m.checkPlanned(w); err != nil {
+		return nil, err
 	}
-	if m.planned != nil && w != m.planned {
-		return nil, fmt.Errorf("mm: sharded mechanism answers only the workload it was planned for (%q); answer %q with its own plan",
-			m.planned.Name(), w.Name())
+	sc.ans = growFloats(sc.ans, w.NumQueries())
+	return m.answersOf(sc.ans, w, xhat), nil
+}
+
+// answersOf writes the workload answers of the estimate xhat into dst,
+// of length w.NumQueries(), and returns it: W x̂, or for a sharded
+// mechanism the shard scatter over the rows [0, rows).
+func (m *Mechanism) answersOf(dst []float64, w *workload.Workload, xhat []float64) []float64 {
+	if m.shards != nil {
+		m.shardRangeInto(dst, xhat, 0, len(dst))
+		return dst
 	}
-	if w.NumQueries() != m.totalShardQueries() {
-		return nil, fmt.Errorf("mm: sharded mechanism answers only its planned workload (%d queries), got one with %d",
-			m.totalShardQueries(), w.NumQueries())
-	}
-	sc.ans = growFloats(sc.ans, m.totalShardQueries())
-	m.shardAnswersInto(sc, sc.ans, xhat)
-	return sc.ans, nil
+	return w.MulQueriesInto(dst, xhat)
 }
 
 // answersInto writes the strategy answers A·x into dst, through the tree
@@ -219,26 +212,25 @@ func (m *Mechanism) answersInto(dst, x []float64, sc *ReleaseScratch) {
 	linalg.MulVecInto(m.a, dst, x)
 }
 
+// solvedOp is the operator the mechanism's solver inverts: the strategy,
+// except for a sharded composite, whose block solver inverts the
+// block-diagonal stack of the shard strategies (the projections are
+// already folded into the measurements).
+func (m *Mechanism) solvedOp() linalg.Operator {
+	if b, ok := m.solver.(*linalg.BlockSolver); ok {
+		return b.Op()
+	}
+	return m.a
+}
+
 // estimateLen is the length of the estimate this mechanism produces:
 // the cell count, except for sharded mechanisms, whose estimate is the
 // concatenation of the per-shard sub-domain estimates.
-func (m *Mechanism) estimateLen() int {
-	if m.shards == nil {
-		return m.a.Cols()
-	}
-	total := 0
-	for _, s := range m.shards {
-		total += s.Mechanism.a.Cols()
-	}
-	return total
-}
+func (m *Mechanism) estimateLen() int { return m.solvedOp().Cols() }
 
 // inferInto computes the least-squares estimate x̂ from noisy strategy
 // answers y into dst (length estimateLen): one call to the mechanism's
-// solver, or the per-shard fan-out of a sharded composite.
+// solver.
 func (m *Mechanism) inferInto(dst, y []float64, sc *ReleaseScratch) error {
-	if m.shards != nil {
-		return m.inferShardedInto(dst, y, sc)
-	}
 	return m.solver.SolveLSInto(dst, y, &sc.ws)
 }

@@ -2,9 +2,7 @@ package mm
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"adaptivemm/internal/linalg"
 	"adaptivemm/internal/workload"
@@ -25,10 +23,11 @@ import (
 // composite sensitivity reduces to the max over shards; for marginal
 // blocks every shard sees every cell and the sums are real.
 //
-// Inference runs per shard — each shard's noisy measurements are solved
-// by that shard's own prepared inference method, with bounded parallelism
-// — and workload answers are the per-shard sub-workload answers scattered
-// back into the original row order.
+// Inference is one block-diagonal solve: the measurements of shard i are
+// solved by shard i's own solver (see linalg.BlockSolver), and the
+// estimate is the concatenation of the per-shard sub-domain estimates.
+// Workload answers are the per-shard sub-workload answers scattered back
+// into the original row order, one row segment at a time.
 
 // RowSegment locates a contiguous run of a shard's answers inside the
 // original workload's row order (mirrors workload.RowSegment).
@@ -57,25 +56,31 @@ type Shard struct {
 // NewShardedMechanism composes per-shard mechanisms into one mechanism
 // whose releases are differentially private end to end: a single noise
 // scale calibrated to the composite sensitivity covers every shard's
-// measurements. planned is the original workload the composite answers —
-// sharded mechanisms can answer no other (nil falls back to a
-// query-count check only). parallelism bounds how many shards infer
-// concurrently (≤0 selects GOMAXPROCS). At least two shards are
-// required.
-func NewShardedMechanism(planned *workload.Workload, shards []Shard, parallelism int) (*Mechanism, error) {
+// measurements. Its solver is a linalg.BlockSolver over the shards' own
+// solvers, so nothing is prepared twice. planned is the original
+// workload the composite answers; sharded mechanisms can answer no
+// other. At least two shards are required, none of them itself sharded.
+func NewShardedMechanism(planned *workload.Workload, shards []Shard) (*Mechanism, error) {
+	if planned == nil {
+		return nil, fmt.Errorf("mm: sharded mechanism needs the workload it is planned for")
+	}
 	if len(shards) < 2 {
 		return nil, fmt.Errorf("mm: sharded mechanism needs ≥2 shards, got %d", len(shards))
 	}
 	n := shards[0].Project.Cols()
-	var totalQueries int
 	strategies := make([]linalg.Operator, len(shards))
+	solvers := make([]linalg.LSSolver, len(shards))
 	projections := make([]linalg.Operator, len(shards))
 	cn2 := make([]float64, n)
 	cn1 := make([]float64, n)
-	var allSegs []RowSegment
+	var scatter []scatterSeg
+	estAt := 0
 	for i, s := range shards {
 		if s.Mechanism == nil || s.Project == nil || s.Workload == nil {
 			return nil, fmt.Errorf("mm: shard %d is missing a mechanism, projection or workload", i)
+		}
+		if s.Mechanism.shards != nil {
+			return nil, fmt.Errorf("mm: shard %d is itself sharded", i)
 		}
 		if s.Project.Cols() != n {
 			return nil, fmt.Errorf("mm: shard %d projection has %d input cells, shard 0 has %d", i, s.Project.Cols(), n)
@@ -92,52 +97,47 @@ func NewShardedMechanism(planned *workload.Workload, shards []Shard, parallelism
 			if seg.Start < 0 || seg.Len <= 0 {
 				return nil, fmt.Errorf("mm: shard %d has an invalid row segment %+v", i, seg)
 			}
+			scatter = append(scatter, scatterSeg{start: seg.Start, n: seg.Len, wOff: segLen,
+				estOff: estAt, cells: a.Cols(), w: s.Workload})
 			segLen += seg.Len
 		}
 		if segLen != s.Workload.NumQueries() {
 			return nil, fmt.Errorf("mm: shard %d segments cover %d rows, sub-workload has %d queries", i, segLen, s.Workload.NumQueries())
 		}
-		totalQueries += segLen
 		strategies[i] = a
+		solvers[i] = s.Mechanism.solver
 		projections[i] = s.Project
 		if err := liftColNorms(s, n, cn2, cn1); err != nil {
 			return nil, fmt.Errorf("mm: shard %d: %w", i, err)
 		}
-		allSegs = append(allSegs, s.Segments...)
+		estAt += a.Cols()
 	}
-	// The segments must tile [0, totalQueries) without gaps or overlaps —
-	// otherwise scattered answers would silently drop or clobber rows.
-	sort.Slice(allSegs, func(i, j int) bool { return allSegs[i].Start < allSegs[j].Start })
+	// The segments must tile the planned workload's rows without gaps or
+	// overlaps: otherwise scattered answers would silently drop or
+	// clobber rows.
+	sort.Slice(scatter, func(i, j int) bool { return scatter[i].start < scatter[j].start })
 	at := 0
-	for _, seg := range allSegs {
-		if seg.Start != at {
+	for _, sg := range scatter {
+		if sg.start != at {
 			return nil, fmt.Errorf("mm: shard row segments leave a gap or overlap at row %d", at)
 		}
-		at += seg.Len
+		at += sg.n
+	}
+	if planned.NumQueries() != at {
+		return nil, fmt.Errorf("mm: planned workload has %d queries, shards cover %d", planned.NumQueries(), at)
 	}
 
-	blockOnly := linalg.BlockDiag(strategies...)
-	projStack := linalg.StackOps(projections...)
+	solver := linalg.NewBlockSolver(strategies, solvers)
 	composite := linalg.WithColNorms(
-		linalg.ComposeOps(blockOnly, projStack), cn2, cn1)
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(shards) {
-		parallelism = len(shards)
-	}
-	if planned != nil && planned.NumQueries() != totalQueries {
-		return nil, fmt.Errorf("mm: planned workload has %d queries, shards cover %d", planned.NumQueries(), totalQueries)
-	}
-	m := &Mechanism{
-		a:         composite,
-		sensL2:    linalg.MaxColNorm2Op(composite),
-		shards:    shards,
-		shardPar:  parallelism,
-		blockOnly: blockOnly,
-		planned:   planned,
-	}
-	return m, nil
+		linalg.ComposeOps(solver.Op(), linalg.StackOps(projections...)), cn2, cn1)
+	return &Mechanism{
+		a:       composite,
+		solver:  solver,
+		sensL2:  linalg.MaxColNorm2Op(composite),
+		shards:  shards,
+		planned: planned,
+		scatter: scatter,
+	}, nil
 }
 
 // liftColNorms accumulates a shard's strategy column norms onto the
@@ -179,116 +179,41 @@ func liftColNorms(s Shard, n int, cn2, cn1 []float64) error {
 // Shards returns the shard list for sharded mechanisms and nil otherwise.
 func (m *Mechanism) Shards() []Shard { return m.shards }
 
-// totalShardQueries sums the shard sub-workloads' query counts.
-func (m *Mechanism) totalShardQueries() int {
-	var total int
-	for _, s := range m.shards {
-		total += s.Workload.NumQueries()
+// checkPlanned refuses, on a sharded mechanism, any workload but the one
+// it was planned for: the shard row segments are meaningless for any
+// other, even one with the same query count.
+func (m *Mechanism) checkPlanned(w *workload.Workload) error {
+	if m.shards != nil && w != m.planned {
+		return fmt.Errorf("mm: sharded mechanism answers only the workload it was planned for (%q); answer %q with its own plan",
+			m.planned.Name(), w.Name())
 	}
-	return total
+	return nil
 }
 
-// shardJob is one shard's inference, enqueued by value to the
-// mechanism's persistent shard workers: solve y into dst with sm's own
-// inference method, record the error, signal the release's WaitGroup.
-type shardJob struct {
-	sm      *Mechanism
-	dst, y  []float64
-	err     *error
-	release *sync.WaitGroup
+// scatterSeg locates one contiguous run of workload rows inside a shard:
+// original rows [start, start+n) are sub-workload rows [wOff, wOff+n) of
+// w, answered on the estimate slice xcat[estOff : estOff+cells].
+type scatterSeg struct {
+	start, n int
+	wOff     int
+	estOff   int
+	cells    int
+	w        *workload.Workload
 }
 
-// startShardWorkers launches the composite's persistent shard-inference
-// workers, shardPar of them, fed by one buffered channel. Starting them
-// lazily on the first sharded release (rather than in the constructor)
-// keeps design-only mechanisms goroutine-free. The workers live for the
-// mechanism's lifetime and serve every release — concurrent releases on
-// one composite share the same shardPar inference slots, which preserves
-// the bounded-parallelism contract globally rather than per call.
-func (m *Mechanism) startShardWorkers() {
-	m.shardCh = make(chan shardJob, len(m.shards))
-	for i := 0; i < m.shardPar; i++ {
-		go func() {
-			for j := range m.shardCh {
-				sub := j.sm.GetScratch()
-				*j.err = j.sm.inferInto(j.dst, j.y, sub)
-				j.sm.PutScratch(sub)
-				j.release.Done()
-			}
-		}()
-	}
-}
-
-// inferShardedInto splits the composite measurement vector by shard and
-// runs each shard's own inference, with bounded parallelism, writing the
-// per-shard sub-domain estimates into their slices of dst. Each shard
-// rents scratch from its own mechanism's pool and the fan-out state
-// (error slots, WaitGroup) lives in the release's scratch, so the
-// steady-state sharded release performs zero allocations (pinned by
-// TestShardedReleaseZeroAlloc).
-func (m *Mechanism) inferShardedInto(dst, y []float64, sc *ReleaseScratch) error {
-	m.shardOnce.Do(m.startShardWorkers)
-	if cap(sc.shardErrs) < len(m.shards) {
-		sc.shardErrs = make([]error, len(m.shards))
-	}
-	errs := sc.shardErrs[:len(m.shards)]
-	sc.wg.Add(len(m.shards))
-	at, estAt := 0, 0
-	for i, s := range m.shards {
-		rows := s.Mechanism.a.Rows()
-		cells := s.Mechanism.a.Cols()
-		m.shardCh <- shardJob{
-			sm:      s.Mechanism,
-			dst:     dst[estAt : estAt+cells],
-			y:       y[at : at+rows],
-			err:     &errs[i],
-			release: &sc.wg,
-		}
-		at += rows
-		estAt += cells
-	}
-	sc.wg.Wait()
-	var first error
-	for i, err := range errs {
-		if err != nil && first == nil {
-			first = fmt.Errorf("mm: shard %d inference: %w", i, err)
-		}
-		errs[i] = nil // don't retain shard errors across pooled reuses
-	}
-	return first
-}
-
-// shardAnswers turns concatenated sub-domain estimates into the original
-// workload's answers: each shard answers its sub-workload on its estimate
-// slice and the answers are scattered through the row segments.
-func (m *Mechanism) shardAnswers(xcat []float64) []float64 {
-	out := make([]float64, m.totalShardQueries())
-	sc := m.GetScratch()
-	m.shardAnswersInto(sc, out, xcat)
-	m.PutScratch(sc)
-	return out
-}
-
-// shardAnswersInto is shardAnswers writing into dst. Single-segment
-// shards (cell partitions) answer straight into their destination rows;
-// multi-segment shards stage through the scratch's scatter buffer.
-func (m *Mechanism) shardAnswersInto(sc *ReleaseScratch, dst, xcat []float64) {
-	at := 0
-	for _, s := range m.shards {
-		cells := s.Workload.Cells()
-		xs := xcat[at : at+cells]
-		at += cells
-		if len(s.Segments) == 1 {
-			seg := s.Segments[0]
-			s.Workload.MulQueriesInto(dst[seg.Start:seg.Start+seg.Len], xs)
-			continue
-		}
-		sc.tmp = growFloats(sc.tmp, s.Workload.NumQueries())
-		s.Workload.MulQueriesInto(sc.tmp, xs)
-		pos := 0
-		for _, seg := range s.Segments {
-			copy(dst[seg.Start:seg.Start+seg.Len], sc.tmp[pos:pos+seg.Len])
-			pos += seg.Len
-		}
+// shardRangeInto answers original workload rows [lo,hi) of a sharded
+// mechanism into dst: each overlapped scatter segment answers its
+// sub-workload row range on its shard's slice of the concatenated
+// estimate xcat. A buffered answer is the range [0, rows), so buffered
+// and streamed sharded answers run the same kernels and agree bit for
+// bit.
+func (m *Mechanism) shardRangeInto(dst, xcat []float64, lo, hi int) {
+	segs := m.scatter
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].start+segs[i].n > lo })
+	for ; i < len(segs) && segs[i].start < hi; i++ {
+		sg := segs[i]
+		a, b := max(sg.start, lo), min(sg.start+sg.n, hi)
+		xs := xcat[sg.estOff : sg.estOff+sg.cells]
+		sg.w.MulQueriesRangeInto(dst[a-lo:b-lo], xs, sg.wOff+(a-sg.start), sg.wOff+(b-sg.start))
 	}
 }

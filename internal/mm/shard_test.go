@@ -3,6 +3,7 @@ package mm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"adaptivemm/internal/domain"
@@ -53,7 +54,7 @@ func buildCellShards(t *testing.T) ([]Shard, *workload.Workload) {
 // composite sensitivity must match the composite operator's.
 func TestShardedEqualsMonolithicOnCellBlocks(t *testing.T) {
 	shards, full := buildCellShards(t)
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestShardedEqualsMonolithicOnCellBlocks(t *testing.T) {
 	}
 	// The declared (lifted) sensitivity must equal the probed sensitivity
 	// of the raw composite operator.
-	raw := linalg.ComposeOps(sm.blockOnly, linalg.StackOps(shards[0].Project, shards[1].Project))
+	raw := linalg.ComposeOps(sm.solvedOp(), linalg.StackOps(shards[0].Project, shards[1].Project))
 	probed := linalg.MaxColNorm2Op(linalg.ToDense(raw))
 	if math.Abs(sm.SensitivityL2()-probed) > 1e-12 {
 		t.Fatalf("lifted sensitivity %g, probed %g", sm.SensitivityL2(), probed)
@@ -99,8 +100,7 @@ func TestShardedEqualsMonolithicOnCellBlocks(t *testing.T) {
 // composite sensitivity is the column-wise sum of the lifted shard norms
 // — strictly more than any single shard's. The lifted norms must match a
 // dense probe of the composite operator, and the release must be
-// deterministic under a pinned seed (noise drawn sequentially, inference
-// parallel).
+// deterministic under a pinned seed.
 func TestShardedMarginalBlocksSensitivityAndDeterminism(t *testing.T) {
 	shape := domain.MustShape(3, 4)
 	w := workload.MarginalSet("two blocks", shape, [][]int{{0}, {1}})
@@ -120,7 +120,7 @@ func TestShardedMarginalBlocksSensitivityAndDeterminism(t *testing.T) {
 		}
 		shards[i] = Shard{Mechanism: mech, Project: b.Project, Workload: b.Sub, Segments: segs}
 	}
-	sm, err := NewShardedMechanism(w, shards, 0)
+	sm, err := NewShardedMechanism(w, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +168,27 @@ func TestShardedMarginalBlocksSensitivityAndDeterminism(t *testing.T) {
 // operations fail with clear errors rather than panicking.
 func TestShardedMechanismValidation(t *testing.T) {
 	shards, full := buildCellShards(t)
-	if _, err := NewShardedMechanism(nil, shards[:1], 0); err == nil {
+	if _, err := NewShardedMechanism(nil, shards); err == nil {
+		t.Fatal("a composite without its planned workload must be refused")
+	}
+	if _, err := NewShardedMechanism(full, shards[:1]); err == nil {
 		t.Fatal("single shard must be refused")
 	}
 	bad := make([]Shard, 2)
 	copy(bad, shards)
 	bad[1].Segments = []RowSegment{{Start: 2, Len: 2}} // overlaps shard 0
-	if _, err := NewShardedMechanism(nil, bad, 0); err == nil {
+	if _, err := NewShardedMechanism(full, bad); err == nil {
 		t.Fatal("overlapping segments must be refused")
 	}
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
+	}
+	nested := make([]Shard, 2)
+	copy(nested, shards)
+	nested[0].Mechanism = sm
+	if _, err := NewShardedMechanism(full, nested); err == nil {
+		t.Fatal("a shard that is itself sharded must be refused")
 	}
 	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
 	if _, err := sm.QueryVariances(full, p); err == nil {
@@ -188,5 +197,27 @@ func TestShardedMechanismValidation(t *testing.T) {
 	other := workload.Identity(domain.MustShape(6))
 	if _, err := sm.AnswerGaussian(other, make([]float64, 6), p, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("sharded mechanisms must refuse foreign workloads")
+	}
+}
+
+// A sharded mechanism owns no goroutines: building, releasing and
+// dropping composites leaves the process at its goroutine baseline.
+func TestShardedMechanismsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
+	x := []float64{5, 1, 3, 2, 8, 1}
+	for i := 0; i < 20; i++ {
+		shards, full := buildCellShards(t)
+		sm, err := NewShardedMechanism(full, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sm.AnswerGaussian(full, x, p, rand.New(rand.NewSource(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after releasing 20 sharded mechanisms, %d before", n, base)
 	}
 }

@@ -16,7 +16,6 @@ package mm
 
 import (
 	"fmt"
-	"sort"
 
 	"adaptivemm/internal/workload"
 )
@@ -52,16 +51,8 @@ func (m *Mechanism) StreamRelease(w *workload.Workload, x []float64, p Privacy, 
 	if !w.Answerable() {
 		return nil, fmt.Errorf("mm: workload %q is gram-only and cannot be answered on data", w.Name())
 	}
-	if m.shards != nil {
-		if m.planned != nil && w != m.planned {
-			return nil, fmt.Errorf("mm: sharded mechanism answers only the workload it was planned for (%q); answer %q with its own plan",
-				m.planned.Name(), w.Name())
-		}
-		if w.NumQueries() != m.totalShardQueries() {
-			return nil, fmt.Errorf("mm: sharded mechanism answers only its planned workload (%d queries), got one with %d",
-				m.totalShardQueries(), w.NumQueries())
-		}
-		m.streamOnce.Do(m.buildStreamSegs)
+	if err := m.checkPlanned(w); err != nil {
+		return nil, err
 	}
 	sc := m.GetScratch()
 	xhat, err := m.EstimateGaussianInto(sc, x, p, r)
@@ -104,7 +95,7 @@ func (st *AnswerStream) Next() (offset int, answers []float64, ok bool) {
 	if st.m.shards == nil {
 		st.w.MulQueriesRangeInto(dst, st.xhat, lo, hi)
 	} else {
-		st.m.streamShardRange(dst, st.xhat, lo, hi)
+		st.m.shardRangeInto(dst, st.xhat, lo, hi)
 	}
 	return lo, dst, true
 }
@@ -116,65 +107,5 @@ func (st *AnswerStream) Close() {
 		st.m.PutScratch(st.sc)
 		st.sc = nil
 		st.xhat = nil
-	}
-}
-
-// streamSeg locates one contiguous run of workload rows inside a shard:
-// original rows [start, start+n) are sub-workload rows [wOff, wOff+n) of
-// w, answered on the estimate slice xcat[estOff : estOff+cells].
-type streamSeg struct {
-	start, n int
-	wOff     int
-	estOff   int
-	cells    int
-	w        *workload.Workload
-}
-
-// buildStreamSegs flattens the shard scatter segments into one sorted
-// index over the original row order. NewShardedMechanism already verified
-// the segments tile [0, totalQueries) exactly, so after sorting the index
-// is gap-free and binary-searchable.
-func (m *Mechanism) buildStreamSegs() {
-	var segs []streamSeg
-	estAt := 0
-	for _, s := range m.shards {
-		pos := 0
-		for _, seg := range s.Segments {
-			segs = append(segs, streamSeg{
-				start:  seg.Start,
-				n:      seg.Len,
-				wOff:   pos,
-				estOff: estAt,
-				cells:  s.Workload.Cells(),
-				w:      s.Workload,
-			})
-			pos += seg.Len
-		}
-		estAt += s.Mechanism.a.Cols()
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	m.streamSegs = segs
-}
-
-// streamShardRange answers original workload rows [lo,hi) of a sharded
-// mechanism into dst: each overlapped scatter segment answers its
-// sub-workload row range on its shard's estimate slice. The sub-workload
-// range kernel is bit-identical to the full sub-workload product the
-// buffered scatter copies from, so streamed sharded answers match the
-// buffered ones exactly.
-func (m *Mechanism) streamShardRange(dst, xcat []float64, lo, hi int) {
-	segs := m.streamSegs
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].start+segs[i].n > lo })
-	for ; i < len(segs) && segs[i].start < hi; i++ {
-		sg := segs[i]
-		a, b := sg.start, sg.start+sg.n
-		if lo > a {
-			a = lo
-		}
-		if hi < b {
-			b = hi
-		}
-		xs := xcat[sg.estOff : sg.estOff+sg.cells]
-		sg.w.MulQueriesRangeInto(dst[a-lo:b-lo], xs, sg.wOff+(a-sg.start), sg.wOff+(b-sg.start))
 	}
 }

@@ -99,7 +99,7 @@ func marginalShardedMechanism(t *testing.T) (*Mechanism, *workload.Workload) {
 		}
 		shards[i] = Shard{Mechanism: mech, Project: b.Project, Workload: b.Sub, Segments: segs}
 	}
-	sm, err := NewShardedMechanism(w, shards, 0)
+	sm, err := NewShardedMechanism(w, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func marginalShardedMechanism(t *testing.T) (*Mechanism, *workload.Workload) {
 // sharded release at every chunk size.
 func TestStreamReleaseShardedBitExact(t *testing.T) {
 	cellShards, cellFull := buildCellShards(t)
-	cellSM, err := NewShardedMechanism(cellFull, cellShards, 0)
+	cellSM, err := NewShardedMechanism(cellFull, cellShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStreamReleaseShardedBitExact(t *testing.T) {
 // failed stream does not leak its scratch (the next release still works).
 func TestStreamReleaseValidation(t *testing.T) {
 	shards, full := buildCellShards(t)
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,13 @@ func TestStreamReleaseValidation(t *testing.T) {
 	st.Close()
 }
 
-// TestShardedReleaseZeroAlloc is the satellite regression pin: with the
-// persistent shard workers and scratch-hoisted fan-out state, a warmed
-// steady-state sharded release — estimate and full answer — allocates
-// nothing.
+// TestShardedReleaseZeroAlloc pins a warmed steady-state sharded
+// release — estimate and full answer — at zero allocations: the block
+// solver runs every shard on the scratch's one workspace, and the answer
+// scatter writes straight into the scratch's answer buffer.
 func TestShardedReleaseZeroAlloc(t *testing.T) {
 	shards, full := buildCellShards(t)
-	sm, err := NewShardedMechanism(full, shards, 0)
+	sm, err := NewShardedMechanism(full, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

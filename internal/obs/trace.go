@@ -70,7 +70,8 @@ func NewTrace(route, parent string) *Trace {
 func (t *Trace) Begin() time.Time { return t.begin }
 
 // AddSpan records a span from start until now. Safe for concurrent use
-// (per-shard spans land from fan-out goroutines). No-op on a nil
+// (a batch entry's release and its serialization record spans from
+// different goroutines). No-op on a nil
 // trace so call sites can thread an optional trace without branching.
 func (t *Trace) AddSpan(name string, start time.Time) {
 	if t == nil {

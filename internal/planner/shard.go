@@ -206,7 +206,7 @@ func (g *shardedGen) build(w *workload.Workload, blocks []workload.Block, sh Hin
 			ModeledCost: plans[i].ModeledCost,
 		}
 	}
-	mech, err := mm.NewShardedMechanism(w, shards, 0)
+	mech, err := mm.NewShardedMechanism(w, shards)
 	if err != nil {
 		return Built{}, err
 	}

@@ -372,7 +372,7 @@ func readShardedPlan(r *binenc.Reader, st planner.PlanState, nShards, depth int)
 	// Rebuild the composite mechanism from the shard structure; it
 	// revalidates the projections, the segment tiling and the lifted
 	// sensitivity, and its strategy operator becomes the plan's.
-	mech, err := mm.NewShardedMechanism(st.Workload, shards, 0)
+	mech, err := mm.NewShardedMechanism(st.Workload, shards)
 	if err != nil {
 		return nil, fmt.Errorf("planstore: rebuilding sharded mechanism: %w", err)
 	}

@@ -64,7 +64,7 @@ var regimeSolvers = map[string]string{
 	"latency-pinv":      "*linalg.PinvSolver",
 	"marginals":         "*linalg.PinvSolver",
 	"tall-cgls":         "*linalg.CGLSSolver",
-	"sharded":           "<nil>", // each shard holds its own solver
+	"sharded":           "*linalg.BlockSolver",
 }
 
 // tallGen produces a sparse strategy with 6n rows that is no interval
