@@ -51,11 +51,11 @@
 // lets the planner pick the family — the closed-form marginal designer
 // for marginal sets, exact eigen design within the design budget, the
 // factored principal-vector design for large product domains, or a
-// structured fallback — honoring PlanHints (design-time budget,
-// per-release latency target, shard cap). The plan also fixes the
-// inference method explicitly: a one-time dense pseudo-inverse (small
-// strategies, fastest per release) or matrix-free "cgls" (structured or
-// large strategies, no O(n³) preprocessing). A matrix-free strategy with
+// structured fallback — honoring PlanHints (design-time budget, shard
+// cap). The plan also fixes the inference method: a one-time dense
+// pseudo-inverse (small dense strategies, fastest per release) or
+// matrix-free "cgls" (structured or large strategies, no O(n³)
+// preprocessing). A matrix-free strategy with
 // an exact least-squares solver — an interval tree, or a Kronecker
 // product such as a hierarchical strategy over a product domain, whose
 // pseudo-inverse is the Kronecker product of its factors' — is solved in
@@ -181,9 +181,9 @@ func (s *Strategy) Error(w *Workload, p Privacy) (float64, error) {
 
 // defaultPlanner is the process-wide strategy planner every Design*
 // entry point routes through, so the library, the CLI tools and the
-// release-engine server all make strategy decisions the same way. No
-// plan cache: library workloads carry no canonical identity to key one
-// on (the server derives keys from its workload specs and caches there).
+// release-engine server all make strategy decisions the same way. It
+// keeps no per-request state: a plan depends only on its workload and
+// hints.
 var defaultPlanner = planner.New(planner.Config{})
 
 // DesignOption customizes Design by adjusting the planner hints.
@@ -197,19 +197,16 @@ func WithFirstOrderSolver() DesignOption {
 
 // PlanHints are the per-request hints DesignAuto passes to the cost-based
 // strategy planner. The zero value asks for the default cost-based
-// choice with the planner's default budgets.
+// choice with the planner's default budgets. The plan depends only on the
+// workload and these hints, never on earlier designs.
 type PlanHints struct {
-	// MaxDesignTime bounds how long strategy design may take; generators
-	// whose modeled cost exceeds it are skipped in favor of cheaper ones
-	// (down to the free hierarchical and identity strategies). Zero
-	// applies the planner's default budget (roughly: exact eigen design
-	// is admitted up to ~512 cells).
+	// MaxDesignTime bounds how long strategy design may take. It converts
+	// to modeled work units at a fixed rate (not a measured one), and
+	// generators whose modeled cost exceeds that are skipped in favor of
+	// cheaper ones (down to the free hierarchical and identity
+	// strategies). Zero applies the planner's default budget (roughly:
+	// exact eigen design is admitted up to ~512 cells).
 	MaxDesignTime time.Duration
-	// LatencyTarget is the per-release latency to aim for; a target
-	// tighter than the modeled iterative-inference latency makes the plan
-	// buy the one-time dense pseudo-inverse when the strategy fits it.
-	// Zero leaves the inference choice to representation and size.
-	LatencyTarget time.Duration
 	// FirstOrder forces the first-order solver in the optimizing
 	// generators. The zero value lets the planner pick per design size.
 	FirstOrder bool
@@ -300,7 +297,6 @@ func (s *Strategy) PlanInfo() (PlanInfo, bool) {
 func DesignAuto(w *Workload, hints PlanHints) (*Strategy, error) {
 	plan, err := defaultPlanner.Plan(w, planner.Hints{
 		MaxDesignTime: hints.MaxDesignTime,
-		LatencyTarget: hints.LatencyTarget,
 		FirstOrder:    hints.FirstOrder,
 		MaxShards:     hints.MaxShards,
 	})

@@ -20,7 +20,7 @@
 // default the planner picks the generator (exact eigen, separation,
 // principal-vectors, closed-form marginals, hierarchical, identity) by
 // expected error within the design budget; -generator forces one, and
-// -max-design-ms / -latency-ms tighten the budget. -explain prints every
+// -max-design-ms tightens the budget. -explain prints every
 // candidate's admission outcome.
 //
 // Plans can be persisted and shipped: -save writes the designed plan as a
@@ -65,7 +65,6 @@ func main() {
 		principal   = flag.Int("principal", 0, "use the principal-vector optimization with k vectors")
 		firstOrder  = flag.Bool("first-order", false, "force the scalable first-order solver")
 		maxDesignMS = flag.Int64("max-design-ms", 0, "design-time budget in milliseconds (0 = planner default)")
-		latencyMS   = flag.Int64("latency-ms", 0, "per-release latency target in milliseconds")
 		explain     = flag.Bool("explain", false, "print every generator's admission outcome")
 		savePath    = flag.String("save", "", "write the designed plan to this file (plan-store entry; ship it into an amserve -store directory)")
 		loadPath    = flag.String("load", "", "load a saved plan instead of designing (workload flags must be absent)")
@@ -112,7 +111,6 @@ func main() {
 		Generator:     *generator,
 		FirstOrder:    *firstOrder,
 		MaxDesignTime: time.Duration(*maxDesignMS) * time.Millisecond,
-		LatencyTarget: time.Duration(*latencyMS) * time.Millisecond,
 		AnalysisCap:   2048,
 	}
 	switch {

@@ -11,12 +11,11 @@
 // -allow-seeded-releases re-enables them on single-user debug servers.
 //
 // With -store the server persists designed plans to a durable plan store
-// and rehydrates its strategy cache (and the planner's design-throughput
-// calibration) from it on startup, so a restart serves previously
-// designed workloads from cache instead of re-designing them. GET /plans
-// lists the stored plans; DELETE /plans/{id} withdraws one from future
-// restarts. Plans designed offline with amdesign -save can be dropped
-// into the store directory.
+// and rehydrates its strategy cache from it on startup, so a restart
+// serves previously designed workloads from cache instead of
+// re-designing them. GET /plans lists the stored plans; DELETE
+// /plans/{id} withdraws one from future restarts. Plans designed offline
+// with amdesign -save can be dropped into the store directory.
 //
 // -pprof-addr starts net/http/pprof on a separate listener (off by
 // default, never on the serving address), for profiling a live server.
@@ -156,7 +155,7 @@ func main() {
 		log.Printf("amserve: shutdown: %v", err)
 	}
 	// In-flight requests are done (or timed out): flush the plan-store
-	// write-behind queue and the calibration snapshot.
+	// write-behind queue.
 	if err := srv.Close(); err != nil {
 		log.Printf("amserve: closing plan store: %v", err)
 	}

@@ -34,17 +34,18 @@ func SymEigen(a *Matrix) (*EigenSym, error) {
 	if n == 0 {
 		return &EigenSym{Values: nil, Vectors: New(0, 0)}, nil
 	}
-	// v starts as a copy of a and is overwritten with the accumulated
-	// orthogonal transformation (columns are eigenvectors on exit from tql2).
-	v := a.Clone()
+	// vt starts as the transpose of a and is overwritten with the
+	// transpose of the accumulated orthogonal transformation: on exit from
+	// tql2 its rows are the eigenvectors. Holding the transpose turns every
+	// column sweep of the classic formulation into a walk along a row.
+	vt := a.T()
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(v, d, e)
-	if err := tql2(v, d, e); err != nil {
+	tred2(vt, d, e)
+	if err := tql2(vt, d, e); err != nil {
 		return nil, err
 	}
-	// Sort eigenpairs by descending eigenvalue. v currently holds
-	// eigenvectors in columns; produce row-oriented output.
+	// Sort eigenpairs by descending eigenvalue.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -54,34 +55,34 @@ func SymEigen(a *Matrix) (*EigenSym, error) {
 	vectors := New(n, n)
 	for r, j := range idx {
 		values[r] = d[j]
-		row := vectors.Row(r)
-		for i := 0; i < n; i++ {
-			row[i] = v.At(i, j)
-		}
+		copy(vectors.Row(r), vt.Row(j))
 	}
 	return &EigenSym{Values: values, Vectors: vectors}, nil
 }
 
-// tred2 reduces a symmetric matrix (stored in v) to tridiagonal form using
-// Householder reflections, accumulating the transformation in v. On exit d
-// holds the diagonal and e the subdiagonal (e[0] unused). This follows the
-// EISPACK/JAMA formulation.
-func tred2(v *Matrix, d, e []float64) {
-	n := v.rows
+// tred2 reduces a symmetric matrix to tridiagonal form using Householder
+// reflections, accumulating the transformation. It follows the
+// EISPACK/JAMA formulation on V, but is handed vt = Vᵀ: JAMA's V[i][j] is
+// vt[j][i] here, with the same arithmetic in the same order. On exit d
+// holds the diagonal and e the subdiagonal (e[0] unused).
+func tred2(vt *Matrix, d, e []float64) {
+	n := vt.rows
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
+		d[j] = vt.data[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		var scale, h float64
 		for k := 0; k < i; k++ {
 			scale += math.Abs(d[k])
 		}
+		rowI := vt.Row(i)
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				rowJ := vt.Row(j)
+				d[j] = rowJ[i-1]
+				rowJ[i] = 0
+				rowI[j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -100,12 +101,13 @@ func tred2(v *Matrix, d, e []float64) {
 				e[j] = 0
 			}
 			for j := 0; j < i; j++ {
+				rowJ := vt.Row(j)
 				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
+				rowI[j] = f
+				g = e[j] + rowJ[j]*f
 				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
+					g += rowJ[k] * d[k]
+					e[k] += rowJ[k] * f
 				}
 				e[j] = g
 			}
@@ -119,53 +121,58 @@ func tred2(v *Matrix, d, e []float64) {
 				e[j] -= hh * d[j]
 			}
 			for j := 0; j < i; j++ {
+				rowJ := vt.Row(j)
 				f = d[j]
 				g = e[j]
 				for k := j; k <= i-1; k++ {
-					v.Set(k, j, v.At(k, j)-(f*e[k]+g*d[k]))
+					rowJ[k] -= (f*e[k] + g*d[k])
 				}
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
+				d[j] = rowJ[i-1]
+				rowJ[i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
+		rowI := vt.Row(i)
+		rowI[n-1] = rowI[i]
+		rowI[i] = 1
+		next := vt.Row(i + 1)
 		h := d[i+1]
 		if h != 0 {
 			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+				d[k] = next[k] / h
 			}
 			for j := 0; j <= i; j++ {
+				rowJ := vt.Row(j)
 				var g float64
 				for k := 0; k <= i; k++ {
-					g += v.At(k, i+1) * v.At(k, j)
+					g += next[k] * rowJ[k]
 				}
 				for k := 0; k <= i; k++ {
-					v.Set(k, j, v.At(k, j)-g*d[k])
+					rowJ[k] -= g * d[k]
 				}
 			}
 		}
 		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
+			next[k] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
+		rowJ := vt.Row(j)
+		d[j] = rowJ[n-1]
+		rowJ[n-1] = 0
 	}
-	v.Set(n-1, n-1, 1)
+	vt.data[n*n-1] = 1
 	e[0] = 0
 }
 
 // tql2 diagonalizes a symmetric tridiagonal matrix (d diagonal, e
 // subdiagonal) with the implicit-shift QL algorithm, accumulating
-// eigenvectors into the columns of v.
-func tql2(v *Matrix, d, e []float64) error {
-	n := v.rows
+// eigenvectors into the rows of vt (the columns of JAMA's V).
+func tql2(vt *Matrix, d, e []float64) error {
+	n := vt.rows
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -220,11 +227,12 @@ func tql2(v *Matrix, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					// Accumulate eigenvectors.
-					for k := 0; k < n; k++ {
-						h = v.At(k, i+1)
-						v.Set(k, i+1, s*v.At(k, i)+c*h)
-						v.Set(k, i, c*v.At(k, i)-s*h)
+					// Accumulate eigenvectors: rotate rows i and i+1.
+					vi, vi1 := vt.Row(i), vt.Row(i+1)
+					for k := range vi1 {
+						h = vi1[k]
+						vi1[k] = s*vi[k] + c*h
+						vi[k] = c*vi[k] - s*h
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1

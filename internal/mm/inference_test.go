@@ -224,31 +224,36 @@ func TestBatchBeatsSplitBudget(t *testing.T) {
 	}
 }
 
-// Every explicit inference method must produce the same least-squares
-// estimate from the same noisy answers: the method is a performance
-// choice, never a semantic one.
+// Every solver kind must produce the same least-squares estimate from the
+// same noisy answers: the kind is a performance choice, never a semantic
+// one. The same tree rows, densified, get a pseudo-inverse; as an
+// interval forest they get the exact tree solver.
 func TestInferenceMethodsAgree(t *testing.T) {
-	shape := domain.MustShape(24)
-	a := strategy.Hierarchical(shape, 2).A // tall: ~2n rows
+	tree := strategy.HierarchicalOperator(domain.MustShape(24), 2) // tall: ~2n rows
 	x := make([]float64, 24)
 	for i := range x {
 		x[i] = float64((i*7 + 2) % 11)
 	}
-	methods := []Inference{InferDensePinv, InferCGLS}
 	var baseline []float64
-	for _, inf := range methods {
-		mech, err := NewMechanismInference(a, inf)
+	for _, c := range []struct {
+		op     linalg.Operator
+		solver string
+	}{
+		{linalg.ToDense(tree), "*linalg.PinvSolver"},
+		{tree, "*linalg.TreeSolver"},
+	} {
+		mech, err := NewMechanism(c.op)
 		if err != nil {
-			t.Fatalf("%s: %v", inf, err)
+			t.Fatalf("%s: %v", c.solver, err)
 		}
-		if mech.Inference() != inf {
-			t.Fatalf("inference = %s, want %s", mech.Inference(), inf)
+		if got := fmt.Sprintf("%T", mech.Solver()); got != c.solver {
+			t.Fatalf("solver = %s, want %s", got, c.solver)
 		}
 		// Identical seed → identical noisy answers → the estimates must
 		// agree to solver tolerance.
 		xhat, err := mech.EstimateGaussian(x, testPrivacy, rand.New(rand.NewSource(99)))
 		if err != nil {
-			t.Fatalf("%s: %v", inf, err)
+			t.Fatalf("%s: %v", c.solver, err)
 		}
 		if baseline == nil {
 			baseline = xhat
@@ -256,17 +261,15 @@ func TestInferenceMethodsAgree(t *testing.T) {
 		}
 		for i := range xhat {
 			if math.Abs(xhat[i]-baseline[i]) > 1e-6*(1+math.Abs(baseline[i])) {
-				t.Fatalf("%s cell %d: %g vs dense-pinv %g", inf, i, xhat[i], baseline[i])
+				t.Fatalf("%s cell %d: %g vs dense-pinv %g", c.solver, i, xhat[i], baseline[i])
 			}
 		}
 	}
 }
 
-// Each mechanism gets one solver, by linalg.NewSolver's rule under
-// InferAuto (tree, then Kronecker, then dense-pinv for a dense matrix
-// within the cap, else CGLS) or by an explicit method, and reports the
-// solver's kind as its Inference. Dense-pinv refuses operators past the
-// materialization cap instead of exhausting memory.
+// Each mechanism gets one solver, by linalg.NewSolver's rule (tree, then
+// Kronecker, then dense-pinv for a dense matrix within the cap, else
+// CGLS), and reports the solver's kind as its Inference.
 func TestInferenceResolution(t *testing.T) {
 	tall := linalg.NewSparseBuilder(64) // sparse, small, and no interval forest
 	for rep := 0; rep < 6; rep++ {
@@ -274,28 +277,24 @@ func TestInferenceResolution(t *testing.T) {
 			tall.AppendRow([]int{j, (j + 1) % 64}, []float64{1, 0.5})
 		}
 	}
-	huge := strategy.HierarchicalOperator(domain.MustShape(2048, 2048), 2)
 	cases := []struct {
 		name   string
 		op     linalg.Operator
-		inf    Inference
 		solver string // the solver's concrete type
 		want   Inference
 	}{
-		{"small-dense", strategy.Hierarchical(domain.MustShape(8), 2).A, InferAuto, "*linalg.PinvSolver", InferDensePinv},
-		{"dense-past-cap", linalg.ToDense(linalg.NewPrefixOp(DenseInferenceCap + 1)), InferAuto, "*linalg.CGLSSolver", InferCGLS},
-		{"tree", strategy.HierarchicalOperator(domain.MustShape(64), 2), InferAuto, "*linalg.TreeSolver", InferCGLS},
-		{"kron-trees", strategy.HierarchicalOperator(domain.MustShape(64, 64), 2), InferAuto, "*linalg.KronSolver", InferCGLS},
-		{"tall-cgls", tall.Build(), InferAuto, "*linalg.CGLSSolver", InferCGLS},
-		{"forced-cgls-dense", strategy.Hierarchical(domain.MustShape(8), 2).A, InferCGLS, "*linalg.CGLSSolver", InferCGLS},
-		{"forced-pinv-tree", strategy.HierarchicalOperator(domain.MustShape(64), 2), InferDensePinv, "*linalg.PinvSolver", InferDensePinv},
-		{"huge-cgls", huge, InferCGLS, "*linalg.KronSolver", InferCGLS},
+		{"small-dense", strategy.Hierarchical(domain.MustShape(8), 2).A, "*linalg.PinvSolver", InferDensePinv},
+		{"dense-past-cap", linalg.ToDense(linalg.NewPrefixOp(DenseInferenceCap + 1)), "*linalg.CGLSSolver", InferCGLS},
+		{"tree", strategy.HierarchicalOperator(domain.MustShape(64), 2), "*linalg.TreeSolver", InferCGLS},
+		{"kron-trees", strategy.HierarchicalOperator(domain.MustShape(64, 64), 2), "*linalg.KronSolver", InferCGLS},
+		{"huge-kron-trees", strategy.HierarchicalOperator(domain.MustShape(2048, 2048), 2), "*linalg.KronSolver", InferCGLS},
+		{"tall-cgls", tall.Build(), "*linalg.CGLSSolver", InferCGLS},
 		// A Kronecker factor with no exact solver past the dense cap
 		// leaves the product on iterative CGLS.
-		{"oversized-factor", linalg.NewKronOp(linalg.NewPrefixOp(DenseInferenceCap+1), linalg.Eye(2)), InferCGLS, "*linalg.CGLSSolver", InferCGLS},
+		{"oversized-factor", linalg.NewKronOp(linalg.NewPrefixOp(DenseInferenceCap+1), linalg.Eye(2)), "*linalg.CGLSSolver", InferCGLS},
 	}
 	for _, c := range cases {
-		m, err := NewMechanismInference(c.op, c.inf)
+		m, err := NewMechanism(c.op)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -303,12 +302,50 @@ func TestInferenceResolution(t *testing.T) {
 			t.Fatalf("%s: solver %T, inference %s; want %s, %s", c.name, m.solver, m.Inference(), c.solver, c.want)
 		}
 	}
-	if _, err := NewMechanismInference(huge, InferDensePinv); err == nil {
-		t.Fatal("dense-pinv on a ~4M-cell operator did not error")
+}
+
+// NewMechanismPrepared reuses a persisted pseudo-inverse of the right
+// shape, falls back to NewMechanism without one, and refuses a stale one
+// whose shape does not match the strategy.
+func TestPreparedPinvShapeChecked(t *testing.T) {
+	a := strategy.Hierarchical(domain.MustShape(8), 2).A
+	fresh, err := NewMechanism(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wire byte 3 named the retired normal-CG method; it must be refused,
-	// not read as some other method.
-	if _, err := NewMechanismInference(linalg.Eye(4), Inference(3)); err == nil {
-		t.Fatal("retired inference byte 3 was accepted")
+	pinv := fresh.PreparedPinv()
+	if pinv == nil {
+		t.Fatal("small dense strategy has no pseudo-inverse")
 	}
+	m, err := NewMechanismPrepared(a, pinv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PreparedPinv() != pinv || m.Inference() != InferDensePinv {
+		t.Fatalf("prepared mechanism did not reuse the persisted pseudo-inverse (inference %s)", m.Inference())
+	}
+	tree := strategy.HierarchicalOperator(domain.MustShape(8), 2)
+	if m, err := NewMechanismPrepared(tree, nil); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.Solver().(*linalg.TreeSolver); !ok {
+		t.Fatalf("nil pseudo-inverse: solver %T, want NewMechanism's *linalg.TreeSolver", m.Solver())
+	}
+	stale := strategy.Hierarchical(domain.MustShape(16), 2).A
+	if _, err := NewMechanismPrepared(stale, pinv); err == nil {
+		t.Fatal("a pseudo-inverse of the wrong shape was accepted")
+	}
+}
+
+// pinvMechanism prepares a mechanism over a small dense strategy and
+// checks that it answers through the dense pseudo-inverse.
+func pinvMechanism(t *testing.T, a *linalg.Matrix) *Mechanism {
+	t.Helper()
+	m, err := NewMechanism(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Solver().(*linalg.PinvSolver); !ok {
+		t.Fatalf("dense %dx%d strategy: solver %T, want *linalg.PinvSolver", a.Rows(), a.Cols(), m.Solver())
+	}
+	return m
 }

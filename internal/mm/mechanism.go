@@ -19,22 +19,17 @@ import (
 // operator) inference runs matrix-free, through an exact solver or CGLS.
 const DenseInferenceCap = 1024
 
-// Inference names the kind of a mechanism's least-squares solver, which
+// Inference labels the kind of a mechanism's least-squares solver, which
 // derives the cell estimate x̂ = A⁺y from noisy strategy answers. Every
-// kind computes the same estimate; the kind is a cost choice, made once
-// per mechanism. The values are plan-store wire bytes; 3, the retired
-// normal-CG method, is not reused.
+// kind computes the same estimate; linalg.NewSolver picks the kind once
+// per mechanism. The values are plan-store wire bytes; 0 and 3 (the
+// retired automatic choice and normal-CG method) are not reused.
 type Inference int
 
 const (
-	// InferAuto asks for linalg.NewSolver's choice: an exact solver,
-	// dense-pinv for a dense strategy within DenseInferenceCap, else CGLS.
-	// A mechanism never reports it.
-	InferAuto Inference = 0
-	// InferDensePinv materializes the Moore-Penrose pseudo-inverse once
-	// (O(n³)) and answers each release with one m×n product — the lowest
-	// per-release latency. Structured operators are densified when they
-	// fit the materialization cap.
+	// InferDensePinv answers each release with one m×n product through
+	// the Moore-Penrose pseudo-inverse, materialized once (O(n³)) for a
+	// dense strategy within DenseInferenceCap.
 	InferDensePinv Inference = 1
 	// InferCGLS solves each release matrix-free: in one pass when the
 	// strategy has an exact solver (an interval tree, a Kronecker product
@@ -59,15 +54,15 @@ func (i Inference) String() string {
 	case InferSharded:
 		return "sharded"
 	default:
-		return "auto"
+		return fmt.Sprintf("inference(%d)", int(i))
 	}
 }
 
 // Mechanism is a prepared instance of the matrix mechanism for one
 // strategy operator. Its least-squares solver is fixed at construction:
-// by linalg.NewSolver's rule in NewMechanism, by an explicit Inference
-// in NewMechanismInference, or as a linalg.BlockSolver over the shards'
-// solvers in NewShardedMechanism.
+// by linalg.NewSolver's rule in NewMechanism, as a pseudo-inverse
+// rehydrated by NewMechanismPrepared, or as a linalg.BlockSolver over the
+// shards' solvers in NewShardedMechanism.
 type Mechanism struct {
 	a      linalg.Operator
 	solver linalg.LSSolver
@@ -106,52 +101,20 @@ func (m *Mechanism) SetStageTimers(t *StageTimers) { m.timers.Store(t) }
 // NewMechanism prepares a mechanism for a strategy operator with the
 // solver linalg.NewSolver picks for it.
 func NewMechanism(a linalg.Operator) (*Mechanism, error) {
-	return NewMechanismInference(a, InferAuto)
-}
-
-// NewMechanismInference prepares a mechanism with an explicit inference
-// method. InferDensePinv densifies structured operators under the
-// materialization cap and errors past it; InferCGLS takes the strategy's
-// exact solver when it has one and never a pseudo-inverse.
-func NewMechanismInference(a linalg.Operator, inf Inference) (*Mechanism, error) {
-	var solver linalg.LSSolver
-	var err error
-	switch inf {
-	case InferAuto:
-		solver, err = linalg.NewSolver(a, DenseInferenceCap)
-	case InferDensePinv:
-		var d *linalg.Matrix
-		if d, err = densify(a); err != nil {
-			return nil, fmt.Errorf("%w for dense-pinv inference", err)
-		}
-		solver, err = linalg.NewPinvSolver(d)
-	case InferCGLS:
-		if _, dense := a.(*linalg.Matrix); dense {
-			// A dense matrix has no exact solver; NewSolver would give it
-			// a pseudo-inverse.
-			solver = &linalg.CGLSSolver{Op: a}
-		} else {
-			solver, err = linalg.NewSolver(a, DenseInferenceCap)
-		}
-	case InferSharded:
-		return nil, fmt.Errorf("mm: sharded inference requires per-shard mechanisms; use NewShardedMechanism")
-	default:
-		return nil, fmt.Errorf("mm: unknown inference method %d", inf)
-	}
+	solver, err := linalg.NewSolver(a, DenseInferenceCap)
 	if err != nil {
 		return nil, err
 	}
 	return &Mechanism{a: a, solver: solver, sensL2: linalg.MaxColNorm2Op(a)}, nil
 }
 
-// NewMechanismPrepared rebuilds a mechanism from a strategy operator, its
-// resolved inference method and, for InferDensePinv, the persisted
-// pseudo-inverse, skipping the O(n³) preparation NewMechanismInference
-// would redo; a nil one is recomputed. One with the wrong shape is
-// refused: a stale pseudo-inverse would silently corrupt every release.
-func NewMechanismPrepared(a linalg.Operator, inf Inference, pinv *linalg.Matrix) (*Mechanism, error) {
-	if inf != InferDensePinv || pinv == nil {
-		return NewMechanismInference(a, inf)
+// NewMechanismPrepared rebuilds a mechanism from a strategy operator and
+// its persisted pseudo-inverse, skipping the O(n³) preparation; with a
+// nil pinv it is NewMechanism. A pseudo-inverse of the wrong shape is
+// refused: a stale one would silently corrupt every release.
+func NewMechanismPrepared(a linalg.Operator, pinv *linalg.Matrix) (*Mechanism, error) {
+	if pinv == nil {
+		return NewMechanism(a)
 	}
 	if pinv.Rows() != a.Cols() || pinv.Cols() != a.Rows() {
 		return nil, fmt.Errorf("mm: persisted pseudo-inverse is %dx%d for a %dx%d strategy",
@@ -179,8 +142,7 @@ func (m *Mechanism) PreparedGram() *linalg.Matrix { return nil }
 // composite, the linalg.BlockSolver over its shards' solvers.
 func (m *Mechanism) Solver() linalg.LSSolver { return m.solver }
 
-// Inference returns the resolved inference method, named by the kind of
-// the mechanism's solver; never InferAuto.
+// Inference returns the label of the mechanism's solver kind.
 func (m *Mechanism) Inference() Inference {
 	switch m.solver.(type) {
 	case *linalg.BlockSolver:

@@ -32,28 +32,28 @@ func testTreeStrategy(n int) *linalg.Sparse {
 func scratchMechanisms(t *testing.T, n int) map[string]*Mechanism {
 	t.Helper()
 	tree := testTreeStrategy(n)
-	pinv, err := NewMechanismInference(linalg.ToDense(tree), InferDensePinv)
+	pinv, err := NewMechanism(linalg.ToDense(tree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cgls, err := NewMechanismInference(tree, InferCGLS)
+	cgls, err := NewMechanism(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := NewMechanismInference(linalg.NewPrefixOp(n), InferCGLS)
+	iter, err := NewMechanism(linalg.NewPrefixOp(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// rangemarg: the Kronecker product of two hierarchical trees.
-	kronTree, err := NewMechanismInference(linalg.NewKronOp(testTreeStrategy(8), testTreeStrategy(n/8)), InferCGLS)
+	kronTree, err := NewMechanism(linalg.NewKronOp(testTreeStrategy(8), testTreeStrategy(n/8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eigen, err := NewMechanismInference(testFactoredStrategy(n, true), InferCGLS)
+	eigen, err := NewMechanism(testFactoredStrategy(n, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	factored, err := NewMechanismInference(testFactoredStrategy(n, false), InferCGLS)
+	factored, err := NewMechanism(testFactoredStrategy(n, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,8 @@ func buildCellShards(t *testing.T) ([]Shard, *workload.Workload) {
 	}))
 	a0 := linalg.NewFromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}})
 	a1 := linalg.NewFromRows([][]float64{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}})
-	m0, err := NewMechanismInference(a0, InferDensePinv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := NewMechanismInference(a1, InferDensePinv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m0 := pinvMechanism(t, a0)
+	m1 := pinvMechanism(t, a1)
 	shards := []Shard{
 		{Mechanism: m0, Project: linalg.PermuteRows(linalg.Eye(6), []int{0, 1, 2}), Workload: w0,
 			Segments: []RowSegment{{Start: 0, Len: 3}}},
@@ -71,10 +65,7 @@ func TestShardedEqualsMonolithicOnCellBlocks(t *testing.T) {
 
 	// Monolithic reference: exact joint least squares on the same
 	// composite strategy.
-	mono, err := NewMechanismInference(linalg.ToDense(raw), InferDensePinv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mono := pinvMechanism(t, linalg.ToDense(raw))
 	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
 	x := []float64{5, 1, 3, 2, 8, 1}
 	const seed = 41
@@ -110,10 +101,7 @@ func TestShardedMarginalBlocksSensitivityAndDeterminism(t *testing.T) {
 	}
 	shards := make([]Shard, len(blocks))
 	for i, b := range blocks {
-		mech, err := NewMechanismInference(linalg.ToDense(b.Sub.Op()), InferDensePinv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mech := pinvMechanism(t, linalg.ToDense(b.Sub.Op()))
 		segs := make([]RowSegment, len(b.Segments))
 		for j, s := range b.Segments {
 			segs[j] = RowSegment{Start: s.Start, Len: s.Len}

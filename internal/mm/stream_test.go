@@ -89,10 +89,7 @@ func marginalShardedMechanism(t *testing.T) (*Mechanism, *workload.Workload) {
 	}
 	shards := make([]Shard, len(blocks))
 	for i, b := range blocks {
-		mech, err := NewMechanismInference(linalg.ToDense(b.Sub.Op()), InferDensePinv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mech := pinvMechanism(t, linalg.ToDense(b.Sub.Op()))
 		segs := make([]RowSegment, len(b.Segments))
 		for j, s := range b.Segments {
 			segs[j] = RowSegment{Start: s.Start, Len: s.Len}

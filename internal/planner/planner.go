@@ -13,15 +13,16 @@
 //     designer), each with an admission rule and a modeled design cost;
 //   - a COST MODEL combining the paper's comparative expected-error
 //     analysis (generators are ranked by the error class the paper
-//     establishes for them) with modeled design-time cost in work units,
-//     calibrated against measured build times;
-//   - per-request HINTS (latency budget, max design time/cost, domain
-//     size class, privacy pair) that tilt the choice;
+//     establishes for them) with modeled design-time cost in work units;
+//   - per-request HINTS (max design time/cost, domain size class, privacy
+//     pair) that tilt the choice;
 //   - a PLAN artifact carrying the chosen operator, eigenvalues, error
-//     estimate, prepared mechanism and the explicit inference method, so
-//     downstream layers execute decisions instead of re-making them;
-//   - an optional PLAN CACHE keyed by caller-supplied canonical workload
-//     keys plus the hint fingerprint — the "cached" generator.
+//     estimate, prepared mechanism and its solver kind, so downstream
+//     layers execute decisions instead of re-making them.
+//
+// A plan is a pure function of (workload, hints): the planner keeps no
+// history, so the same request gets the same generator in a fresh process
+// and after any sequence of earlier designs.
 //
 // The public API, core and the release-engine server all plan through
 // this package; new generators (sharded, multi-backend) register here
@@ -87,9 +88,10 @@ const DefaultAnalysisCellCap = 512
 // with before the planner existed.
 const DefaultMaxDesignCost = 6e9
 
-// DefaultUnitsPerSecond seeds the work-units-per-second rate used to
-// convert MaxDesignTime hints into a cost budget. The planner refines it
-// with an EWMA of measured build throughput.
+// DefaultUnitsPerSecond is the fixed work-units-per-second rate at which
+// MaxDesignTime hints convert into a cost budget. The rate is a constant,
+// not a measurement, so a time hint budgets the same on every machine and
+// after any planning history: it bounds modeled cost, not wall-clock time.
 const DefaultUnitsPerSecond = 5e8
 
 // Hints are the per-request knobs a caller passes to Plan. The zero value
@@ -103,15 +105,10 @@ type Hints struct {
 	// MaxDesignCost bounds the modeled design cost in work units; 0
 	// applies DefaultMaxDesignCost.
 	MaxDesignCost float64
-	// MaxDesignTime bounds design time, converted to work units with the
-	// planner's measured throughput. When both it and MaxDesignCost are
-	// set the tighter bound wins.
+	// MaxDesignTime bounds design time, converted to work units at
+	// DefaultUnitsPerSecond. When both it and MaxDesignCost are set the
+	// tighter bound wins.
 	MaxDesignTime time.Duration
-	// LatencyTarget is the per-release latency the caller wants. A target
-	// tighter than the modeled inference latency of the strategy's own
-	// solver makes the plan buy the one-time dense pseudo-inverse when
-	// the strategy fits it.
-	LatencyTarget time.Duration
 	// Size restricts the domain-size class (it can only tighten the
 	// derived class, never relax it).
 	Size SizeClass
@@ -138,24 +135,20 @@ type Hints struct {
 	// (excess blocks are merged smallest-first), and negative values
 	// disable sharding entirely.
 	MaxShards int
-	// CacheKey, when non-empty and the planner has a cache, makes the
-	// plan reusable under this canonical workload key combined with the
-	// hint fingerprint. Callers must guarantee equal keys mean equal
-	// workloads.
-	CacheKey string
 }
 
 // Fingerprint returns the canonical encoding of every hint that affects
-// generator choice — the cache-key suffix. Privacy is excluded: it scales
-// all candidates' errors by the same factor and never changes the winner
-// (per-pair error analyses are memoized on the Plan instead). AnalysisCap
-// is excluded too: it only bounds how large a domain gets the eager error
-// analysis, never which generator wins — and keeping it out lets a plan
-// saved offline (amdesign -save, analysis cap 2048) land in the cache
-// slot a server (analysis cap 512) looks up for the same spec.
+// the plan — the suffix of the server's and the plan store's cache keys.
+// Privacy is excluded: it scales all candidates' errors by the same
+// factor and never changes the winner (per-pair error analyses are
+// memoized on the Plan instead). AnalysisCap is excluded too: it only
+// bounds how large a domain gets the eager error analysis, never which
+// generator wins — and keeping it out lets a plan saved offline (amdesign
+// -save, analysis cap 2048) land in the cache slot a server (analysis cap
+// 512) looks up for the same spec.
 func (h Hints) Fingerprint() string {
-	return fmt.Sprintf("v3|c=%g|t=%d|lat=%d|sz=%d|gen=%s|g=%d|k=%d|b=%d|fo=%t|ms=%d",
-		h.MaxDesignCost, int64(h.MaxDesignTime), int64(h.LatencyTarget), h.Size,
+	return fmt.Sprintf("v4|c=%g|t=%d|sz=%d|gen=%s|g=%d|k=%d|b=%d|fo=%t|ms=%d",
+		h.MaxDesignCost, int64(h.MaxDesignTime), h.Size,
 		h.Generator, h.GroupSize, h.PrincipalK, h.Branch, h.FirstOrder, h.MaxShards)
 }
 
@@ -397,38 +390,23 @@ func (p *Plan) LowerBound(pr mm.Privacy) float64 {
 	return mm.LowerBoundFromEigenvalues(p.Eigenvalues, p.Workload.NumQueries(), pr)
 }
 
-// Config configures a Planner.
-type Config struct {
-	// CacheSize bounds the plan cache; 0 disables caching.
-	CacheSize int
-}
+// Config configures a Planner. It has no fields: a plan depends only on
+// its workload and hints.
+type Config struct{}
 
-// Planner holds the generator registry, the plan cache and the measured
-// design throughput. It is safe for concurrent use.
+// Planner holds the generator registry. It is safe for concurrent use.
 type Planner struct {
 	mu   sync.Mutex
 	gens []Generator
-	// rate is the global EWMA of work units per second, the fallback for
-	// generators with no measured history of their own.
-	rate float64
-	// rates calibrates the throughput per generator: the cost models of
-	// different families measure different work (an eigendecomposition's
-	// work unit is not a weighting solve's), so MaxDesignTime budgets are
-	// converted with the rate of the generator being admitted.
-	rates map[string]float64
 	// builds counts strategy builds actually executed (successful or
-	// failed), as opposed to plans served from the cache or rehydrated
-	// from a store. Restart tests assert it stays zero on a warm server.
+	// failed), as opposed to plans rehydrated from a store. Restart tests
+	// assert it stays zero on a warm server.
 	builds int64
-	pc     *planCache
 }
 
 // New returns a planner with the default generator registry.
 func New(cfg Config) *Planner {
-	p := &Planner{rate: DefaultUnitsPerSecond, rates: map[string]float64{}}
-	if cfg.CacheSize > 0 {
-		p.pc = newPlanCache(cfg.CacheSize)
-	}
+	p := &Planner{}
 	p.gens = []Generator{
 		marginalsGen{},
 		eigenGen{},
@@ -460,109 +438,21 @@ func (p *Planner) Generators() []string {
 	return names
 }
 
-func (p *Planner) currentRate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate
-}
-
-// rateFor returns the measured throughput for one generator, falling back
-// to the global rate while the generator has no history.
-func (p *Planner) rateFor(gen string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.rates[gen]; ok {
-		return r
-	}
-	return p.rate
-}
-
-// RateSnapshot returns the calibrated design-throughput state: one entry
-// per generator with measured history, plus the global fallback rate
-// under the empty key. The snapshot is what the plan store persists so a
-// restarted server budgets MaxDesignTime hints from measured history
-// instead of the cold default.
-func (p *Planner) RateSnapshot() map[string]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]float64, len(p.rates)+1)
-	for g, r := range p.rates {
-		out[g] = r
-	}
-	out[""] = p.rate
-	return out
-}
-
-// RestoreRates folds a persisted snapshot back into the calibration:
-// the empty key restores the global rate, other keys their generator's.
-// Non-positive or absurd rates are clamped like measured ones.
-func (p *Planner) RestoreRates(rates map[string]float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for g, r := range rates {
-		r = clampRate(r)
-		if g == "" {
-			p.rate = r
-		} else {
-			p.rates[g] = r
-		}
-	}
-}
-
 // Builds returns how many strategy builds this planner has executed
-// (cache hits and rehydrated plans do not count).
+// (rehydrated plans do not count).
 func (p *Planner) Builds() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.builds
 }
 
-func clampRate(r float64) float64 {
-	// The negated comparison also catches NaN (from a corrupt persisted
-	// snapshot): a NaN rate would turn every budget check into a no-op.
-	if !(r >= 1e6) {
-		return 1e6
-	}
-	if r > 1e13 {
-		return 1e13
-	}
-	return r
-}
-
-// minCalibrationCost is the smallest modeled cost a build must have to
-// feed the throughput estimate: trivial builds (identity, hierarchical)
-// measure timer noise, not compute throughput, and would drag the rate
-// orders of magnitude off.
-const minCalibrationCost = 1e7
-
-// observeRate folds one measured build into the throughput estimates used
-// to convert MaxDesignTime hints into cost budgets: the winning
-// generator's own rate (seeded from the global rate on its first
-// measurement) and the global fallback.
-func (p *Planner) observeRate(gen string, cost float64, elapsed time.Duration) {
-	secs := elapsed.Seconds()
-	if secs <= 0 || cost < minCalibrationCost {
-		return
-	}
-	observed := cost / secs
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	prev, ok := p.rates[gen]
-	if !ok {
-		prev = p.rate
-	}
-	p.rates[gen] = clampRate(0.75*prev + 0.25*observed)
-	p.rate = clampRate(0.75*p.rate + 0.25*observed)
-}
-
-// budgetFor resolves the hints into one cost bound for a named generator:
-// a MaxDesignTime hint converts to work units at that generator's own
-// measured throughput (per-generator cost models measure different work,
-// so one global rate would misbudget the others).
-func (p *Planner) budgetFor(h Hints, gen string) float64 {
+// designBudget resolves the hints into one cost bound: a MaxDesignTime
+// hint converts to work units at DefaultUnitsPerSecond, and the tighter of
+// it and MaxDesignCost wins.
+func (h Hints) designBudget() float64 {
 	b := h.MaxDesignCost
 	if h.MaxDesignTime > 0 {
-		tb := h.MaxDesignTime.Seconds() * p.rateFor(gen)
+		tb := h.MaxDesignTime.Seconds() * DefaultUnitsPerSecond
 		if b == 0 || tb < b {
 			b = tb
 		}
@@ -603,6 +493,7 @@ func (p *Planner) propose(w *workload.Workload, h Hints) ([]scoredCand, []Decisi
 	}
 
 	decisions := make([]Decision, 0, len(gens))
+	budget := h.designBudget()
 	var admitted []scoredCand
 	var cheapest *scoredCand
 	for _, g := range gens {
@@ -618,9 +509,7 @@ func (p *Planner) propose(w *workload.Workload, h Hints) ([]scoredCand, []Decisi
 			cc := c
 			cheapest = &cc
 		}
-		// Each generator is budgeted at its own measured throughput:
-		// MaxDesignTime converts to a different work-unit bound per family.
-		if budget := p.budgetFor(h, g.Name()); prop.Cost > budget {
+		if prop.Cost > budget {
 			decisions[di].Reason = refuse("budget", "modeled cost %.3g exceeds the design budget %.3g", prop.Cost, budget)
 			continue
 		}
@@ -636,7 +525,7 @@ func (p *Planner) propose(w *workload.Workload, h Hints) ([]scoredCand, []Decisi
 		decisions[cheapest.di].Admitted = true
 		decisions[cheapest.di].Reason = fmt.Sprintf(
 			"over the design budget %.3g like every candidate; selected as the cheapest escape (modeled cost %.3g)",
-			p.budgetFor(h, cheapest.gen.Name()), cheapest.prop.Cost)
+			budget, cheapest.prop.Cost)
 		admitted = []scoredCand{*cheapest}
 	}
 	sort.SliceStable(admitted, func(i, j int) bool {
@@ -662,18 +551,10 @@ func (p *Planner) Explain(w *workload.Workload, h Hints) ([]Decision, error) {
 }
 
 // Plan picks a generator for (w, h), builds the strategy (falling back
-// through the admission order when a build fails), chooses the inference
-// method, prepares the mechanism, and runs the error analysis when the
-// domain affords it.
+// through the admission order when a build fails), prepares the mechanism
+// with the solver mm.NewMechanism picks, and runs the error analysis when
+// the domain affords it.
 func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
-	var key string
-	if p.pc != nil && h.CacheKey != "" {
-		key = h.CacheKey + "#" + h.Fingerprint()
-		if pl, ok := p.pc.get(key); ok {
-			return pl, nil
-		}
-	}
-
 	cands, decisions, err := p.propose(w, h)
 	if err != nil {
 		return nil, err
@@ -684,8 +565,7 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 	var elapsed time.Duration
 	for _, c := range cands {
 		// Time each build separately: a failed candidate's wasted time
-		// must not pollute the winner's reported design time or the
-		// throughput calibration.
+		// must not pollute the winner's reported design time.
 		p.mu.Lock()
 		p.builds++
 		p.mu.Unlock()
@@ -704,20 +584,13 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 	if built == nil {
 		return nil, fmt.Errorf("planner: every admitted generator failed: %s", strings.Join(failures, "; "))
 	}
-	if built.Prepared == nil {
-		// Composite builds plan their shards concurrently and each shard's
-		// own Plan call already calibrated the rate; folding the summed
-		// cost over the parallel wall-clock would double-count the work
-		// and inflate the throughput by up to the core count.
-		p.observeRate(win.gen.Name(), win.prop.Cost, elapsed)
-	}
 	decisions[win.di].Selected = true
 
 	// The generator may have prepared the mechanism itself (sharded
 	// composites fix their own inference); the planner only reports it.
 	mech := built.Prepared
 	if mech == nil {
-		if mech, err = prepare(built.Op, h); err != nil {
+		if mech, err = mm.NewMechanism(built.Op); err != nil {
 			return nil, fmt.Errorf("planner: preparing inference for generator %s: %w", win.gen.Name(), err)
 		}
 	}
@@ -741,48 +614,7 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 			return nil, fmt.Errorf("planner: error analysis: %w", err)
 		}
 	}
-	if key != "" {
-		p.pc.put(key, plan)
-	}
 	return plan, nil
-}
-
-// prepare builds the mechanism for a strategy with the solver
-// linalg.NewSolver picks, and trades it for a dense pseudo-inverse only
-// when the latency target is tighter than a release through that solver
-// and the strategy fits the dense cap.
-func prepare(op linalg.Operator, h Hints) (*mm.Mechanism, error) {
-	mech, err := mm.NewMechanism(op)
-	if err != nil {
-		return nil, err
-	}
-	n := op.Cols()
-	if h.LatencyTarget > 0 && mech.Inference() != mm.InferDensePinv &&
-		n > 0 && n <= mm.DenseInferenceCap && op.Rows() <= linalg.MaterializeCap/n &&
-		h.LatencyTarget < releaseLatency(op, mech.Solver()) {
-		return mm.NewMechanismInference(op, mm.InferDensePinv)
-	}
-	return mech, nil
-}
-
-// matvecOpsPerSecond is the fixed throughput the release-latency model
-// assumes. Deliberately NOT the design-throughput EWMA: that rate is
-// calibrated in modeled design-cost units and drifts with planning
-// history, which would make the LatencyTarget hint's behavior — and the
-// cached plan it freezes — depend on which requests arrived first.
-const matvecOpsPerSecond = 5e8
-
-// releaseLatency is a coarse model of one matrix-free inference through
-// s, counting passes that each touch rows+cols values: one for an exact
-// solver (interval tree, Kronecker, or the Woodbury solve of a factored
-// principal-vectors strategy), ~150 iterations of two matvecs for CGLS.
-func releaseLatency(op linalg.Operator, s linalg.LSSolver) time.Duration {
-	passes := 1.0
-	if _, iterative := s.(*linalg.CGLSSolver); iterative {
-		passes = 150 * 2
-	}
-	ops := passes * 8 * float64(op.Rows()+op.Cols())
-	return time.Duration(ops / matvecOpsPerSecond * float64(time.Second))
 }
 
 // PlanState is the complete persistable state of a Plan, exposing the
@@ -880,39 +712,4 @@ func RehydratePlan(st PlanState) (*Plan, error) {
 		analysisCap: st.AnalysisCap,
 		errByPair:   memo,
 	}, nil
-}
-
-// planCache is a bounded FIFO plan cache.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*Plan
-	order []string
-}
-
-func newPlanCache(cap int) *planCache {
-	return &planCache{cap: cap, m: map[string]*Plan{}}
-}
-
-func (c *planCache) get(key string) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.m[key]
-	return p, ok
-}
-
-func (c *planCache) put(key string, p *Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
-		c.m[key] = p
-		return
-	}
-	for len(c.m) >= c.cap && len(c.order) > 0 {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, old)
-	}
-	c.m[key] = p
-	c.order = append(c.order, key)
 }

@@ -88,9 +88,8 @@ func TestAdmissionTable(t *testing.T) {
 	}
 }
 
-// MaxDesignTime hints convert to cost budgets through the calibrated
-// throughput: an hour admits the exact design on 1024 cells, a
-// millisecond does not.
+// MaxDesignTime hints convert to cost budgets at DefaultUnitsPerSecond:
+// an hour admits the exact design on 1024 cells, a millisecond does not.
 func TestDesignTimeHintConversion(t *testing.T) {
 	w := workload.Prefix(1024)
 	if got := winner(t, New(Config{}), w, Hints{MaxDesignTime: time.Hour}); got != "eigen" {
@@ -208,40 +207,93 @@ func TestPlanErrorMatchesCoreAnalysis(t *testing.T) {
 	}
 }
 
-// The plan cache returns the identical plan for identical (key, hints)
-// and distinguishes different hint fingerprints.
-func TestPlanCache(t *testing.T) {
-	p := New(Config{CacheSize: 8})
-	w := workload.Prefix(32)
-	h := Hints{Privacy: testPrivacy, CacheKey: "prefix:32"}
-	p1, err := p.Plan(w, h)
+// The hint fingerprint — the suffix of the server's and the plan store's
+// cache keys — covers every hint that changes the plan, MaxShards
+// included, and none that does not.
+func TestFingerprint(t *testing.T) {
+	base := Hints{Privacy: testPrivacy}
+	if got := base.Fingerprint(); got != (Hints{}).Fingerprint() {
+		t.Fatalf("privacy changed the fingerprint: %q", got)
+	}
+	if (Hints{AnalysisCap: 2048}).Fingerprint() != (Hints{}).Fingerprint() {
+		t.Fatal("the analysis cap changed the fingerprint")
+	}
+	for name, h := range map[string]Hints{
+		"cost":      {MaxDesignCost: 1e6},
+		"time":      {MaxDesignTime: time.Millisecond},
+		"size":      {Size: SizeLarge},
+		"generator": {Generator: "hierarchical"},
+		"group":     {GroupSize: 4},
+		"k":         {PrincipalK: 8},
+		"branch":    {Branch: 4},
+		"order":     {FirstOrder: true},
+		"shards":    {MaxShards: -1},
+	} {
+		if h.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s hint does not change the fingerprint %q", name, base.Fingerprint())
+		}
+	}
+	// MaxShards changes the plan as well as the key: the same marginal set
+	// is sharded by default and planned whole with sharding disabled.
+	p := New(Config{})
+	w := workload.Marginals(domain.MustShape(16, 16), 1)
+	if got := winner(t, p, w, Hints{}); got != "sharded" {
+		t.Fatalf("default winner = %q, want sharded", got)
+	}
+	if got := winner(t, p, w, Hints{MaxShards: -1}); got == "sharded" {
+		t.Fatalf("MaxShards -1 planned %q", got)
+	}
+}
+
+// A plan is a pure function of (workload, hints): the same request under
+// a design-time budget gets the same generator on a fresh planner and
+// after a history of designs, however long each build took.
+func TestPlanIgnoresDesignHistory(t *testing.T) {
+	w := workload.Prefix(64)
+	// 25ms at DefaultUnitsPerSecond admits the exact design (modeled cost
+	// ~1.05e7 units) whatever an eigen build measures on this host.
+	h := Hints{MaxDesignTime: 25 * time.Millisecond}
+	want := winner(t, New(Config{}), w, h)
+	if want != "eigen" {
+		t.Fatalf("fresh planner winner = %q, want eigen", want)
+	}
+	p := New(Config{})
+	for i := 0; i < 6; i++ {
+		plan, err := p.Plan(w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Generator != want {
+			t.Fatalf("design %d planned %q after %d earlier designs, want %q", i+1, plan.Generator, i, want)
+		}
+	}
+	if got := winner(t, p, w, h); got != want {
+		t.Fatalf("Explain after history = %q, want %q", got, want)
+	}
+}
+
+// RehydratePlan refuses a persisted plan whose recorded inference label
+// disagrees with the rebuilt mechanism's solver: the label is how a
+// corrupt plan shows.
+func TestRehydrateChecksInferenceLabel(t *testing.T) {
+	plan, err := New(Config{}).Plan(workload.Prefix(16), Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := p.Plan(w, h)
-	if err != nil {
-		t.Fatal(err)
+	st := plan.State()
+	if _, err := RehydratePlan(st); err != nil {
+		t.Fatalf("intact plan refused: %v", err)
 	}
-	if p1 != p2 {
-		t.Fatal("identical key and hints did not hit the plan cache")
-	}
-	h3 := h
-	h3.Generator = "hierarchical"
-	p3, err := p.Plan(w, h3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Fatal("different hint fingerprint reused the cached plan")
-	}
-	if p3.Generator != "hierarchical" {
-		t.Fatalf("forced generator = %q", p3.Generator)
+	for _, bad := range []mm.Inference{0, mm.InferCGLS, 3, mm.InferSharded} {
+		st.Inference = bad
+		if _, err := RehydratePlan(st); err == nil {
+			t.Fatalf("%s plan recorded label %d and was accepted", plan.Mechanism.Inference(), int(bad))
+		}
 	}
 }
 
 // Inference selection: small dense strategies get the pseudo-inverse,
-// structured strategies CGLS, and a tight latency target buys the
-// pseudo-inverse for a densifiable structured strategy.
+// structured strategies their exact or iterative solver.
 func TestInferenceSelection(t *testing.T) {
 	p := New(Config{})
 	dense, err := p.Plan(workload.Prefix(64), Hints{})
@@ -258,53 +310,12 @@ func TestInferenceSelection(t *testing.T) {
 	if structured.Generator != "principal-vectors" || structured.Inference != mm.InferCGLS {
 		t.Fatalf("structured plan = %s/%s, want principal-vectors/cgls", structured.Generator, structured.Inference)
 	}
-	lowLat, err := p.Plan(workload.Prefix(256), Hints{Generator: "hierarchical", LatencyTarget: time.Nanosecond})
+	tree, err := p.Plan(workload.Prefix(256), Hints{Generator: "hierarchical"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lowLat.Inference != mm.InferDensePinv {
-		t.Fatalf("tight-latency hierarchical plan inference = %s, want dense-pinv", lowLat.Inference)
-	}
-	relaxed, err := p.Plan(workload.Prefix(256), Hints{Generator: "hierarchical"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relaxed.Inference != mm.InferCGLS {
-		t.Fatalf("relaxed hierarchical plan inference = %s, want cgls", relaxed.Inference)
-	}
-	// The tree strategy has an exact solver, so the latency model charges
-	// it one pass (~12µs here), not 150 CGLS iterations (~4ms): a 1ms
-	// target keeps it matrix-free.
-	moderate, err := p.Plan(workload.Prefix(256), Hints{Generator: "hierarchical", LatencyTarget: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moderate.Inference != mm.InferCGLS {
-		t.Fatalf("1ms-target hierarchical plan inference = %s, want cgls (one exact pass)", moderate.Inference)
-	}
-}
-
-// A factored principal-vectors plan infers through the exact Woodbury
-// solver, so the latency model charges it one pass: a 1ms target keeps
-// the EigenSolver, where the model's 150 CGLS iterations would price the
-// same release past the target.
-func TestLatencyTargetKeepsEigenSolver(t *testing.T) {
-	p := New(Config{})
-	w := workload.AllRange(domain.MustShape(25, 41))
-	plan, err := p.Plan(w, Hints{Generator: "principal-vectors", LatencyTarget: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.Mechanism.Solver()
-	if _, ok := s.(*linalg.EigenSolver); !ok || plan.Inference != mm.InferCGLS {
-		t.Fatalf("tight-latency principal-vectors plan: solver %T, inference %s; want *linalg.EigenSolver, cgls", s, plan.Inference)
-	}
-	op := plan.Mechanism.Strategy()
-	if got := releaseLatency(op, s); got >= time.Millisecond {
-		t.Fatalf("modeled Woodbury release %s, want one pass under 1ms", got)
-	}
-	if cg := releaseLatency(op, &linalg.CGLSSolver{Op: op}); cg <= time.Millisecond {
-		t.Fatalf("modeled CGLS release %s, want past 1ms", cg)
+	if _, ok := tree.Mechanism.Solver().(*linalg.TreeSolver); !ok || tree.Inference != mm.InferCGLS {
+		t.Fatalf("hierarchical plan: solver %T, inference %s; want *linalg.TreeSolver, cgls", tree.Mechanism.Solver(), tree.Inference)
 	}
 }
 
@@ -314,56 +325,5 @@ func TestOverBudgetEscapesToCheapest(t *testing.T) {
 	p := New(Config{})
 	if got := winner(t, p, workload.Prefix(64), Hints{MaxDesignCost: 0.5}); got != "identity" {
 		t.Fatalf("winner under impossible budget = %q, want identity", got)
-	}
-}
-
-// The throughput calibration is per generator: a build calibrates the
-// winner's own rate (alongside the global fallback), a restored snapshot
-// round-trips, and each candidate's MaxDesignTime budget converts at its
-// own generator's measured rate.
-func TestPerGeneratorRateCalibration(t *testing.T) {
-	p := New(Config{})
-	w := workload.Prefix(256)
-	if _, err := p.Plan(w, Hints{}); err != nil {
-		t.Fatal(err)
-	}
-	snap := p.RateSnapshot()
-	eigenRate, ok := snap["eigen"]
-	if !ok {
-		t.Fatalf("eigen build calibrated no per-generator rate: %v", snap)
-	}
-	if snap[""] == 0 {
-		t.Fatalf("global fallback rate missing from snapshot: %v", snap)
-	}
-	if _, ok := snap["hierarchical"]; ok {
-		t.Fatalf("hierarchical never built but has a rate: %v", snap)
-	}
-
-	// A fresh planner restored from the snapshot budgets eigen at the
-	// measured rate, and a generator with no history at the global rate.
-	q := New(Config{})
-	q.RestoreRates(snap)
-	h := Hints{MaxDesignTime: time.Second}
-	if got, want := q.budgetFor(h, "eigen"), clampRate(eigenRate); got != want {
-		t.Fatalf("eigen budget for 1s = %g, want measured rate %g", got, want)
-	}
-	if got, want := q.budgetFor(h, "hierarchical"), clampRate(snap[""]); got != want {
-		t.Fatalf("no-history budget for 1s = %g, want global rate %g", got, want)
-	}
-}
-
-// Trivial builds (identity, hierarchical) measure timer noise, not
-// throughput: they must not drag the calibrated rate — and with it every
-// MaxDesignTime conversion — orders of magnitude down.
-func TestCheapBuildsDoNotCorruptRateCalibration(t *testing.T) {
-	p := New(Config{})
-	w := workload.Prefix(1024)
-	for i := 0; i < 12; i++ {
-		if _, err := p.Plan(w, Hints{Generator: "identity"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r := p.currentRate(); r != DefaultUnitsPerSecond {
-		t.Fatalf("rate drifted to %g after trivial builds, want %g untouched", r, DefaultUnitsPerSecond)
 	}
 }

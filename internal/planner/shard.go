@@ -47,12 +47,11 @@ type shardedGen struct {
 func (g *shardedGen) Name() string { return "sharded" }
 
 // subHints derives the hints a shard's sub-plan is made with: solver and
-// budget knobs are inherited, while the forced generator, cache key,
-// eager error analysis and shard cap do not apply inside a shard.
+// budget knobs are inherited, while the forced generator, eager error
+// analysis and shard cap do not apply inside a shard.
 func subHints(h Hints) Hints {
 	sh := h
 	sh.Generator = ""
-	sh.CacheKey = ""
 	sh.Privacy = mm.Privacy{} // shard analyses are memoized lazily
 	sh.MaxShards = -1         // a shard never re-shards
 	return sh
@@ -143,12 +142,13 @@ func (g *shardedGen) bestMonolithic(w *workload.Workload, h Hints) (name string,
 	g.p.mu.Lock()
 	gens := append([]Generator(nil), g.p.gens...)
 	g.p.mu.Unlock()
+	budget := h.designBudget()
 	for _, other := range gens {
 		if other.Name() == g.Name() {
 			continue
 		}
 		prop, _ := other.Propose(w, h, false)
-		if prop == nil || prop.Cost > g.p.budgetFor(h, other.Name()) {
+		if prop == nil || prop.Cost > budget {
 			continue
 		}
 		//lint:allow floateq: lexicographic (rank, cost) tie-break on modeled scores, same order as the refusal check above

@@ -302,7 +302,7 @@ func readMonolithicStrategy(r *binenc.Reader, st *planner.PlanState) error {
 			return err
 		}
 	}
-	st.Mechanism, err = mm.NewMechanismPrepared(st.Op, st.Inference, pinv)
+	st.Mechanism, err = mm.NewMechanismPrepared(st.Op, pinv)
 	if err != nil {
 		return fmt.Errorf("planstore: rebuilding mechanism: %w", err)
 	}

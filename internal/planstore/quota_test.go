@@ -33,8 +33,8 @@ func planExists(t *testing.T, s *Store, id string) bool {
 
 // TestQuotaEvictsLeastRecentlyServed pins the planstore GC: past the
 // byte budget, Put evicts least-recently-served entries (Touch order,
-// falling back to mtime), each eviction is logged, serving an entry
-// protects it, and the calibration record is exempt.
+// falling back to mtime), each eviction is logged, and serving an entry
+// protects it.
 func TestQuotaEvictsLeastRecentlyServed(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -42,9 +42,6 @@ func TestQuotaEvictsLeastRecentlyServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := quotaPlan(t)
-	if err := s.SaveCalibration(map[string]float64{"eigen": 1e6}); err != nil {
-		t.Fatal(err)
-	}
 
 	var logged []string
 	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
@@ -93,13 +90,8 @@ func TestQuotaEvictsLeastRecentlyServed(t *testing.T) {
 		t.Fatal("touched b and fresh d must survive")
 	}
 
-	// The calibration record is never quota fodder.
-	if _, err := os.Stat(filepath.Join(dir, calFile)); err != nil {
-		t.Fatalf("calibration record must survive evictions: %v", err)
-	}
-
 	// SetQuota enforces immediately: a budget below any single entry
-	// clears the plans (and only the plans).
+	// clears the store.
 	s.SetQuota(1, logf)
 	ids, err := s.ids()
 	if err != nil {
@@ -107,9 +99,6 @@ func TestQuotaEvictsLeastRecentlyServed(t *testing.T) {
 	}
 	if len(ids) != 0 {
 		t.Fatalf("1-byte quota must clear the store, still have %v", ids)
-	}
-	if _, err := os.Stat(filepath.Join(dir, calFile)); err != nil {
-		t.Fatalf("calibration record must survive a full purge: %v", err)
 	}
 
 	// Quota 0 disables enforcement.

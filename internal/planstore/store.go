@@ -12,9 +12,8 @@
 // content, so re-persisting the same design overwrites its own entry and
 // two servers sharing a directory converge on one file per workload.
 // Writes go through a temp file and an atomic rename: a crash mid-write
-// leaves the previous entry intact, never a torn file. The per-generator
-// design-throughput calibration lives beside the plans in
-// calibration.amc.
+// leaves the previous entry intact, never a torn file. Plans are all the
+// store holds: the planner keeps no state beyond its generator registry.
 //
 // Envelope. Every file is framed as
 //
@@ -49,9 +48,8 @@ import (
 )
 
 const (
-	// planMagic frames plan entries; calMagic the calibration record.
+	// planMagic frames plan entries.
 	planMagic = "AMPS"
-	calMagic  = "AMPC"
 
 	// FormatVersion is the store wire-format version. Entries written
 	// under a different version are skipped, never decoded: bump it on
@@ -67,8 +65,6 @@ const (
 
 	// planExt is the plan-entry file suffix.
 	planExt = ".plan"
-	// calFile is the calibration record's file name.
-	calFile = "calibration.amc"
 
 	// maxEntryBytes bounds how large a plan file the store will read back
 	// (the biggest legitimate artifact, a 1024-cell dense pseudo-inverse
@@ -182,8 +178,8 @@ func (s *Store) Put(key string, plan *planner.Plan) (Meta, error) {
 // enforces it immediately; 0 disables the quota. While a quota is set,
 // every Put that pushes the entries' total size past the budget evicts
 // least-recently-served entries (most recent of Touch time and file
-// mtime) until the store fits again. The calibration record is exempt.
-// logf, when non-nil, receives one line per eviction.
+// mtime) until the store fits again. logf, when non-nil, receives one
+// line per eviction.
 func (s *Store) SetQuota(quota int64, logf func(format string, args ...any)) {
 	s.mu.Lock()
 	s.quota = quota
@@ -646,75 +642,4 @@ func parseMeta(r *binenc.Reader) (Meta, error) {
 	}
 	meta.ID = EntryID(meta.Key)
 	return meta, nil
-}
-
-// --- calibration record ---
-
-// SaveCalibration persists the planner's per-generator design-throughput
-// snapshot (planner.RateSnapshot) so a restarted server budgets
-// MaxDesignTime hints from measured history.
-func (s *Store) SaveCalibration(rates map[string]float64) error {
-	names := make([]string, 0, len(rates))
-	for n := range rates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out bytes.Buffer
-	out.WriteString(calMagic)
-	binenc.PutInt(&out, FormatVersion)
-	binenc.PutString(&out, LibraryVersion)
-	binenc.PutInt(&out, len(names))
-	for _, n := range names {
-		binenc.PutString(&out, n)
-		binenc.PutFloat(&out, rates[n])
-	}
-	sum := sha256.Sum256(out.Bytes())
-	out.Write(sum[:])
-	return s.writeAtomic(filepath.Join(s.dir, calFile), out.Bytes())
-}
-
-// LoadCalibration reads the persisted throughput snapshot. A missing
-// file returns an empty map; a corrupt or incompatible one returns an
-// error (callers log and continue with defaults).
-func (s *Store) LoadCalibration() (map[string]float64, error) {
-	blob, err := os.ReadFile(filepath.Join(s.dir, calFile))
-	if os.IsNotExist(err) {
-		return map[string]float64{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("planstore: %w", err)
-	}
-	if len(blob) < len(calMagic)+sha256.Size || string(blob[:len(calMagic)]) != calMagic {
-		return nil, fmt.Errorf("planstore: %s is not a calibration record", calFile)
-	}
-	body, sum := blob[:len(blob)-sha256.Size], blob[len(blob)-sha256.Size:]
-	if got := sha256.Sum256(body); !bytes.Equal(got[:], sum) {
-		return nil, fmt.Errorf("planstore: %s checksum mismatch", calFile)
-	}
-	r := binenc.NewReader(body[len(calMagic):])
-	version, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if version != FormatVersion {
-		return nil, fmt.Errorf("planstore: calibration format version %d, this build reads %d", version, FormatVersion)
-	}
-	if _, err := r.String(); err != nil { // library version, advisory
-		return nil, err
-	}
-	n, err := r.IntBounded(r.Remaining(), "rate count")
-	if err != nil {
-		return nil, err
-	}
-	rates := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		name, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		if rates[name], err = r.Float(); err != nil {
-			return nil, err
-		}
-	}
-	return rates, nil
 }

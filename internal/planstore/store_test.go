@@ -27,10 +27,10 @@ var testPrivacy = mm.Privacy{Epsilon: 0.5, Delta: 1e-4}
 // tree solver) and over two (exact Kronecker solver), factored principal
 // vectors (exact Woodbury solver) on the smallest product domain the
 // planner sends down the factored pipeline (25×41 = 1,025 cells, past
-// StructuredThreshold), a latency target that buys a pseudo-inverse for
-// a structured strategy, closed-form marginals, a tall non-tree sparse
-// strategy (iterative CGLS, nothing persisted beyond the operator), and
-// a sharded two-block composition.
+// StructuredThreshold), an exact eigen design over two dimensions (a
+// second persisted pseudo-inverse), closed-form marginals, a tall
+// non-tree sparse strategy (iterative CGLS, nothing persisted beyond the
+// operator), and a sharded two-block composition.
 // regimeSolvers names the solver each regime's mechanism must hold.
 func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	t.Helper()
@@ -49,7 +49,7 @@ func plansUnderTest(t *testing.T) map[string]*planner.Plan {
 	build("hierarchical-cgls", workload.Prefix(512), planner.Hints{Generator: "hierarchical"})
 	build("hierarchical-kron", workload.AllRange(domain.MustShape(8, 16)), planner.Hints{Generator: "hierarchical"})
 	build("principal-eigen", workload.AllRange(domain.MustShape(25, 41)), planner.Hints{Generator: "principal-vectors"})
-	build("latency-pinv", workload.Prefix(256), planner.Hints{Generator: "hierarchical", LatencyTarget: time.Nanosecond})
+	build("eigen-pinv-2d", workload.AllRange(domain.MustShape(4, 8)), planner.Hints{})
 	build("marginals", workload.Marginals(domain.MustShape(8, 8, 4), 2), planner.Hints{})
 	build("tall-cgls", workload.Prefix(128), planner.Hints{Generator: "tall"})
 	build("sharded", workload.Marginals(domain.MustShape(8, 8), 1), planner.Hints{})
@@ -61,7 +61,7 @@ var regimeSolvers = map[string]string{
 	"hierarchical-cgls": "*linalg.TreeSolver",
 	"hierarchical-kron": "*linalg.KronSolver",
 	"principal-eigen":   "*linalg.EigenSolver",
-	"latency-pinv":      "*linalg.PinvSolver",
+	"eigen-pinv-2d":     "*linalg.PinvSolver",
 	"marginals":         "*linalg.PinvSolver",
 	"tall-cgls":         "*linalg.CGLSSolver",
 	"sharded":           "*linalg.BlockSolver",
@@ -417,43 +417,6 @@ func TestCraftedLengthDoesNotPanic(t *testing.T) {
 
 	if _, _, err := DecodeEntry(out.Bytes()); err == nil {
 		t.Fatal("crafted over-length entry decoded without error")
-	}
-}
-
-func TestCalibrationRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := map[string]float64{"": 7.5e8, "eigen": 1.2e9, "principal-vectors": 3.4e8}
-	if err := s.SaveCalibration(rates); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadCalibration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rates) {
-		t.Fatalf("loaded %d rates, want %d", len(got), len(rates))
-	}
-	for k, v := range rates {
-		if got[k] != v {
-			t.Fatalf("rate[%q] = %g, want %g", k, got[k], v)
-		}
-	}
-	// Corrupt → error, not garbage.
-	path := filepath.Join(dir, calFile)
-	blob, _ := os.ReadFile(path)
-	blob[len(blob)-1] ^= 1
-	os.WriteFile(path, blob, 0o644)
-	if _, err := s.LoadCalibration(); err == nil {
-		t.Fatal("corrupt calibration loaded without error")
-	}
-	// Missing → empty, no error.
-	os.Remove(path)
-	if got, err := s.LoadCalibration(); err != nil || len(got) != 0 {
-		t.Fatalf("missing calibration: %v, %d rates", err, len(got))
 	}
 }
 

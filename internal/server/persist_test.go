@@ -105,39 +105,6 @@ func TestRestartServesFromRehydratedCache(t *testing.T) {
 	}
 }
 
-// TestRestartRestoresCalibration: the per-generator design-throughput
-// EWMA must survive a restart, not reset to the cold default.
-func TestRestartRestoresCalibration(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(Options{StoreDir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	// A real eigen design is expensive enough to feed the calibration.
-	designSpecOn(t, ts1, `{"workload":"allrange:512"}`)
-	ts1.Close()
-	want := s1.pl.RateSnapshot()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := want["eigen"]; !ok {
-		t.Fatalf("eigen build did not calibrate a per-generator rate: %v", want)
-	}
-
-	s2, err := Open(Options{StoreDir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got := s2.pl.RateSnapshot()
-	for gen, r := range want {
-		if got[gen] != r {
-			t.Fatalf("rate[%q] = %g after restart, want %g", gen, got[gen], r)
-		}
-	}
-}
-
 // TestCorruptStoreEntrySkippedOnStartup: a bit-flipped entry must not
 // poison startup — the server comes up, logs the skip, and re-designs.
 func TestCorruptStoreEntrySkippedOnStartup(t *testing.T) {

@@ -9,14 +9,13 @@
 //
 // Strategy selection is delegated to the unified cost-based planner
 // (internal/planner): /design builds the workload, passes the request's
-// hints (privacy pair, design-time budget, latency target, forced
-// generator) to the planner, and executes the returned plan. The server
-// itself contains no generator-ordering logic; the response's "planner"
-// block reports which generator won, its modeled cost, the chosen
-// inference method, and why every other candidate lost. Strategies are
-// cached keyed on the canonical (workload spec, hints) pair, so repeated
-// /design of the same request returns the cached plan without re-running
-// design.
+// hints (privacy pair, design-time budget, forced generator) to the
+// planner, and executes the returned plan. The server itself contains no
+// generator-ordering logic; the response's "planner" block reports which
+// generator won, its modeled cost, the chosen inference method, and why
+// every other candidate lost. Strategies are cached keyed on the
+// canonical (workload spec, hints) pair, so repeated /design of the same
+// request returns the cached plan without re-running design.
 //
 // Release noise is drawn from a crypto-seeded source by default. A
 // request may pin a deterministic seed (any value, including 0) for
@@ -72,8 +71,7 @@
 //
 // With Options.StoreDir set (amserve -store), designed plans are
 // persisted write-behind to a durable plan store and rehydrated into the
-// strategy cache on startup, together with the planner's per-generator
-// design-throughput calibration — a restarted server answers previously
+// strategy cache on startup — a restarted server answers previously
 // designed specs with cached:true and zero generator builds.
 package server
 
@@ -114,10 +112,6 @@ const persistQueueCap = 64
 // O(n³) dense eigendecomposition); past it the fields are reported as 0.
 // It is passed to the planner as the plan's analysis cap.
 const analysisCap = 512
-
-// maxCachedPlans bounds the planner's plan cache, one more piece of
-// permanent server state kept finite.
-const maxCachedPlans = 4096
 
 // maxStoredStrategies bounds the strategy table (and with it the design
 // cache, which only references stored ids). Entries are never evicted —
@@ -196,8 +190,7 @@ type Server struct {
 
 	// store is the durable plan store, nil when persistence is off. New
 	// plans are persisted through the write-behind queue; on startup the
-	// strategy cache and the planner's throughput calibration are
-	// rehydrated from it.
+	// strategy cache is rehydrated from it.
 	store *planstore.Store
 	// persistMu guards persistCh against enqueue-after-Close.
 	persistMu     sync.Mutex
@@ -237,8 +230,7 @@ type Options struct {
 
 	// StoreDir, when non-empty, enables plan persistence: designed plans
 	// are written (asynchronously) to a planstore in this directory, and
-	// a new server rehydrates its strategy cache and design-throughput
-	// calibration from it on startup. Use Open, which can report store
+	// a new server rehydrates its strategy cache from it on startup. Use Open, which can report store
 	// errors; NewWithOptions panics on them.
 	StoreDir string
 
@@ -292,8 +284,7 @@ func NewWithOptions(opts Options) *Server {
 }
 
 // Open returns a server configured by opts. With a StoreDir it opens the
-// plan store, restores the planner's per-generator design-throughput
-// calibration, rehydrates every compatible stored plan into the strategy
+// plan store, rehydrates every compatible stored plan into the strategy
 // cache (corrupt or incompatible entries are skipped with a logged
 // reason), and starts the write-behind persistence worker.
 func Open(opts Options) (*Server, error) {
@@ -308,7 +299,7 @@ func Open(opts Options) (*Server, error) {
 	s := &Server{
 		strategies:  map[string]*entry{},
 		cache:       map[string]string{},
-		pl:          planner.New(planner.Config{CacheSize: maxCachedPlans}),
+		pl:          planner.New(planner.Config{}),
 		acct:        accountant.New(),
 		reg:         registry.New(),
 		allowSeeded: opts.AllowSeededReleases,
@@ -334,11 +325,6 @@ func Open(opts Options) (*Server, error) {
 			s.metrics.evictions.Inc()
 			s.warnf(compStore, format, args...)
 		})
-	}
-	if rates, err := store.LoadCalibration(); err != nil {
-		s.warnf(compStore, "ignoring design-throughput calibration: %v", err)
-	} else if len(rates) > 0 {
-		s.pl.RestoreRates(rates)
 	}
 	loaded, err := store.LoadAll(func(format string, args ...any) {
 		s.warnf(compStore, format, args...)
@@ -368,18 +354,13 @@ func Open(opts Options) (*Server, error) {
 }
 
 // persistLoop is the write-behind worker: it drains the queue, writing
-// each plan and a fresh calibration snapshot to the store. Persistence
-// failures are logged, never surfaced to the designing client (the plan
-// is already serving from memory).
+// each plan to the store. Persistence failures are logged, never surfaced
+// to the designing client (the plan is already serving from memory).
 func (s *Server) persistLoop() {
 	defer s.persistWG.Done()
 	for req := range s.persistCh {
 		if _, err := s.store.Put(req.key, req.plan); err != nil {
 			s.warnf(compPersist, "persisting plan %q: %v", req.key, err)
-			continue
-		}
-		if err := s.store.SaveCalibration(s.pl.RateSnapshot()); err != nil {
-			s.warnf(compPersist, "persisting calibration: %v", err)
 		}
 	}
 }
@@ -405,10 +386,9 @@ func (s *Server) enqueuePersist(key string, plan *planner.Plan) {
 	}
 }
 
-// Close flushes the plan-persistence write-behind queue and saves a final calibration
-// snapshot. The HTTP handler must be drained first
-// (http.Server.Shutdown). It is safe to call on a server without a
-// store, and more than once.
+// Close flushes the plan-persistence write-behind queue. The HTTP handler
+// must be drained first (http.Server.Shutdown). It is safe to call on a
+// server without a store, and more than once.
 func (s *Server) Close() error {
 	if s.store == nil {
 		return nil
@@ -422,7 +402,7 @@ func (s *Server) Close() error {
 	close(s.persistCh)
 	s.persistMu.Unlock()
 	s.persistWG.Wait()
-	return s.store.SaveCalibration(s.pl.RateSnapshot())
+	return nil
 }
 
 // Handler returns the HTTP handler for the service.
@@ -500,13 +480,10 @@ type designRequest struct {
 	Epsilon float64 `json:"epsilon,omitempty"`
 	Delta   float64 `json:"delta,omitempty"`
 	// MaxDesignMillis bounds how long strategy design may take: the
-	// planner skips generators whose modeled cost exceeds it. 0 applies
-	// the default design budget.
+	// planner converts it to work units at a fixed rate and skips
+	// generators whose modeled cost exceeds that. 0 applies the default
+	// design budget.
 	MaxDesignMillis int64 `json:"maxDesignMillis,omitempty"`
-	// LatencyTargetMillis is the per-release latency to aim for; a tight
-	// target makes the plan prepare the dense pseudo-inverse when the
-	// strategy fits it.
-	LatencyTargetMillis int64 `json:"latencyTargetMillis,omitempty"`
 	// Generator forces a named planner generator instead of the
 	// cost-based choice.
 	Generator string `json:"generator,omitempty"`
@@ -625,7 +602,6 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	hints.CacheKey = key
 	s.metrics.cacheMisses.Inc()
 	t0 := time.Now()
 	plan, err := s.pl.Plan(wl, hints)
@@ -669,7 +645,6 @@ func (s *Server) hintsFor(req *designRequest, p mm.Privacy) planner.Hints {
 	return planner.Hints{
 		Privacy:       p,
 		MaxDesignTime: time.Duration(req.MaxDesignMillis) * time.Millisecond,
-		LatencyTarget: time.Duration(req.LatencyTargetMillis) * time.Millisecond,
 		Generator:     req.Generator,
 		AnalysisCap:   analysisCap,
 	}

@@ -471,7 +471,7 @@ func TestDesignPlannerReport(t *testing.T) {
 // Design-time hints steer the planner: a tight budget refuses the exact
 // design a loose one admits, and the hints are part of the cache key so
 // the two requests yield distinct strategies.
-func TestDesignHintsChangeGeneratorAndCacheKey(t *testing.T) {
+func TestDesignHintsChangeGeneratorAndCacheEntry(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
 

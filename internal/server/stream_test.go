@@ -318,9 +318,12 @@ func bigTreeEntry(t testing.TB, n int) *entry {
 			b.AppendRangeRow(lo, lo+span-1, 1)
 		}
 	}
-	mech, err := mm.NewMechanismInference(b.Build(), mm.InferCGLS)
+	mech, err := mm.NewMechanism(b.Build())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := mech.Solver().(*linalg.TreeSolver); !ok {
+		t.Fatalf("tree strategy solver = %T, want *linalg.TreeSolver", mech.Solver())
 	}
 	w := workload.FromOperator("allrange", domain.MustShape(n), linalg.NewIntervalsOp(n))
 	return &entry{plan: &planner.Plan{Workload: w, Mechanism: mech}}
