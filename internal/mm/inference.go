@@ -25,9 +25,7 @@ func (m *Mechanism) EstimateGaussianNonNegative(x []float64, p Privacy, r NoiseS
 	}
 	sigma := p.GaussianSigma(m.sensL2)
 	y := linalg.MulVec(m.a, x)
-	for i := range y {
-		y[i] += sigma * r.NormFloat64()
-	}
+	addNormal(r, y, sigma)
 	// Warm start from the unconstrained least-squares solution, clipped.
 	xhat, err := m.infer(y)
 	if err != nil {

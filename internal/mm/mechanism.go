@@ -263,9 +263,7 @@ func Gaussian(w *workload.Workload, x []float64, p Privacy, r NoiseSource) ([]fl
 	}
 	sigma := p.GaussianSigma(w.SensitivityL2())
 	y := w.MulQueries(x)
-	for i := range y {
-		y[i] += sigma * r.NormFloat64()
-	}
+	addNormal(r, y, sigma)
 	return y, nil
 }
 
@@ -276,8 +274,12 @@ func Gaussian(w *workload.Workload, x []float64, p Privacy, r NoiseSource) ([]fl
 const minLaplaceLogArg = 0x1p-53
 
 // laplace draws one Laplace(0, b) sample by inverse CDF.
-func laplace(r NoiseSource, b float64) float64 {
-	u := r.Float64() - 0.5
+func laplace(r NoiseSource, b float64) float64 { return laplaceAt(r.Float64(), b) }
+
+// laplaceAt is the inverse Laplace(0, b) CDF at the uniform draw f in
+// [0,1).
+func laplaceAt(f, b float64) float64 {
+	u := f - 0.5
 	if u >= 0 {
 		return -b * math.Log(1-2*u)
 	}

@@ -2,8 +2,6 @@ package mm
 
 import (
 	cryptorand "crypto/rand"
-	//lint:allow noiserand: this file defines the NoiseSource implementations themselves; CryptoSource seeds rand from crypto/rand entropy
-	"math/rand"
 	//lint:allow noiserand: ChaCha8 (math/rand/v2) is the CSPRNG behind CryptoSource, seeded from crypto/rand
 	randv2 "math/rand/v2"
 	"sync"
@@ -23,43 +21,31 @@ type NoiseSource interface {
 	NormFloat64() float64
 }
 
-// NormalFiller is the optional bulk extension of NoiseSource: fill a whole
-// vector of standard normal draws in one call, letting the source amortize
-// its underlying randomness in large blocks instead of per-draw.
-type NormalFiller interface {
-	FillNormal(dst []float64)
-}
-
-// LaplaceFiller is the bulk Laplace analogue, drawing by inverse CDF with
-// scale b.
-type LaplaceFiller interface {
-	FillLaplace(dst []float64, b float64)
-}
-
-// fillNormal fills dst with standard normal draws, through the bulk
-// interface when the source has one. The scalar fallback consumes draws in
-// index order, so on a deterministic source it produces exactly the stream
-// a draw-per-cell loop would.
-func fillNormal(r NoiseSource, dst []float64) {
-	if f, ok := r.(NormalFiller); ok {
-		f.FillNormal(dst)
+// addNormal adds sigma·z to every element of dst, each z an independent
+// standard normal draw from r: through the bulk kernel when r is the
+// production source, otherwise one NormFloat64 per element in index
+// order, so a seeded *rand.Rand yields exactly the bits a draw-per-element
+// loop does.
+func addNormal(r NoiseSource, dst []float64, sigma float64) {
+	if s, ok := r.(*CryptoSource); ok {
+		s.AddNormal(dst, sigma)
 		return
 	}
 	for i := range dst {
-		dst[i] = r.NormFloat64()
+		dst[i] += sigma * r.NormFloat64()
 	}
 }
 
-// fillLaplace fills dst with Laplace(0, b) draws, through the bulk
-// interface when the source has one; the scalar fallback preserves draw
-// order like fillNormal.
-func fillLaplace(r NoiseSource, dst []float64, b float64) {
-	if f, ok := r.(LaplaceFiller); ok {
-		f.FillLaplace(dst, b)
+// addLaplace adds an independent Laplace(0, b) draw to every element of
+// dst, through the bulk kernel when r is the production source and in
+// index order otherwise, like addNormal.
+func addLaplace(r NoiseSource, dst []float64, b float64) {
+	if s, ok := r.(*CryptoSource); ok {
+		s.AddLaplace(dst, b)
 		return
 	}
 	for i := range dst {
-		dst[i] = laplace(r, b)
+		dst[i] += laplace(r, b)
 	}
 }
 
@@ -71,9 +57,7 @@ func fillLaplace(r NoiseSource, dst []float64, b float64) {
 // releases are long gone.
 const cryptoRekeyWords = 1 << 17
 
-// cryptoWords adapts a cryptographically strong generator to
-// rand.Source64, so math/rand's distribution code (ziggurat NormFloat64,
-// Float64) runs on a stream safe to publish noise from. Merely *seeding*
+// cryptoWords is the word stream behind CryptoSource. Merely *seeding*
 // math/rand from crypto/rand is not enough: rand.NewSource reduces the
 // seed modulo 2³¹−1, leaving ~2.1e9 possible noise streams — enumerable
 // offline by an attacker holding one release. Words instead come from a
@@ -110,17 +94,13 @@ func (s *cryptoWords) rekey() {
 	s.n = 0
 }
 
-func (s *cryptoWords) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *cryptoWords) Seed(int64) {} // the stream ignores deterministic seeds
-
-// CryptoSource is the production noise source: math/rand distribution
-// code over a crypto-keyed ChaCha8 word stream, with the bulk fill
-// interfaces. The stream position carries over between pooled releases,
-// which is safe — each word is still used exactly once — and is what
-// lets a pooled source amortize key setup across releases.
+// CryptoSource is the production noise source: the ziggurat (normal) and
+// inverse-CDF (Laplace) samplers run directly on a crypto-keyed ChaCha8
+// word stream, and AddNormal/AddLaplace add a whole vector of draws in
+// one call. The stream position carries over between pooled releases,
+// which is safe — no bit of the stream feeds more than one draw — and is
+// what lets a pooled source amortize key setup across releases.
 type CryptoSource struct {
-	*rand.Rand
 	words cryptoWords
 }
 
@@ -128,34 +108,62 @@ type CryptoSource struct {
 // cryptographically strong generator keyed (and periodically re-keyed)
 // from the operating system's CSPRNG, so noise streams are unpredictable
 // across releases and across server restarts.
-func NewCryptoSeededSource() NoiseSource {
-	s := &CryptoSource{}
-	s.Rand = rand.New(&s.words)
-	return s
+func NewCryptoSeededSource() NoiseSource { return &CryptoSource{} }
+
+// Float64 returns a uniform draw in [0,1) with 53 random bits, one word
+// per draw.
+func (s *CryptoSource) Float64() float64 {
+	return float64(s.words.Uint64()>>11) * 0x1p-53
 }
 
-// FillNormal fills dst with standard normal draws; the ziggurat draws
-// stream over the crypto-keyed words.
-func (s *CryptoSource) FillNormal(dst []float64) {
-	for i := range dst {
-		dst[i] = s.Rand.NormFloat64()
+// NormFloat64 returns one standard normal draw, from one word's low half
+// when it passes the ziggurat's fast test.
+func (s *CryptoSource) NormFloat64() float64 {
+	j := int32(s.words.Uint64())
+	if x, ok := zigFast(j); ok {
+		return x
+	}
+	return s.normalSlow(j)
+}
+
+// AddNormal adds sigma·z to every element of dst, each z an independent
+// standard normal draw: two ziggurat draws per 64-bit word, one from each
+// 32-bit half. A draw that fails the fast test takes its further words
+// from the stream; the odd element of an odd-length dst leaves its word's
+// high half unused.
+func (s *CryptoSource) AddNormal(dst []float64, sigma float64) {
+	for ; len(dst) >= 2; dst = dst[2:] {
+		u := s.words.Uint64()
+		z0, ok0 := zigFast(int32(u))
+		z1, ok1 := zigFast(int32(u >> 32))
+		if !ok0 {
+			z0 = s.normalSlow(int32(u))
+		}
+		if !ok1 {
+			z1 = s.normalSlow(int32(u >> 32))
+		}
+		dst[0] += sigma * z0
+		dst[1] += sigma * z1
+	}
+	if len(dst) == 1 {
+		dst[0] += sigma * s.NormFloat64()
 	}
 }
 
-// FillLaplace fills dst with Laplace(0, b) draws by inverse CDF over the
-// crypto-keyed words.
-func (s *CryptoSource) FillLaplace(dst []float64, b float64) {
+// AddLaplace adds an independent Laplace(0, b) draw to every element of
+// dst, each by inverse CDF from a 53-bit uniform (one word per draw).
+func (s *CryptoSource) AddLaplace(dst []float64, b float64) {
 	for i := range dst {
-		dst[i] = laplace(s, b)
+		dst[i] += laplaceAt(s.Float64(), b)
 	}
 }
 
 // cryptoPool recycles crypto sources so the server's hot path skips the
 // per-release source construction and keeps each source's partially
 // consumed CSPRNG block. Pooling is safe because a source holds no
-// per-release state: only the word buffer, whose every word is consumed
-// exactly once regardless of which release consumes it.
-var cryptoPool = sync.Pool{New: func() any { return NewCryptoSeededSource().(*CryptoSource) }}
+// per-release state: only the word stream, whose every word is consumed
+// at most once regardless of which release consumes it.
+var cryptoPool = sync.Pool{New: func() any { return &CryptoSource{} }}
 
 // AcquireCryptoSource returns a pooled production noise source. Release it
 // with ReleaseCryptoSource when the release's noise has been drawn.

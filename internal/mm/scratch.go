@@ -3,9 +3,9 @@
 // The mechanism's economics are design-once / release-many, so the
 // steady-state cost per release decides serving throughput. The classic
 // entry points (EstimateGaussian and friends) allocate the measurement
-// vector, the noise vector, the estimate, and fresh solver scratch on
-// every call; ReleaseScratch hoists all of it into one reusable object
-// recycled through a per-mechanism sync.Pool. The Into variants return
+// vector, the estimate, and fresh solver scratch on every call;
+// ReleaseScratch hoists all of it into one reusable object recycled
+// through a per-mechanism sync.Pool. The Into variants return
 // slices owned by the scratch — valid until the scratch's next use — and
 // on the dense-pinv and CGLS paths perform zero steady-state allocations
 // (pinned by TestAllocsPerRelease). The classic entry points now rent a
@@ -24,13 +24,12 @@ import (
 )
 
 // ReleaseScratch holds every buffer one release needs: noisy strategy
-// answers, the noise vector, the estimate, workload answers, and the
+// answers, the estimate, workload answers, and the
 // least-squares solver workspace. The zero value is ready to use; buffers
 // grow on demand and stay at their high-water mark. A scratch must not be
 // used by two releases concurrently.
 type ReleaseScratch struct {
 	y     []float64 // noisy strategy answers (rows)
-	noise []float64 // raw noise draws (rows)
 	est   []float64 // cell estimate x̂
 	ans   []float64 // workload answers
 	chunk []float64 // streaming answer chunk (AnswerStream)
@@ -108,27 +107,19 @@ func (m *Mechanism) estimateInto(sc *ReleaseScratch, x []float64, kind noiseKind
 	if len(x) != m.a.Cols() {
 		return nil, fmt.Errorf("mm: data vector has %d cells, strategy expects %d", len(x), m.a.Cols())
 	}
-	rows := m.a.Rows()
 	timers := m.timers.Load()
 	var t0 time.Time
 	if timers != nil || sc.Trace != nil {
 		t0 = time.Now()
 	}
-	sc.y = growFloats(sc.y, rows)
+	sc.y = growFloats(sc.y, m.a.Rows())
 	m.answersInto(sc.y, x, sc)
 	t0 = m.stageDone(sc, timers, stageAnswer, t0)
-	sc.noise = growFloats(sc.noise, rows)
 	switch kind {
 	case laplaceNoise:
-		fillLaplace(r, sc.noise, scale)
-		for i, n := range sc.noise {
-			sc.y[i] += n
-		}
+		addLaplace(r, sc.y, scale)
 	default:
-		fillNormal(r, sc.noise)
-		for i, n := range sc.noise {
-			sc.y[i] += scale * n
-		}
+		addNormal(r, sc.y, scale)
 	}
 	t0 = m.stageDone(sc, timers, stageNoise, t0)
 	sc.est = growFloats(sc.est, m.estimateLen())
