@@ -178,8 +178,12 @@ func (a *Accountant) Datasets() []string {
 	return names
 }
 
-// Reservation is an in-flight budget claim. Exactly one of Commit or
-// Refund must be called; both are idempotent and later calls are no-ops.
+// Reservation is an in-flight budget claim, a value the caller holds (so
+// a release allocates none). Exactly one of Commit or Refund must be
+// called, through the variable Reserve's result was stored in: both are
+// idempotent there, and later calls are no-ops. A copy keeps its own
+// settled flag, so settle one variable only. The zero Reservation (the
+// one a failed Reserve returns) settles nothing.
 type Reservation struct {
 	a       *Accountant
 	dataset string
@@ -190,9 +194,9 @@ type Reservation struct {
 // Reserve atomically claims budget for one release against the dataset's
 // cap. It fails with *OverBudgetError when committed spend plus in-flight
 // reservations plus the request would exceed a capped component.
-func (a *Accountant) Reserve(dataset string, p Budget) (*Reservation, error) {
+func (a *Accountant) Reserve(dataset string, p Budget) (Reservation, error) {
 	if p.Epsilon < 0 || p.Delta < 0 {
-		return nil, fmt.Errorf("accountant: negative budget (ε=%g, δ=%g)", p.Epsilon, p.Delta)
+		return Reservation{}, fmt.Errorf("accountant: negative budget (ε=%g, δ=%g)", p.Epsilon, p.Delta)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -202,7 +206,7 @@ func (a *Accountant) Reserve(dataset string, p Budget) (*Reservation, error) {
 		overEps := st.cap.Epsilon > 0 && claimed.Epsilon+p.Epsilon > st.cap.Epsilon*(1+slackRel)
 		overDelta := st.cap.Delta > 0 && claimed.Delta+p.Delta > st.cap.Delta*(1+slackRel)
 		if overEps || overDelta {
-			return nil, &OverBudgetError{
+			return Reservation{}, &OverBudgetError{
 				Dataset:   dataset,
 				Requested: p,
 				Remaining: st.cap.sub(claimed),
@@ -210,7 +214,7 @@ func (a *Accountant) Reserve(dataset string, p Budget) (*Reservation, error) {
 		}
 	}
 	st.reserved = st.reserved.add(p)
-	return &Reservation{a: a, dataset: dataset, amount: p}, nil
+	return Reservation{a: a, dataset: dataset, amount: p}, nil
 }
 
 // Commit converts the reservation into committed spend.
@@ -225,6 +229,9 @@ func (r *Reservation) Refund() {
 }
 
 func (r *Reservation) settle(commit bool) {
+	if r.a == nil {
+		return
+	}
 	r.a.mu.Lock()
 	defer r.a.mu.Unlock()
 	if r.settled {

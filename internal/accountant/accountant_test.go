@@ -199,3 +199,23 @@ func TestLenAndTracked(t *testing.T) {
 		t.Fatalf("after reserve: len=%d tracked=%v", a.Len(), a.Tracked("d"))
 	}
 }
+
+// TestRefusedReservationSettlesNothing: the zero Reservation a refused
+// Reserve returns can be refunded or committed without effect, so a
+// deferred Refund placed before the error check is safe.
+func TestRefusedReservationSettlesNothing(t *testing.T) {
+	a := New()
+	a.SetCap("d", Budget{Epsilon: 1})
+	res, err := a.Reserve("d", Budget{Epsilon: 2})
+	if err == nil {
+		t.Fatal("over-cap reservation admitted")
+	}
+	res.Commit()
+	res.Refund()
+	if got := a.Spent("d"); got.Epsilon != 0 {
+		t.Fatalf("refused reservation charged the ledger: %+v", got)
+	}
+	if rem, _ := a.Remaining("d"); rem.Epsilon != 1 {
+		t.Fatalf("refused reservation changed the remaining budget: %+v", rem)
+	}
+}

@@ -80,8 +80,8 @@ func checkReservesIn(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		// The companion error of `res, err := acct.Reserve(...)`: on the
-		// error path res is nil and there is nothing to settle, so a return
-		// that propagates (or wraps) err is not a leak.
+		// error path res is the zero Reservation and there is nothing to
+		// settle, so a return that propagates (or wraps) err is not a leak.
 		var errObj types.Object
 		if len(assign.Lhs) == 2 {
 			if errIdent, ok := ast.Unparen(assign.Lhs[1]).(*ast.Ident); ok && errIdent.Name != "_" {
@@ -103,7 +103,7 @@ func checkReservesIn(pass *Pass, body *ast.BlockStmt) {
 					return true
 				}
 				if errObj != nil && refersTo(pass.TypesInfo, ret, errObj) {
-					// Propagating the Reserve error: res is nil here.
+					// Propagating the Reserve error: res is the zero value here.
 					return true
 				}
 				pass.Reportf(ret.Pos(),

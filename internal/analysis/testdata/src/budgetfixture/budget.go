@@ -80,10 +80,10 @@ func branchSettle(a *accountant.Accountant, commit bool) error {
 }
 
 // transfer hands the settle obligation to the caller with the value.
-func transfer(a *accountant.Accountant) (*accountant.Reservation, error) {
+func transfer(a *accountant.Accountant) (accountant.Reservation, error) {
 	res, err := a.Reserve("d", accountant.Budget{Epsilon: 1})
 	if err != nil {
-		return nil, err
+		return accountant.Reservation{}, err
 	}
 	return res, nil
 }

@@ -10,14 +10,42 @@ type KronOp struct {
 	factors []Operator
 	rows    int
 	cols    int
-	// stage is the longest tensor a mode-by-mode pass produces before
-	// its last mode, which writes dst; modesLen = 2·stage + max mᵢ +
-	// max nᵢ is the scratch such a pass needs (see modes). scratch holds
-	// max(kronRangeLen, modesLen) values: the forward slabs and fibers,
-	// or the transpose's two stage-long tensors and its fibers.
-	stage    int
-	modesLen int
+	// stage[p] is the longest tensor a mode-by-mode pass in direction p
+	// produces before its last mode, which writes dst; modesLen[p] =
+	// 2·stage[p] + max mᵢ + max nᵢ is the scratch such a pass needs (see
+	// modes). scratch holds max(kronRangeLen, modesLen[transposedPass])
+	// values: the range product's slabs and fibers, or the transposed
+	// pass's two stage-long tensors and its fibers. The forward pass runs
+	// only in KronSolver.AnswerInto, on the caller's workspace.
+	stage    [2]int
+	modesLen [2]int
 	scratch  *vecPool
+}
+
+// pass is the direction of a mode-by-mode pass (see modes): a transposed
+// pass maps each factor's rows to its columns (Aᵀ, and A⁺ in a solve), a
+// forward pass its columns to its rows (A).
+type pass int
+
+const (
+	transposedPass pass = iota
+	forwardPass
+)
+
+// in is the dimension of a factor a mode of the pass consumes.
+func (p pass) in(f Operator) int {
+	if p == forwardPass {
+		return f.Cols()
+	}
+	return f.Rows()
+}
+
+// out is the dimension of a factor a mode of the pass produces.
+func (p pass) out(f Operator) int {
+	if p == forwardPass {
+		return f.Rows()
+	}
+	return f.Cols()
 }
 
 // NewKronOp returns the Kronecker product of the factors, in order. A
@@ -36,14 +64,17 @@ func NewKronOp(factors ...Operator) Operator {
 		cols *= f.Cols()
 		maxM, maxN = max(maxM, f.Rows()), max(maxN, f.Cols())
 	}
-	// After mode i the tensor holds (n₁…nᵢ)·(mᵢ₊₁…m_k) values.
-	stage, left := 0, 1
-	for i, f := range factors[:len(factors)-1] {
-		left *= f.Cols()
-		stage = max(stage, left*kronDim(factors[i+1:], Operator.Rows))
+	o := &KronOp{factors: factors, rows: rows, cols: cols}
+	for _, p := range []pass{transposedPass, forwardPass} {
+		// After mode i the tensor holds (out₁…outᵢ)·(inᵢ₊₁…in_k) values.
+		left := 1
+		for i, f := range factors[:len(factors)-1] {
+			left *= p.out(f)
+			o.stage[p] = max(o.stage[p], left*kronDim(factors[i+1:], p.in))
+		}
+		o.modesLen[p] = 2*o.stage[p] + maxM + maxN
 	}
-	o := &KronOp{factors: factors, rows: rows, cols: cols, stage: stage, modesLen: 2*stage + maxM + maxN}
-	o.scratch = newVecPool(max(kronRangeLen(factors), o.modesLen))
+	o.scratch = newVecPool(max(kronRangeLen(factors), o.modesLen[transposedPass]))
 	return o
 }
 
@@ -143,41 +174,54 @@ func (o *KronOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(dst), o.cols, true)
 	s := o.scratch.get()
 	defer o.scratch.put(s)
-	fibers := (*s)[2*o.stage:]
-	o.modes(dst, y, *s, func(i int, out, in []float64, w int) {
+	fibers := (*s)[2*o.stage[transposedPass]:]
+	o.modes(transposedPass, dst, y, *s, func(i int, out, in []float64, w int) {
 		mulSlabT(o.factors[i], out, in, w, fibers)
 	})
 }
 
 // modes applies one linear map per factor, each to the leading axis of
-// the working tensor. Before mode i the tensor has shape
-// mᵢ × (mᵢ₊₁…m_k · n₁…nᵢ₋₁), an mᵢ×w slab whose w columns are the mode's
-// fibers; apply(i, out, in, w) maps it to the nᵢ×w slab out, and one
-// blocked transpose rotates that to w×nᵢ, so factor i+1's axis leads and
-// factor i's axis trails. After k modes the axes are back in their
-// original order n₁…n_k. apply writes the second stage-long half of ws,
-// the transpose the first (the last one writes dst); ws holds modesLen
-// values, the fibers a column adapter needs sitting after the halves.
+// the working tensor, in direction p: each mode consumes its factor's
+// p.in dimension and produces its p.out dimension. Before mode i the
+// tensor has shape inᵢ × (inᵢ₊₁…in_k · out₁…outᵢ₋₁), an inᵢ×w slab whose
+// w columns are the mode's fibers; apply(i, out, in, w) maps it to the
+// outᵢ×w slab out, and one blocked transpose rotates that to w×outᵢ, so
+// factor i+1's axis leads and factor i's axis trails. After k modes the
+// axes are back in their original order out₁…out_k. apply writes the
+// second stage-long half of ws, the transpose the first (the last one
+// writes dst); ws holds modesLen[p] values, the fibers a column adapter
+// needs sitting after the halves.
 //
-// A wide last factor (its n_k×w slab longer than a stage) takes its
-// columns one at a time, each gathered into the free half and mapped
-// straight into its row of dst, so the scratch never holds the output.
-func (o *KronOp) modes(dst, y, ws []float64, apply func(i int, out, in []float64, w int)) {
+// A wide last mode (its out_k×w output longer than a stage) runs over
+// blocks of as many columns as the free half holds with their output:
+// each block is gathered into the free half, mapped and transposed into
+// its rows of dst, so the scratch never holds the output. A block of one
+// column maps straight into its row of dst.
+func (o *KronOp) modes(p pass, dst, src, ws []float64, apply func(i int, out, in []float64, w int)) {
 	factors := o.factors
 	last := len(factors) - 1
-	rotated, applied := ws[:o.stage], ws[o.stage:2*o.stage]
-	cur := y
+	stage := o.stage[p]
+	rotated, applied := ws[:stage], ws[stage:2*stage]
+	cur := src
 	left := 1
 	for i, f := range factors {
-		n := f.Cols()
-		w := kronDim(factors[i+1:], Operator.Rows) * left
-		if i == last && n*w > o.stage {
-			in := applied[:f.Rows()]
-			for c := 0; c < w; c++ {
-				for j := range in {
-					in[j] = cur[j*w+c]
+		m, n := p.in(f), p.out(f)
+		w := kronDim(factors[i+1:], p.in) * left
+		if i == last && n*w > stage {
+			bw := max(1, stage/(m+n))
+			for c0 := 0; c0 < w; c0 += bw {
+				b := min(bw, w-c0)
+				in, rows := applied[:m*b], dst[c0*n:(c0+b)*n]
+				for j := 0; j < m; j++ {
+					copy(in[j*b:(j+1)*b], cur[j*w+c0:])
 				}
-				apply(i, dst[c*n:(c+1)*n], in, 1)
+				if b == 1 {
+					apply(i, rows, in, 1)
+					continue
+				}
+				out := applied[m*b : (m+n)*b]
+				apply(i, out, in, b)
+				transposeInto(rows, out, n, b)
 			}
 			return
 		}
@@ -198,16 +242,32 @@ func (o *KronOp) modes(dst, y, ws []float64, apply func(i int, out, in []float64
 const transposeBlock = 16
 
 // transposeInto writes the r×c row-major src into dst as c×r, tile by
-// tile so both sides stream whole cache lines.
+// tile so both sides stream whole cache lines. Within a tile it copies
+// four source rows per pass, so each destination row takes four
+// contiguous writes; leftover rows go one at a time.
 func transposeInto(dst, src []float64, r, c int) {
 	for i0 := 0; i0 < r; i0 += transposeBlock {
 		i1 := min(i0+transposeBlock, r)
 		for j0 := 0; j0 < c; j0 += transposeBlock {
 			j1 := min(j0+transposeBlock, c)
-			for i := i0; i < i1; i++ {
-				row := src[i*c : i*c+j1]
-				for j := j0; j < j1; j++ {
-					dst[j*r+i] = row[j]
+			i := i0
+			for ; i+4 <= i1; i += 4 {
+				s0 := src[i*c+j0 : i*c+j1]
+				s1 := src[(i+1)*c+j0:][:len(s0)]
+				s2 := src[(i+2)*c+j0:][:len(s0)]
+				s3 := src[(i+3)*c+j0:][:len(s0)]
+				at := j0*r + i
+				for j := range s0 {
+					d := dst[at : at+4 : at+4]
+					d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
+					at += r
+				}
+			}
+			for ; i < i1; i++ {
+				at := j0*r + i
+				for _, v := range src[i*c+j0 : i*c+j1] {
+					dst[at] = v
+					at += r
 				}
 			}
 		}

@@ -99,8 +99,9 @@ func TestSlabKernelsMatchVectorKernels(t *testing.T) {
 // TestTreeSlabSolveMatchesSolveLSInto runs the slab tree solve on every
 // forest shape of treeCases, uncovered cells included, at every width in
 // slabWidths and two blocks and a remainder: each column equals
-// SolveLSInto's solution bit for bit, and a workspace holds one column
-// block per node, not the slab.
+// SolveLSInto's solution bit for bit, and a workspace holds exactly one
+// column block per node and one per internal node (its kept children's
+// sum), not the slab.
 func TestTreeSlabSolveMatchesSolveLSInto(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, tc := range treeCases() {
@@ -119,10 +120,55 @@ func TestTreeSlabSolveMatchesSolveLSInto(t *testing.T) {
 				_ = ts.SolveLSInto(out, in, &ws)
 			})
 			sameBits(t, fmt.Sprintf("%s width %d", tc.name, w), got, want)
-			if cap(ws.r) > (ts.rows+1)*slabBlock {
-				t.Fatalf("%s width %d: workspace %d values, want at most %d", tc.name, w, cap(ws.r), (ts.rows+1)*slabBlock)
+			if want := (ts.rows + ts.internal) * min(w, slabBlock); cap(ws.r) != want {
+				t.Fatalf("%s width %d: workspace %d values, want %d", tc.name, w, cap(ws.r), want)
 			}
 		}
+	}
+}
+
+// TestTreeAnswerSlabMatchesAnswerInto runs the bottom-up slab answer on
+// every forest shape of treeCases at every width in slabWidths: each
+// column equals AnswerInto's answers bit for bit, writing every entry of
+// a NaN-filled dst.
+func TestTreeAnswerSlabMatchesAnswerInto(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, tc := range treeCases() {
+		b := NewSparseBuilder(tc.cols)
+		tc.build(b)
+		ts, ok := NewTreeSolver(b.Build())
+		if !ok {
+			t.Fatalf("%s: not recognized", tc.name)
+		}
+		for _, w := range slabWidths {
+			x := slabInput(r, ts.cols*w)
+			got := nanVec(ts.rows * w)
+			ts.answerSlab(got, x, w)
+			var ws CGWorkspace
+			sameBits(t, fmt.Sprintf("%s width %d", tc.name, w), got, columnwise(ts.cols, ts.rows, w, x, func(out, in []float64) {
+				ts.AnswerInto(out, in, &ws)
+			}))
+		}
+	}
+}
+
+// TestTransposeIntoMatchesNaive checks the four-row blocked transpose
+// against the element-by-element one on shapes that are multiples of
+// neither four nor the tile side.
+func TestTransposeIntoMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for _, sh := range [][2]int{{1, 37}, {37, 1}, {5, 7}, {31, 465}} {
+		rows, cols := sh[0], sh[1]
+		src := randVec(r, rows*cols)
+		want := make([]float64, rows*cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				want[j*rows+i] = src[i*cols+j]
+			}
+		}
+		got := nanVec(rows * cols)
+		transposeInto(got, src, rows, cols)
+		sameBits(t, fmt.Sprintf("%d×%d transpose", rows, cols), got, want)
 	}
 }
 
@@ -158,13 +204,15 @@ func TestDenseSlabParallelMatchesVectorKernels(t *testing.T) {
 // rows): the last mode writes dst one column at a time, so its output
 // never needs a stage of scratch. Kron(tree over 4 cells, total of 6
 // cells) is 7×4 ⊗ 1×6: stage 4·1, modesLen 2·4 + 7 + 6 = 21, and the
-// forward range product's 7·6 + 4 + 7 = 53 sets the pool.
+// forward range product's 7·6 + 4 + 7 = 53 sets the pool. The forward
+// pass (KronSolver.AnswerInto) runs on the caller's workspace; see
+// checkForwardScratch.
 func TestKronScratchBound(t *testing.T) {
 	total := NewSparseBuilder(6)
 	total.AppendRangeRow(0, 5, 1)
 	op := NewKronOp(binaryTree(4), total.Build()).(*KronOp)
-	if op.stage != 4 || op.modesLen != 21 || op.scratch.n != 53 {
-		t.Fatalf("stage %d, modesLen %d, pool %d values; want 4, 21, 53", op.stage, op.modesLen, op.scratch.n)
+	if op.stage[transposedPass] != 4 || op.modesLen[transposedPass] != 21 || op.scratch.n != 53 {
+		t.Fatalf("stage %d, modesLen %d, pool %d values; want 4, 21, 53", op.stage[transposedPass], op.modesLen[transposedPass], op.scratch.n)
 	}
 	r := rand.New(rand.NewSource(37))
 	y := randVec(r, op.Rows())
@@ -182,7 +230,50 @@ func TestKronScratchBound(t *testing.T) {
 	}
 	var ws CGWorkspace
 	_ = s.SolveLSInto(got, y, &ws)
-	if len(ws.t) != op.modesLen {
-		t.Fatalf("solve scratch %d values, want modesLen %d", len(ws.t), op.modesLen)
+	if len(ws.t) != op.modesLen[transposedPass] {
+		t.Fatalf("solve scratch %d values, want modesLen %d", len(ws.t), op.modesLen[transposedPass])
+	}
+	// Forward, the one mode before the last produces the 7×6 tensor: stage
+	// 42, modesLen 2·42 + 7 + 6 = 97.
+	checkForwardScratch(t, op, 42, 97)
+	// census-rangemarg's three binary trees, 15×8 ⊗ 31×16 ⊗ 31×16 (14,415
+	// rows): the longest tensor before the last mode is 15·31·16 = 7,440
+	// values, and the last mode writes dst through column blocks, so no
+	// scratch tensor is as long as the rows. modesLen 2·7,440 + 31 + 16 =
+	// 14,927 is within the solve's 2·7,688 + 47 = 15,423, so a release's
+	// answer and solve share one t buffer.
+	census := NewKronOp(binaryTree(8), binaryTree(16), binaryTree(16)).(*KronOp)
+	if census.modesLen[transposedPass] != 15423 {
+		t.Fatalf("census transposed modesLen %d, want 15423", census.modesLen[transposedPass])
+	}
+	checkForwardScratch(t, census, 7440, 14927)
+}
+
+// checkForwardScratch pins the forward pass of op's KronSolver to the
+// given stage and t workspace, checks its answers against op's own
+// product to 1e-12 relative, and checks that its tree factors' slab
+// passes take no r workspace (they write straight into the pass's
+// tensors).
+func checkForwardScratch(t *testing.T, op *KronOp, stage, modesLen int) {
+	t.Helper()
+	if op.stage[forwardPass] != stage || op.modesLen[forwardPass] != modesLen {
+		t.Fatalf("forward stage %d, modesLen %d; want %d, %d", op.stage[forwardPass], op.modesLen[forwardPass], stage, modesLen)
+	}
+	s, ok := newKronSolver(op, 16)
+	if !ok {
+		t.Fatal("no Kronecker solver")
+	}
+	x := randVec(rand.New(rand.NewSource(39)), op.Cols())
+	var ws CGWorkspace
+	got, want := nanVec(op.Rows()), make([]float64, op.Rows())
+	s.AnswerInto(got, x, &ws)
+	op.MulVecInto(want, x)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12*max(1, math.Abs(want[i])) {
+			t.Fatalf("Ax[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(ws.t) != modesLen || cap(ws.r) != 0 {
+		t.Fatalf("answer scratch t %d, r %d values; want %d, 0", len(ws.t), cap(ws.r), modesLen)
 	}
 }

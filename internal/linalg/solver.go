@@ -93,8 +93,9 @@ type slabSolver interface {
 
 // KronSolver applies A₁⁺ ⊗ … ⊗ A_k⁺ mode by mode on the transposed
 // product's layout (see KronOp.modes), each mode through its factor's
-// slab solver. Its pass buffers are the workspace's t vector; factor tree
-// solvers use r.
+// slab solver, and answers A·x by the forward pass over the same rotation.
+// Its pass buffers are the workspace's t vector; factor tree solvers use
+// r.
 type KronSolver struct {
 	op      *KronOp
 	solvers []slabSolver // TreeSolvers and PinvSolvers
@@ -106,11 +107,32 @@ func (s *KronSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 		panic(fmt.Sprintf("linalg: KronSolver of a %dx%d strategy given rhs %d, dst %d",
 			s.op.rows, s.op.cols, len(y), len(dst)))
 	}
-	ws.t = growVec(ws.t, s.op.modesLen)
-	s.op.modes(dst, y, ws.t, func(i int, out, in []float64, w int) {
+	ws.t = growVec(ws.t, s.op.modesLen[transposedPass])
+	s.op.modes(transposedPass, dst, y, ws.t, func(i int, out, in []float64, w int) {
 		s.solvers[i].solveSlab(out, in, w, ws)
 	})
 	return nil
+}
+
+// AnswerInto writes the strategy answers (A₁ ⊗ … ⊗ A_k)·x into dst
+// (length Rows) by the forward pass: tree factors through their
+// bottom-up slab pass, the others through their operator's slab product.
+// A warmed call allocates nothing.
+func (s *KronSolver) AnswerInto(dst, x []float64, ws *CGWorkspace) {
+	if len(x) != s.op.cols || len(dst) != s.op.rows {
+		panic(fmt.Sprintf("linalg: KronSolver of a %dx%d strategy given x %d, dst %d",
+			s.op.rows, s.op.cols, len(x), len(dst)))
+	}
+	ws.t = growVec(ws.t, s.op.modesLen[forwardPass])
+	fibers := ws.t[2*s.op.stage[forwardPass]:]
+	s.op.modes(forwardPass, dst, x, ws.t, func(i int, out, in []float64, w int) {
+		if t, ok := s.solvers[i].(*TreeSolver); ok {
+			t.answerSlab(out, in, w)
+			return
+		}
+		f := s.op.factors[i]
+		mulSlabRange(f, out, in, w, 0, f.Rows(), fibers)
+	})
 }
 
 // PinvSolver solves through a materialized Moore-Penrose pseudo-inverse:

@@ -141,32 +141,75 @@ func TestNoExactSolverPastDenseCap(t *testing.T) {
 	}
 }
 
+// TestKronSolverAnswerMatchesMulVec: the Kronecker solver's forward pass
+// (tree factors bottom-up, the others through their slab products)
+// equals the operator's own product A·x to 1e-12 relative.
+func TestKronSolverAnswerMatchesMulVec(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for _, c := range kronSolverCases(r) {
+		t.Run(c.name, func(t *testing.T) {
+			s := kronSolver(t, c.op)
+			var ws linalg.CGWorkspace
+			got, want := make([]float64, c.op.Rows()), make([]float64, c.op.Rows())
+			for trial := 0; trial < 3; trial++ {
+				x := randVec(r, c.op.Cols())
+				s.AnswerInto(got, x, &ws)
+				c.op.MulVecInto(want, x)
+				if d := relDiff(got, want); d > 1e-12 {
+					t.Fatalf("trial %d: max |Ax − A·x| / max |A·x| = %g", trial, d)
+				}
+			}
+		})
+	}
+}
+
 // TestKronSolverZeroAllocAndConcurrent pins the warmed Kronecker solve
-// at zero allocations and bit-identical under concurrent solves (see
-// assertZeroAllocAndConcurrent).
+// and answer at zero allocations and bit-identical under concurrent calls
+// (see assertZeroAllocAndConcurrent).
 func TestKronSolverZeroAllocAndConcurrent(t *testing.T) {
 	op := strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)
 	assertZeroAllocAndConcurrent(t, kronSolver(t, op), op, rand.New(rand.NewSource(5)))
 }
 
-// assertZeroAllocAndConcurrent pins s's warmed solve at zero allocations
-// and runs it from 8 goroutines, each with its own workspace: every
-// result must match the sequential solve bit for bit (run under -race).
+// answerer is a solver that also answers its strategy, A·x.
+type answerer interface {
+	AnswerInto(dst, x []float64, ws *linalg.CGWorkspace)
+}
+
+// assertZeroAllocAndConcurrent pins s's warmed solve, and its answer when
+// s is an answerer, at zero allocations and runs each from 8 goroutines,
+// each with its own workspace: every result must match the sequential
+// call bit for bit (run under -race).
 func assertZeroAllocAndConcurrent(t *testing.T, s linalg.LSSolver, op linalg.Operator, r *rand.Rand) {
 	t.Helper()
+	assertKernelZeroAllocAndConcurrent(t, fmt.Sprintf("%T.SolveLSInto", s), op.Rows(), op.Cols(), r, s.SolveLSInto)
+	if a, ok := s.(answerer); ok {
+		assertKernelZeroAllocAndConcurrent(t, fmt.Sprintf("%T.AnswerInto", s), op.Cols(), op.Rows(), r,
+			func(dst, x []float64, ws *linalg.CGWorkspace) error {
+				a.AnswerInto(dst, x, ws)
+				return nil
+			})
+	}
+}
+
+// assertKernelZeroAllocAndConcurrent checks one workspace kernel mapping
+// an in-vector to an out-vector, as assertZeroAllocAndConcurrent describes.
+func assertKernelZeroAllocAndConcurrent(t *testing.T, name string, in, out int, r *rand.Rand,
+	kernel func(dst, src []float64, ws *linalg.CGWorkspace) error) {
+	t.Helper()
 	var ws linalg.CGWorkspace
-	y, dst := randVec(r, op.Rows()), make([]float64, op.Cols())
-	s.SolveLSInto(dst, y, &ws)
-	if n := testing.AllocsPerRun(20, func() { s.SolveLSInto(dst, y, &ws) }); n != 0 {
-		t.Fatalf("warmed %T.SolveLSInto allocates %v per solve, want 0", s, n)
+	src, dst := randVec(r, in), make([]float64, out)
+	kernel(dst, src, &ws)
+	if n := testing.AllocsPerRun(20, func() { kernel(dst, src, &ws) }); n != 0 {
+		t.Fatalf("warmed %s allocates %v per call, want 0", name, n)
 	}
 
 	const workers = 8
-	ys, want := make([][]float64, workers), make([][]float64, workers)
-	for g := range ys {
-		ys[g] = randVec(r, op.Rows())
-		want[g] = make([]float64, op.Cols())
-		if err := s.SolveLSInto(want[g], ys[g], &ws); err != nil {
+	srcs, want := make([][]float64, workers), make([][]float64, workers)
+	for g := range srcs {
+		srcs[g] = randVec(r, in)
+		want[g] = make([]float64, out)
+		if err := kernel(want[g], srcs[g], &ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,12 +220,12 @@ func assertZeroAllocAndConcurrent(t *testing.T, s linalg.LSSolver, op linalg.Ope
 		go func(g int) {
 			defer wg.Done()
 			var ws linalg.CGWorkspace
-			got := make([]float64, op.Cols())
+			got := make([]float64, out)
 			for rep := 0; rep < 10; rep++ {
-				s.SolveLSInto(got, ys[g], &ws)
+				kernel(got, srcs[g], &ws)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[g][i]) {
-						errs <- fmt.Errorf("worker %d: x̂[%d] = %v, want %v", g, i, got[i], want[g][i])
+						errs <- fmt.Errorf("%s worker %d: out[%d] = %v, want %v", name, g, i, got[i], want[g][i])
 						return
 					}
 				}
@@ -490,7 +533,8 @@ func BenchmarkKronSolver(b *testing.B) {
 
 // BenchmarkKronProducts times the forward and transposed products of the
 // two Census strategies served through Kronecker products over 8×16×16:
-// census-rangemarg's three binary trees (sparse factors) and census-3d's
+// census-rangemarg's three binary trees (sparse factors, plus the
+// KronSolver's forward pass its releases answer by) and census-3d's
 // principal-vectors strategy, whose eigenbasis is a product of dense
 // orthogonal factors. A product of a 512² dense factor and an 8² one
 // covers the dense slab kernels past the size where they split across
@@ -523,6 +567,17 @@ func BenchmarkKronProducts(b *testing.B) {
 		b.Run(c.name+"/transposed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.op.MulVecTInto(dstT, y)
+			}
+		})
+		if c.name != "rangemarg" {
+			continue
+		}
+		// The solver's forward pass, which a release of the strategy runs.
+		s := kronSolver(b, c.op)
+		var ws linalg.CGWorkspace
+		b.Run(c.name+"/answer", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.AnswerInto(dst, x, &ws)
 			}
 		})
 	}

@@ -46,6 +46,8 @@ type TreeSolver struct {
 	invLen     []float64 // leaves: 1/interval length
 	coefA      []float64 // internal: w/τ
 	coefB      []float64 // internal: τ_children/τ
+	internal   int       // internal (non-leaf) node count
+	unitW      bool      // every row weight is exactly 1
 	covered    bool      // the root intervals tile every cell
 }
 
@@ -106,8 +108,11 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 		hi:   make([]int, s.rows),
 		w:    make([]float64, s.rows),
 	}
+	t.unitW = true
 	for k, v := range order {
 		t.lo[k], t.hi[k], t.w[k] = lo[v], hi[v], w[v]
+		//lint:allow floateq: structural detection — only exactly unit weights let the slab answer skip its scaling pass bit-identically
+		t.unitW = t.unitW && w[v] == 1
 	}
 	// parent[k] in topological ids; roots keep -1.
 	parent := make([]int, s.rows)
@@ -190,6 +195,7 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 			t.invLen[v] = 1 / float64(t.hi[v]-t.lo[v]+1)
 			continue
 		}
+		t.internal++
 		var invSum float64
 		for _, c := range t.childList[c0:c1] {
 			invSum += 1 / tau[c]
@@ -234,11 +240,7 @@ func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 			u[v] = y[t.row[v]] * t.invW[v]
 			continue
 		}
-		var sumU float64
-		for _, c := range t.childList[c0:c1] {
-			sumU += u[c]
-		}
-		u[v] = t.coefA[v]*y[t.row[v]] + t.coefB[v]*sumU
+		u[v] = t.coefA[v]*y[t.row[v]] + t.coefB[v]*t.sumChildren(u, c0, c1)
 	}
 	// Downward: condition children on the parent's final estimate. u[v]
 	// is final once v is visited (roots keep their upward value), and
@@ -248,11 +250,7 @@ func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 		if c0 == c1 {
 			continue
 		}
-		var sumU float64
-		for _, c := range t.childList[c0:c1] {
-			sumU += u[c]
-		}
-		corr := u[v] - sumU
+		corr := u[v] - t.sumChildren(u, c0, c1)
 		for ci := c0; ci < c1; ci++ {
 			u[t.childList[ci]] += t.childGain[ci] * corr
 		}
@@ -278,62 +276,103 @@ func (t *TreeSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 	return nil
 }
 
+// sumChildren is the sum of u over the children childList[c0:c1],
+// added in child order starting from the first child, as the slab passes
+// add their rows.
+func (t *TreeSolver) sumChildren(u []float64, c0, c1 int) float64 {
+	s := u[t.childList[c0]]
+	for _, c := range t.childList[c0+1 : c1] {
+		s += u[c]
+	}
+	return s
+}
+
 // solveSlab writes the solution for every column of the rows×w slab y
 // into the cols×w slab dst: the two passes of SolveLSInto run over rows
 // of slabBlock columns at a time, so ws.r grows by one column block per
-// node, not by the slab. Every column takes SolveLSInto's operations in
-// its order (bit-identical results).
+// node and one more per internal node, not by the slab. Every column
+// takes SolveLSInto's operations in its order (bit-identical results).
 func (t *TreeSolver) solveSlab(dst, y []float64, w int, ws *CGWorkspace) {
 	if len(y) != t.rows*w || len(dst) != t.cols*w {
 		panic("linalg: TreeSolver slab length mismatch")
 	}
-	ws.r = growVec(ws.r, (t.rows+1)*min(w, slabBlock))
+	blocks := t.rows + t.internal
+	ws.r = growVec(ws.r, blocks*min(w, slabBlock))
 	if !t.covered {
 		clear(dst)
 	}
 	for c0 := 0; c0 < w; c0 += slabBlock {
 		bw := min(slabBlock, w-c0)
-		t.solveBlock(dst, y, w, c0, ws.r[:(t.rows+1)*bw])
+		t.solveBlock(dst, y, w, c0, ws.r[:blocks*bw])
 	}
 }
 
 // solveBlock solves columns [c0, c0+bw) of the slab, where bw is
-// len(buf)/(rows+1): node v's values sit at buf[v·bw:(v+1)·bw] and the
-// last bw values hold sums over children.
+// len(buf)/(rows+internal): node v's values sit at buf[v·bw:(v+1)·bw],
+// and the k-th internal node in topological order keeps its children's
+// upward sum at buf[(rows+k)·bw:], which the downward pass reuses (the
+// children do not change in between). Two-child nodes, every internal
+// node of a binary tree, fuse each pass into one loop over the block.
 func (t *TreeSolver) solveBlock(dst, y []float64, w, c0 int, buf []float64) {
-	bw := len(buf) / (t.rows + 1)
-	sum := buf[t.rows*bw:]
+	bw := len(buf) / (t.rows + t.internal)
+	node := func(v int) []float64 { return buf[v*bw:][:bw] }
+	sums := buf[t.rows*bw:]
 	// Upward: fuse each node's own measurement with its children's sum.
+	k := t.internal
 	for v := t.rows - 1; v >= 0; v-- {
-		u, yv := buf[v*bw:][:len(sum)], y[t.row[v]*w+c0:][:len(sum)]
+		u, yv := node(v), y[t.row[v]*w+c0:][:bw]
 		ch0, ch1 := t.childOff[v], t.childOff[v+1]
 		if ch0 == ch1 {
 			inv := t.invW[v]
-			for j := range sum {
+			for j := range u {
 				u[j] = yv[j] * inv
 			}
 			continue
 		}
-		t.sumChildren(sum, buf, ch0, ch1)
+		k--
+		sum := sums[k*bw:][:bw]
 		a, b := t.coefA[v], t.coefB[v]
-		for j := range sum {
+		if ch1-ch0 == 2 {
+			l, r := node(t.childList[ch0]), node(t.childList[ch0+1])
+			for j := range u {
+				s := l[j] + r[j]
+				sum[j] = s
+				u[j] = a*yv[j] + b*s
+			}
+			continue
+		}
+		copy(sum, node(t.childList[ch0]))
+		for _, c := range t.childList[ch0+1 : ch1] {
+			addTo(sum, node(c))
+		}
+		for j := range u {
 			u[j] = a*yv[j] + b*sum[j]
 		}
 	}
-	// Downward: condition children on the parent's final estimate; sum
-	// turns into the parent's surplus.
+	// Downward: condition children on the parent's final estimate; the
+	// kept sum turns into the parent's surplus.
 	for v := 0; v < t.rows; v++ {
 		ch0, ch1 := t.childOff[v], t.childOff[v+1]
 		if ch0 == ch1 {
 			continue
 		}
-		t.sumChildren(sum, buf, ch0, ch1)
-		u := buf[v*bw:][:len(sum)]
+		u, sum := node(v), sums[k*bw:][:bw]
+		k++
+		if ch1-ch0 == 2 {
+			gl, gr := t.childGain[ch0], t.childGain[ch0+1]
+			l, r := node(t.childList[ch0]), node(t.childList[ch0+1])
+			for j := range u {
+				corr := u[j] - sum[j]
+				l[j] += gl * corr
+				r[j] += gr * corr
+			}
+			continue
+		}
 		for j := range sum {
 			sum[j] = u[j] - sum[j]
 		}
 		for ci := ch0; ci < ch1; ci++ {
-			g, uc := t.childGain[ci], buf[t.childList[ci]*bw:][:len(sum)]
+			g, uc := t.childGain[ci], node(t.childList[ci])
 			for j := range sum {
 				uc[j] += g * sum[j]
 			}
@@ -344,33 +383,21 @@ func (t *TreeSolver) solveBlock(dst, y []float64, w, c0 int, buf []float64) {
 		if t.childOff[v] != t.childOff[v+1] {
 			continue
 		}
-		u, inv := buf[v*bw:][:len(sum)], t.invLen[v]
+		u, inv := node(v), t.invLen[v]
 		for cell := t.lo[v]; cell <= t.hi[v]; cell++ {
-			d := dst[cell*w+c0:][:len(sum)]
-			for j := range sum {
+			d := dst[cell*w+c0:][:bw]
+			for j := range d {
 				d[j] = u[j] * inv
 			}
 		}
 	}
 }
 
-// sumChildren leaves the sum of the block values of the children
-// childList[ch0:ch1] in sum, added in child order from zero as
-// SolveLSInto adds them.
-func (t *TreeSolver) sumChildren(sum, buf []float64, ch0, ch1 int) {
-	clear(sum)
-	for _, c := range t.childList[ch0:ch1] {
-		uc := buf[c*len(sum):][:len(sum)]
-		for j := range sum {
-			sum[j] += uc[j]
-		}
-	}
-}
-
 // AnswerInto writes the strategy answers A·x into dst (length Rows) in
 // O(rows + cells): leaf sums from the cells, internal sums from children,
-// one reverse-topological pass. It is the matvec fast path paired with
-// SolveLSInto on the release hot path.
+// one reverse-topological pass, each sum started from its first term. It
+// is the matvec fast path paired with SolveLSInto on the release hot
+// path.
 func (t *TreeSolver) AnswerInto(dst, x []float64, ws *CGWorkspace) {
 	if len(x) != t.cols {
 		panic("linalg: TreeSolver input length mismatch")
@@ -382,17 +409,67 @@ func (t *TreeSolver) AnswerInto(dst, x []float64, ws *CGWorkspace) {
 	sum := ws.r
 	for v := t.rows - 1; v >= 0; v-- {
 		c0, c1 := t.childOff[v], t.childOff[v+1]
-		var s float64
 		if c0 == c1 {
-			for j := t.lo[v]; j <= t.hi[v]; j++ {
+			s := x[t.lo[v]]
+			for j := t.lo[v] + 1; j <= t.hi[v]; j++ {
 				s += x[j]
 			}
+			sum[v] = s
 		} else {
-			for _, c := range t.childList[c0:c1] {
-				s += sum[c]
+			sum[v] = t.sumChildren(sum, c0, c1)
+		}
+		dst[t.row[v]] = t.w[v] * sum[v]
+	}
+}
+
+// answerSlab writes the strategy answers for every column of the cols×w
+// slab x into the rows×w slab dst: AnswerInto's pass over whole rows.
+// Each node's row of dst holds its unscaled sum (leaves from their cells,
+// internal nodes from their children's rows) until one scaling pass
+// applies the weights, skipped when they are all one, so the pass needs
+// no scratch. Every column takes AnswerInto's operations in its order
+// (bit-identical results).
+func (t *TreeSolver) answerSlab(dst, x []float64, w int) {
+	if len(x) != t.cols*w || len(dst) != t.rows*w {
+		panic("linalg: TreeSolver slab length mismatch")
+	}
+	for v := t.rows - 1; v >= 0; v-- {
+		d := dst[t.row[v]*w:][:w]
+		ch0, ch1 := t.childOff[v], t.childOff[v+1]
+		switch {
+		case ch0 == ch1:
+			copy(d, x[t.lo[v]*w:][:w])
+			for cell := t.lo[v] + 1; cell <= t.hi[v]; cell++ {
+				addTo(d, x[cell*w:])
+			}
+		case ch1-ch0 == 2:
+			l := dst[t.row[t.childList[ch0]]*w:][:len(d)]
+			r := dst[t.row[t.childList[ch0+1]]*w:][:len(d)]
+			for j := range d {
+				d[j] = l[j] + r[j]
+			}
+		default:
+			copy(d, dst[t.row[t.childList[ch0]]*w:][:w])
+			for _, c := range t.childList[ch0+1 : ch1] {
+				addTo(d, dst[t.row[c]*w:])
 			}
 		}
-		sum[v] = s
-		dst[t.row[v]] = t.w[v] * s
+	}
+	if t.unitW {
+		return
+	}
+	for v := 0; v < t.rows; v++ {
+		d, wv := dst[t.row[v]*w:][:w], t.w[v]
+		for j := range d {
+			d[j] *= wv
+		}
+	}
+}
+
+// addTo adds src to dst elementwise, over len(dst) values.
+func addTo(dst, src []float64) {
+	src = src[:len(dst)]
+	for j := range dst {
+		dst[j] += src[j]
 	}
 }

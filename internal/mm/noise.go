@@ -67,21 +67,38 @@ const cryptoRekeyWords = 1 << 17
 // generation cost instead of a kernel read per block. A source is used
 // by a single release at a time, so no locking is needed.
 type cryptoWords struct {
-	c *randv2.ChaCha8
-	n int // words served under the current key
+	c    *randv2.ChaCha8
+	left int             // words the current key may still serve
+	keys *randv2.ChaCha8 // key material; nil reads crypto/rand (tests pin it)
 }
 
 func (s *cryptoWords) Uint64() uint64 {
-	if s.c == nil || s.n >= cryptoRekeyWords {
+	c, _ := s.run(1)
+	s.left--
+	return c.Uint64()
+}
+
+// run returns the generator and how many of the next k words the
+// current key may still serve (at least one), re-keying first when the
+// budget is spent. The caller takes up to that many words straight from
+// the generator and subtracts what it took from left before any other
+// draw, so re-keying still falls after exactly cryptoRekeyWords words.
+func (s *cryptoWords) run(k int) (*randv2.ChaCha8, int) {
+	if s.c == nil || s.left <= 0 {
 		s.rekey()
 	}
-	s.n++
-	return s.c.Uint64()
+	return s.c, min(k, s.left)
 }
 
 func (s *cryptoWords) rekey() {
 	var seed [32]byte
-	if _, err := cryptorand.Read(seed[:]); err != nil {
+	var err error
+	if s.keys == nil {
+		_, err = cryptorand.Read(seed[:])
+	} else {
+		_, err = s.keys.Read(seed[:])
+	}
+	if err != nil {
 		// crypto/rand does not fail on any supported platform; if it ever
 		// does, releasing with degraded noise is not an option.
 		panic("mm: crypto/rand unavailable: " + err.Error())
@@ -91,7 +108,7 @@ func (s *cryptoWords) rekey() {
 	} else {
 		s.c.Seed(seed)
 	}
-	s.n = 0
+	s.left = cryptoRekeyWords
 }
 
 // CryptoSource is the production noise source: the ziggurat (normal) and
@@ -112,9 +129,10 @@ func NewCryptoSeededSource() NoiseSource { return &CryptoSource{} }
 
 // Float64 returns a uniform draw in [0,1) with 53 random bits, one word
 // per draw.
-func (s *CryptoSource) Float64() float64 {
-	return float64(s.words.Uint64()>>11) * 0x1p-53
-}
+func (s *CryptoSource) Float64() float64 { return uniform53(s.words.Uint64()) }
+
+// uniform53 maps a word's top 53 bits to a uniform draw in [0,1).
+func uniform53(u uint64) float64 { return float64(u>>11) * 0x1p-53 }
 
 // NormFloat64 returns one standard normal draw, from one word's low half
 // when it passes the ziggurat's fast test.
@@ -128,33 +146,64 @@ func (s *CryptoSource) NormFloat64() float64 {
 
 // AddNormal adds sigma·z to every element of dst, each z an independent
 // standard normal draw: two ziggurat draws per 64-bit word, one from each
-// 32-bit half. A draw that fails the fast test takes its further words
-// from the stream; the odd element of an odd-length dst leaves its word's
-// high half unused.
+// 32-bit half. Words come in runs under the current key (see
+// cryptoWords.run); a word with a draw that fails the fast test ends its
+// run, and the draw takes its further words from the stream. The odd
+// element of an odd-length dst leaves its word's high half unused.
 func (s *CryptoSource) AddNormal(dst []float64, sigma float64) {
-	for ; len(dst) >= 2; dst = dst[2:] {
-		u := s.words.Uint64()
-		z0, ok0 := zigFast(int32(u))
-		z1, ok1 := zigFast(int32(u >> 32))
-		if !ok0 {
-			z0 = s.normalSlow(int32(u))
+	for len(dst) >= 2 {
+		c, run := s.words.run(len(dst) / 2)
+		i, u := 0, uint64(0)
+		for ; i < run; i++ {
+			u = c.Uint64()
+			z0, ok0 := zigFast(int32(u))
+			z1, ok1 := zigFast(int32(u >> 32))
+			if !ok0 || !ok1 {
+				break
+			}
+			dst[2*i] += sigma * z0
+			dst[2*i+1] += sigma * z1
 		}
-		if !ok1 {
-			z1 = s.normalSlow(int32(u >> 32))
+		s.words.left -= i
+		dst = dst[2*i:]
+		if i < run {
+			s.words.left--
+			s.addNormalPair(dst[:2], u, sigma)
+			dst = dst[2:]
 		}
-		dst[0] += sigma * z0
-		dst[1] += sigma * z1
 	}
 	if len(dst) == 1 {
 		dst[0] += sigma * s.NormFloat64()
 	}
 }
 
+// addNormalPair adds sigma times the two draws of the word u, at least
+// one of which failed the fast test, to dst[0] and dst[1]: the low half's
+// slow path runs first, each taking its further words from the stream.
+func (s *CryptoSource) addNormalPair(dst []float64, u uint64, sigma float64) {
+	z0, ok0 := zigFast(int32(u))
+	z1, ok1 := zigFast(int32(u >> 32))
+	if !ok0 {
+		z0 = s.normalSlow(int32(u))
+	}
+	if !ok1 {
+		z1 = s.normalSlow(int32(u >> 32))
+	}
+	dst[0] += sigma * z0
+	dst[1] += sigma * z1
+}
+
 // AddLaplace adds an independent Laplace(0, b) draw to every element of
-// dst, each by inverse CDF from a 53-bit uniform (one word per draw).
+// dst, each by inverse CDF from a 53-bit uniform (one word per draw),
+// taking the words in runs under the current key.
 func (s *CryptoSource) AddLaplace(dst []float64, b float64) {
-	for i := range dst {
-		dst[i] += laplaceAt(s.Float64(), b)
+	for len(dst) > 0 {
+		c, run := s.words.run(len(dst))
+		for i := range dst[:run] {
+			dst[i] += laplaceAt(uniform53(c.Uint64()), b)
+		}
+		s.words.left -= run
+		dst = dst[run:]
 	}
 }
 

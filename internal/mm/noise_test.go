@@ -68,25 +68,89 @@ func TestCryptoSeededSourcesDiffer(t *testing.T) {
 func TestCryptoWordsRekeys(t *testing.T) {
 	var s cryptoWords
 	s.Uint64()
-	if s.c == nil || s.n != 1 {
-		t.Fatalf("after first draw: generator %v, counter %d", s.c, s.n)
+	if s.c == nil || s.left != cryptoRekeyWords-1 {
+		t.Fatalf("after first draw: generator %v, budget left %d", s.c, s.left)
 	}
-	s.n = cryptoRekeyWords // fast-forward to the boundary
+	s.left = 0 // fast-forward to the boundary
 	s.Uint64()
-	if s.n != 1 {
-		t.Fatalf("counter after re-key draw = %d, want 1", s.n)
+	if s.left != cryptoRekeyWords-1 {
+		t.Fatalf("budget left after re-key draw = %d, want %d", s.left, cryptoRekeyWords-1)
+	}
+}
+
+// rekeySource returns a CryptoSource under a fixed key with left words
+// of budget before it re-keys, from a fixed key stream.
+func rekeySource(left int) *CryptoSource {
+	var seed, keys [32]byte
+	copy(seed[:], "adaptivemm re-key boundary key!!")
+	copy(keys[:], "adaptivemm re-key key material!!")
+	return &CryptoSource{words: cryptoWords{c: randv2.NewChaCha8(seed), left: left, keys: randv2.NewChaCha8(keys)}}
+}
+
+// TestCryptoRunsRekeyAtExactWord starts one AddNormal (and one
+// AddLaplace) call a few words before the re-key boundary: the run-based
+// kernels must add exactly what a kernel taking every word through the
+// budget-checked cryptoWords.Uint64 adds and leave the same budget, so
+// the key changes after exactly cryptoRekeyWords words; a budget left
+// above the starting one shows the call re-keyed, and once, as it takes
+// far fewer than cryptoRekeyWords words. Over 1..64 words before the
+// boundary some draws near it take the slow path, whose further words
+// cross it.
+func TestCryptoRunsRekeyAtExactWord(t *testing.T) {
+	perWordNormal := func(s *CryptoSource, dst []float64, sigma float64) {
+		for ; len(dst) >= 2; dst = dst[2:] {
+			s.addNormalPair(dst, s.words.Uint64(), sigma)
+		}
+		if len(dst) == 1 {
+			dst[0] += sigma * s.NormFloat64()
+		}
+	}
+	perWordLaplace := func(s *CryptoSource, dst []float64, b float64) {
+		for i := range dst {
+			dst[i] += laplaceAt(s.Float64(), b)
+		}
+	}
+	for left := 1; left <= 64; left++ {
+		for _, n := range []int{2*left + 1, 2*left + 40} {
+			for _, k := range []struct {
+				name      string
+				run, ref  func(s *CryptoSource, dst []float64, scale float64)
+				wordsUsed int
+			}{
+				{"AddNormal", (*CryptoSource).AddNormal, perWordNormal, n / 2},
+				{"AddLaplace", (*CryptoSource).AddLaplace, perWordLaplace, n},
+			} {
+				got, want := make([]float64, n), make([]float64, n)
+				s := rekeySource(left)
+				k.run(s, got, 1.5)
+				ref := rekeySource(left)
+				k.ref(ref, want, 1.5)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %d words before the boundary, %d draws: [%d] = %v, per-word kernel %v", k.name, left, n, i, got[i], want[i])
+					}
+				}
+				if s.words.left != ref.words.left {
+					t.Fatalf("%s, %d words before the boundary, %d draws: %d words left, per-word kernel %d", k.name, left, n, s.words.left, ref.words.left)
+				}
+				if most := cryptoRekeyWords - (k.wordsUsed - left); s.words.left <= left || s.words.left > most {
+					t.Fatalf("%s, %d words before the boundary, %d draws: %d words left after the call, want one re-key: in (%d, %d]",
+						k.name, left, n, s.words.left, left, most)
+				}
+			}
+		}
 	}
 }
 
 // fixedKeySource returns a CryptoSource whose word stream is ChaCha8 under
-// a fixed key that never re-keys (its word counter starts far below the
-// re-key budget), so a statistical test over it draws the same values on
+// a fixed key that never re-keys (its budget of words starts far above
+// the re-key budget), so a statistical test over it draws the same values on
 // every run: the test's significance level is a one-time risk, not a
 // per-run flake rate.
 func fixedKeySource() *CryptoSource {
 	var seed [32]byte
 	copy(seed[:], "adaptivemm noise conformance key")
-	return &CryptoSource{words: cryptoWords{c: randv2.NewChaCha8(seed), n: math.MinInt}}
+	return &CryptoSource{words: cryptoWords{c: randv2.NewChaCha8(seed), left: math.MaxInt}}
 }
 
 // ksStatistic returns the one-sample Kolmogorov–Smirnov distance between
@@ -208,17 +272,27 @@ func TestZigguratFastPathMatchesMathRand(t *testing.T) {
 }
 
 // TestCryptoNoiseZeroAlloc pins the bulk kernels allocation-free, like
-// the release paths that call them.
+// the release paths that call them, re-keys included: each call starts a
+// few words before the re-key boundary. Under the race detector
+// crypto/rand's read moves the key buffer to the heap, so there the
+// calls stay clear of the boundary.
 func TestCryptoNoiseZeroAlloc(t *testing.T) {
 	s := AcquireCryptoSource()
 	defer ReleaseCryptoSource(s)
 	dst := make([]float64, 1001)
 	s.AddNormal(dst, 2) // keys the stream
-	if allocs := testing.AllocsPerRun(50, func() { s.AddNormal(dst, 2) }); allocs != 0 {
-		t.Fatalf("AddNormal allocates %v per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { s.AddLaplace(dst, 2) }); allocs != 0 {
-		t.Fatalf("AddLaplace allocates %v per call, want 0", allocs)
+	for _, k := range []struct {
+		name string
+		add  func([]float64, float64)
+	}{{"AddNormal", s.AddNormal}, {"AddLaplace", s.AddLaplace}} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if !raceEnabled {
+				s.words.left = 3
+			}
+			k.add(dst, 2)
+		}); allocs != 0 {
+			t.Fatalf("%s allocates %v per call, want 0", k.name, allocs)
+		}
 	}
 }
 

@@ -193,11 +193,19 @@ func (m *Mechanism) answersOf(dst []float64, w *workload.Workload, xhat []float6
 	return w.MulQueriesInto(dst, xhat)
 }
 
-// answersInto writes the strategy answers A·x into dst, through the tree
-// fast path when the strategy is an interval forest.
+// strategyAnswerer is a solver that knows its strategy's structure well
+// enough to answer it, A·x, faster than the operator's own product: a
+// linalg.TreeSolver (one bottom-up pass) or a linalg.KronSolver (the
+// forward pass over its factors' slab kernels).
+type strategyAnswerer interface {
+	AnswerInto(dst, x []float64, ws *linalg.CGWorkspace)
+}
+
+// answersInto writes the strategy answers A·x into dst: through the
+// solver when it is a strategyAnswerer, else the operator's product.
 func (m *Mechanism) answersInto(dst, x []float64, sc *ReleaseScratch) {
-	if t, ok := m.solver.(*linalg.TreeSolver); ok {
-		t.AnswerInto(dst, x, &sc.ws)
+	if a, ok := m.solver.(strategyAnswerer); ok {
+		a.AnswerInto(dst, x, &sc.ws)
 		return
 	}
 	linalg.MulVecInto(m.a, dst, x)

@@ -201,3 +201,36 @@ func TestScratchReleaseMatchesClassic(t *testing.T) {
 		})
 	}
 }
+
+// TestStrategyAnswersMatchOperator: a release's strategy answers equal the
+// strategy operator's own product A·x to 1e-12 relative on every solver
+// path, and the tree and Kronecker-of-trees mechanisms answer through
+// their solvers.
+func TestStrategyAnswersMatchOperator(t *testing.T) {
+	const n = 64
+	r := rand.New(rand.NewSource(7))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	for name, m := range scratchMechanisms(t, n) {
+		t.Run(name, func(t *testing.T) {
+			_, viaSolver := m.solver.(strategyAnswerer)
+			if want := name == "tree-cgls" || name == "kron-tree"; viaSolver != want {
+				t.Fatalf("solver %T answers the strategy: %v, want %v", m.solver, viaSolver, want)
+			}
+			sc := m.NewScratch()
+			got := make([]float64, m.a.Rows())
+			m.answersInto(got, x, sc)
+			want := linalg.MulVec(m.a, x)
+			var scale, diff float64
+			for i := range want {
+				scale = max(scale, math.Abs(want[i]))
+				diff = max(diff, math.Abs(got[i]-want[i]))
+			}
+			if diff > 1e-12*max(1, scale) {
+				t.Fatalf("max |answer − A·x| = %g, max |A·x| = %g", diff, scale)
+			}
+		})
+	}
+}

@@ -218,7 +218,7 @@ func (s *Server) releaseWith(req *answerRequest, ent *entry, tr *obs.Trace) (rel
 // resolvable), inline releases charge adHocPrefix+name — a disjoint
 // namespace, so ad-hoc spend can neither pre-hollow a future cap nor
 // squat a name against future registration.
-func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy) ([]float64, string, *accountant.Reservation, *releaseError) {
+func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy) ([]float64, string, accountant.Reservation, *releaseError) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 
@@ -228,21 +228,21 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 		d, err := s.reg.Get(req.Dataset)
 		if err != nil {
 			if errors.Is(err, registry.ErrNotFound) {
-				return nil, "", nil, releaseErrorf(http.StatusNotFound,
+				return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusNotFound,
 					"dataset %q not registered; POST /datasets first or provide an inline histogram", req.Dataset)
 			}
-			return nil, "", nil, releaseErrorf(http.StatusBadRequest, "%v", err)
+			return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusBadRequest, "%v", err)
 		}
 		hist = d.Histogram
 		acctName = req.Dataset
 	} else if _, err := s.reg.Get(req.Dataset); err == nil {
-		return nil, "", nil, releaseErrorf(http.StatusBadRequest,
+		return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusBadRequest,
 			"dataset %q is registered; omit the inline histogram so releases answer the registered data", req.Dataset)
 	} else {
 		acctName = adHocPrefix + req.Dataset
 	}
 	if len(hist) != ent.plan.Workload.Cells() {
-		return nil, "", nil, releaseErrorf(http.StatusBadRequest,
+		return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusBadRequest,
 			"histogram has %d cells, workload expects %d", len(hist), ent.plan.Workload.Cells())
 	}
 	// Accountant entries are never evicted, so brand-new ad-hoc names are
@@ -250,7 +250,7 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 	// otherwise a client cycling fresh names grows the ledger without
 	// limit. regMu makes the check-then-reserve atomic.
 	if acctName != req.Dataset && !s.acct.Tracked(acctName) && s.acct.Len() >= maxTrackedDatasets {
-		return nil, "", nil, releaseErrorf(http.StatusInsufficientStorage,
+		return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusInsufficientStorage,
 			"server is tracking its limit of %d dataset ledgers; reuse an existing dataset name or register the dataset", maxTrackedDatasets)
 	}
 	// A client-pinned seed lets the requester regenerate the noise stream,
@@ -260,7 +260,7 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 	// client supplied in the first place) and behind a server-side debug
 	// flag; reproducible experiments belong in the library API.
 	if acctName == req.Dataset && req.Seed != nil && !s.allowSeeded {
-		return nil, "", nil, releaseErrorf(http.StatusForbidden,
+		return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusForbidden,
 			"seed refused: pinned noise seeds would make releases against registered dataset %q predictable and defeat its privacy budget; omit the seed (or run the server with seeded releases explicitly enabled for debugging)", req.Dataset)
 	}
 
@@ -273,13 +273,13 @@ func (s *Server) resolveAndReserve(req *answerRequest, ent *entry, p mm.Privacy)
 		if errors.As(err, &over) {
 			s.metrics.refusals.Inc()
 			rem := fromAcct(over.Remaining)
-			return nil, "", nil, &releaseError{
+			return nil, "", accountant.Reservation{}, &releaseError{
 				code:      http.StatusTooManyRequests,
 				msg:       fmt.Sprintf("release refused: %v", err),
 				remaining: &rem,
 			}
 		}
-		return nil, "", nil, releaseErrorf(http.StatusBadRequest, "%v", err)
+		return nil, "", accountant.Reservation{}, releaseErrorf(http.StatusBadRequest, "%v", err)
 	}
 	return hist, acctName, res, nil
 }
