@@ -76,6 +76,10 @@ func main() {
 	if err := p.Validate(); err != nil {
 		fail(err)
 	}
+	budget, err := planner.DesignTimeMillis(*maxDesignMS)
+	if err != nil {
+		fail(fmt.Errorf("amdesign: -max-design-ms: %w", err))
+	}
 
 	var w *workload.Workload
 	var plan *planner.Plan
@@ -110,7 +114,7 @@ func main() {
 		Privacy:       p,
 		Generator:     *generator,
 		FirstOrder:    *firstOrder,
-		MaxDesignTime: time.Duration(*maxDesignMS) * time.Millisecond,
+		MaxDesignTime: budget,
 		AnalysisCap:   2048,
 	}
 	switch {

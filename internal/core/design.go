@@ -21,7 +21,7 @@ type Solver int
 
 const (
 	// SolverAuto uses the interior-point solver up to
-	// Options.FirstOrderThreshold design queries and the first-order solver
+	// firstOrderThreshold weighting variables and the first-order solver
 	// beyond that.
 	SolverAuto Solver = iota
 	// SolverBarrier forces the log-barrier Newton interior-point method.
@@ -29,6 +29,32 @@ const (
 	// SolverFirstOrder forces the scalable first-order method.
 	SolverFirstOrder
 )
+
+const (
+	// firstOrderThreshold is the weighting-variable count above which
+	// SolverAuto switches to the first-order solver.
+	firstOrderThreshold = 384
+	// rankTol is the relative eigenvalue cutoff below which design
+	// queries are dropped (Sec 4.1).
+	rankTol = 1e-10
+)
+
+// UsesFirstOrder reports whether a weighting program over vars variables
+// runs the first-order solver (true) or the barrier solver (false) under
+// solver choice s. It is the one solver rule: every weighting program in
+// this package and the planner's plan notes follow it.
+func UsesFirstOrder(s Solver, vars int) bool {
+	return s == SolverFirstOrder || (s == SolverAuto && vars > firstOrderThreshold)
+}
+
+// solveProgram runs the weighting program with the solver UsesFirstOrder
+// picks for its variable count.
+func solveProgram(prog *opt.Program, s Solver) ([]float64, error) {
+	if UsesFirstOrder(s, len(prog.C)) {
+		return opt.SolveFirstOrder(prog, opt.FirstOrderOptions{})
+	}
+	return opt.SolveBarrier(prog)
+}
 
 // Pipeline selects the representation the design pipeline works in. Core
 // no longer decides this on its own: the cost-based planner
@@ -55,9 +81,6 @@ const (
 type Options struct {
 	// Solver picks the weighting optimizer.
 	Solver Solver
-	// FirstOrderThreshold is the design-set size above which SolverAuto
-	// switches to the first-order solver. Default 384.
-	FirstOrderThreshold int
 	// L1 switches to the ε-differential-privacy variant of Sec 3.5: the
 	// weighting program constrains L1 column norms (Power 2).
 	L1 bool
@@ -68,24 +91,8 @@ type Options struct {
 	// SkipCompletion disables steps 4–5 of Program 2 (an ablation; the
 	// completed strategy is never worse).
 	SkipCompletion bool
-	// RankTol is the relative eigenvalue cutoff below which design queries
-	// are dropped (Sec 4.1). Default 1e-10.
-	RankTol float64
 	// Pipeline selects the dense or factored (matrix-free) pipeline.
 	Pipeline Pipeline
-	// Barrier and FirstOrder tune the respective solvers.
-	Barrier    opt.BarrierOptions
-	FirstOrder opt.FirstOrderOptions
-}
-
-func (o Options) withDefaults() Options {
-	if o.FirstOrderThreshold <= 0 {
-		o.FirstOrderThreshold = 384
-	}
-	if o.RankTol <= 0 {
-		o.RankTol = 1e-10
-	}
-	return o
 }
 
 // Result is the output of the Eigen-Design algorithm.
@@ -115,7 +122,6 @@ type Result struct {
 // Design runs the Eigen-Design algorithm (Program 2) on the workload and
 // returns the adapted strategy.
 func Design(w *workload.Workload, o Options) (*Result, error) {
-	o = o.withDefaults()
 	if o.DesignBasis != nil {
 		if o.Pipeline == PipelineFactored {
 			return nil, errors.New("core: custom design bases run the dense pipeline only")
@@ -202,18 +208,12 @@ func solveWeightingPrepared(b *linalg.Matrix, c []float64, o Options) ([]float64
 	}
 	cut := make([]float64, len(c))
 	for i, v := range c {
-		if v > o.RankTol*maxC {
+		if v > rankTol*maxC {
 			cut[i] = v
 		}
 	}
 	prog.C = cut
-
-	useFirstOrder := o.Solver == SolverFirstOrder ||
-		(o.Solver == SolverAuto && len(c) > o.FirstOrderThreshold)
-	if useFirstOrder {
-		return opt.SolveFirstOrder(prog, o.FirstOrder)
-	}
-	return opt.SolveBarrier(prog, o.Barrier)
+	return solveProgram(prog, o.Solver)
 }
 
 // assemble builds the strategy matrix from the design set and solved

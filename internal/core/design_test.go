@@ -243,6 +243,27 @@ func TestSolversAgree(t *testing.T) {
 	}
 }
 
+// The solver rule: the automatic choice keeps the barrier up to 384
+// weighting variables and switches to first-order past it; a forced
+// choice holds at any size.
+func TestUsesFirstOrderBoundary(t *testing.T) {
+	cases := []struct {
+		s    Solver
+		vars int
+		want bool
+	}{
+		{SolverAuto, 384, false},
+		{SolverAuto, 385, true},
+		{SolverBarrier, 10000, false},
+		{SolverFirstOrder, 2, true},
+	}
+	for _, c := range cases {
+		if got := UsesFirstOrder(c.s, c.vars); got != c.want {
+			t.Errorf("UsesFirstOrder(%d, %d) = %t, want %t", c.s, c.vars, got, c.want)
+		}
+	}
+}
+
 func TestDesignBasisWavelet(t *testing.T) {
 	// Using the wavelet matrix as design basis must do at least as well as
 	// the plain wavelet strategy (weights can only help).

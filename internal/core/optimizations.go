@@ -16,7 +16,6 @@ import (
 // instances of the same weighting program, so the asymptotic cost drops to
 // O(n²·g³ + n·(n/g)³), minimized near g = n^{1/3}.
 func EigenSeparation(w *workload.Workload, groupSize int, o Options) (*Result, error) {
-	o = o.withDefaults()
 	if groupSize < 1 {
 		return nil, fmt.Errorf("core: group size %d < 1", groupSize)
 	}
@@ -36,7 +35,7 @@ func EigenSeparation(w *workload.Workload, groupSize int, o Options) (*Result, e
 
 	// Indices of design queries that survive the rank cutoff, in descending
 	// eigenvalue order (already sorted by SymEigen).
-	kept := keptIndices(sigma, o.RankTol)
+	kept := keptIndices(sigma)
 	if len(kept) == 0 {
 		return nil, errors.New("core: workload has no information (all eigenvalues zero)")
 	}
@@ -90,12 +89,7 @@ func EigenSeparation(w *workload.Workload, groupSize int, o Options) (*Result, e
 		cGroups[gi] = cost
 	}
 	prog := &opt.Program{C: cGroups, B: bRows, Power: powerFor(l1)}
-	var v []float64
-	if o.Solver == SolverFirstOrder || (o.Solver == SolverAuto && len(groups) > o.FirstOrderThreshold) {
-		v, err = opt.SolveFirstOrder(prog, o.FirstOrder)
-	} else {
-		v, err = opt.SolveBarrier(prog, o.Barrier)
-	}
+	v, err := solveProgram(prog, o.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +112,6 @@ func EigenSeparation(w *workload.Workload, groupSize int, o Options) (*Result, e
 // all remaining eigen-queries with nonzero eigenvalues share one common
 // weight, reducing the optimization to k+1 variables.
 func PrincipalVectors(w *workload.Workload, k int, o Options) (*Result, error) {
-	o = o.withDefaults()
 	if k < 1 {
 		return nil, fmt.Errorf("core: principal vector count %d < 1", k)
 	}
@@ -134,7 +127,7 @@ func PrincipalVectors(w *workload.Workload, k int, o Options) (*Result, error) {
 		return nil, err
 	}
 	sigma := clampNonNegative(eg.Values)
-	kept := keptIndices(sigma, o.RankTol)
+	kept := keptIndices(sigma)
 	if len(kept) == 0 {
 		return nil, errors.New("core: workload has no information (all eigenvalues zero)")
 	}
@@ -179,12 +172,7 @@ func PrincipalVectors(w *workload.Workload, k int, o Options) (*Result, error) {
 	c[k] = tailCost
 
 	prog := &opt.Program{C: c, B: b, Power: powerFor(l1)}
-	var sol []float64
-	if o.Solver == SolverFirstOrder || (o.Solver == SolverAuto && k+1 > o.FirstOrderThreshold) {
-		sol, err = opt.SolveFirstOrder(prog, o.FirstOrder)
-	} else {
-		sol, err = opt.SolveBarrier(prog, o.Barrier)
-	}
+	sol, err := solveProgram(prog, o.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +192,7 @@ func PrincipalVectors(w *workload.Workload, k int, o Options) (*Result, error) {
 	return res, nil
 }
 
-func keptIndices(sigma []float64, tol float64) []int {
+func keptIndices(sigma []float64) []int {
 	var maxS float64
 	for _, v := range sigma {
 		if v > maxS {
@@ -213,7 +201,7 @@ func keptIndices(sigma []float64, tol float64) []int {
 	}
 	var kept []int
 	for i, v := range sigma {
-		if v > tol*maxS {
+		if v > rankTol*maxS {
 			kept = append(kept, i)
 		}
 	}

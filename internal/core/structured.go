@@ -102,7 +102,7 @@ func separationFactored(fe *linalg.FactoredEigen, groupSize int, o Options) (*Re
 	sigma := clampNonNegative(fe.Values)
 	n := fe.N()
 	// Eigenvalues are sorted descending, so the rank cutoff keeps a prefix.
-	kept := len(keptIndices(sigma, o.RankTol))
+	kept := len(keptIndices(sigma))
 	if kept == 0 {
 		return nil, errors.New("core: workload has no information (all eigenvalues zero)")
 	}

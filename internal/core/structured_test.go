@@ -114,7 +114,7 @@ func TestFactoredPipelineEligibility(t *testing.T) {
 	if _, err := Design(twoD, Options{Pipeline: PipelineFactored, DesignBasis: basis}); err == nil {
 		t.Fatal("factored design with a custom basis did not error")
 	}
-	if _, err := factoredEigen(twoD, Options{}.withDefaults()); err != nil {
+	if _, err := factoredEigen(twoD, Options{}); err != nil {
 		t.Fatalf("eligible workload refused the factored branch: %v", err)
 	}
 }

@@ -8,35 +8,18 @@ import (
 	"adaptivemm/internal/linalg"
 )
 
-// BarrierOptions tunes the interior-point solver. The zero value selects
-// sensible defaults via the withDefaults method.
-type BarrierOptions struct {
-	// Tol is the duality-gap target; the barrier loop stops when
-	// (#constraints)/t < Tol. Default 1e-7.
-	Tol float64
-	// Mu is the barrier parameter multiplier per outer iteration. Default 10.
-	Mu float64
-	// MaxNewton bounds Newton iterations per outer step. Default 50.
-	MaxNewton int
-	// MaxOuter bounds outer barrier iterations. Default 40.
-	MaxOuter int
-}
-
-func (o BarrierOptions) withDefaults() BarrierOptions {
-	if o.Tol <= 0 {
-		o.Tol = 1e-7
-	}
-	if o.Mu <= 1 {
-		o.Mu = 10
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 50
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 40
-	}
-	return o
-}
+// The interior-point solver's fixed settings.
+const (
+	// barrierTol is the duality-gap target: the barrier loop stops when
+	// (#constraints)/t < barrierTol.
+	barrierTol = 1e-7
+	// barrierMu multiplies the barrier parameter per outer iteration.
+	barrierMu = 10
+	// barrierMaxNewton bounds Newton iterations per outer step.
+	barrierMaxNewton = 50
+	// barrierMaxOuter bounds outer barrier iterations.
+	barrierMaxOuter = 40
+)
 
 // ErrInfeasible is returned when no strictly feasible starting point can be
 // constructed (e.g. a constraint column of B is all zero while every cost
@@ -46,16 +29,15 @@ var ErrInfeasible = errors.New("opt: could not construct a strictly feasible sta
 // SolveBarrier minimizes the program with a log-barrier interior-point
 // method and returns the full-length solution vector u (zero-cost variables
 // are fixed at zero). The result is normalized so max_j (Bᵀu)_j = 1.
-func SolveBarrier(p *Program, opts BarrierOptions) ([]float64, error) {
+func SolveBarrier(p *Program) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	red, idx := p.reduced(1e-14)
 	if len(idx) == 0 {
 		return make([]float64, len(p.C)), nil
 	}
-	u, err := solveBarrierActive(red, opts)
+	u, err := solveBarrierActive(red)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +51,7 @@ func SolveBarrier(p *Program, opts BarrierOptions) ([]float64, error) {
 
 // solveBarrierActive runs the barrier method on a program whose costs are
 // all strictly positive.
-func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
+func solveBarrierActive(p *Program) ([]float64, error) {
 	k := len(p.C)
 	n := p.B.Cols()
 
@@ -98,14 +80,14 @@ func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
 
 	// One slack buffer serves every Newton and line-search step.
 	slackBuf := make([]float64, n)
-	for outer := 0; outer < opts.MaxOuter; outer++ {
-		if err := newtonCenter(p, u, t, opts, slackBuf); err != nil {
+	for outer := 0; outer < barrierMaxOuter; outer++ {
+		if err := newtonCenter(p, u, t, slackBuf); err != nil {
 			return nil, err
 		}
-		if nConstraints/t < opts.Tol {
+		if nConstraints/t < barrierTol {
 			break
 		}
-		t *= opts.Mu
+		t *= barrierMu
 	}
 	return u, nil
 }
@@ -113,12 +95,12 @@ func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
 // newtonCenter minimizes φ_t(u) = t·f(u) − Σ log s_j − Σ log u_i for fixed
 // t, updating u in place. slackBuf (length B.Cols()) holds the slack of
 // the step being evaluated.
-func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions, slackBuf []float64) error {
+func newtonCenter(p *Program, u []float64, t float64, slackBuf []float64) error {
 	k := len(p.C)
 	n := p.B.Cols()
 	pw := float64(p.Power)
 
-	for iter := 0; iter < opts.MaxNewton; iter++ {
+	for iter := 0; iter < barrierMaxNewton; iter++ {
 		s := slack(slackBuf, p, u)
 		for _, v := range s {
 			if v <= 0 {

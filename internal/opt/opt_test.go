@@ -38,7 +38,7 @@ func TestValidate(t *testing.T) {
 func TestBarrierBoxConstraints(t *testing.T) {
 	// B = I: minimize c1/u1 + c2/u2 s.t. u ≤ 1 → u = (1,1).
 	p := &Program{C: []float64{3, 5}, B: linalg.Identity(2), Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBarrierSimplexAnalytic(t *testing.T) {
 	c1, c2 := 4.0, 9.0
 	b := linalg.NewFromRows([][]float64{{1}, {1}})
 	p := &Program{C: []float64{c1, c2}, B: b, Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBarrierSimplexAnalyticPower2(t *testing.T) {
 	c1, c2 := 1.0, 8.0
 	b := linalg.NewFromRows([][]float64{{1}, {1}})
 	p := &Program{C: []float64{c1, c2}, B: b, Power: 2}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBarrierSimplexAnalyticPower2(t *testing.T) {
 func TestBarrierZeroCostVariableDropped(t *testing.T) {
 	b := linalg.Identity(3)
 	p := &Program{C: []float64{2, 0, 3}, B: b, Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestBarrierZeroCostVariableDropped(t *testing.T) {
 
 func TestBarrierAllZeroCosts(t *testing.T) {
 	p := &Program{C: []float64{0, 0}, B: linalg.Identity(2), Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestBarrierFeasibilityAndSaturation(t *testing.T) {
 			c[i] = 0.1 + r.Float64()*5
 		}
 		p := &Program{C: c, B: b, Power: 1}
-		u, err := SolveBarrier(p, BarrierOptions{})
+		u, err := SolveBarrier(p)
 		if err != nil {
 			return false
 		}
@@ -150,7 +150,7 @@ func TestBarrierLocalOptimality(t *testing.T) {
 		c[i] = 0.5 + r.Float64()*4
 	}
 	p := &Program{C: c, B: b, Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFirstOrderMatchesBarrier(t *testing.T) {
 			c[i] = 0.1 + r.Float64()*10
 		}
 		p := &Program{C: c, B: b, Power: 1}
-		ub, err := SolveBarrier(p, BarrierOptions{})
+		ub, err := SolveBarrier(p)
 		if err != nil {
 			return false
 		}
@@ -248,7 +248,7 @@ func TestBarrierLargerInstance(t *testing.T) {
 		c[i] = math.Exp(2 * r.NormFloat64()) // wide dynamic range
 	}
 	p := &Program{C: c, B: b, Power: 1}
-	u, err := SolveBarrier(p, BarrierOptions{})
+	u, err := SolveBarrier(p)
 	if err != nil {
 		t.Fatal(err)
 	}

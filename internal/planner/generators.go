@@ -25,16 +25,15 @@ import (
 // weighting solve is modeled at ~20·n³ units; per-iteration solver work
 // at ~30 units per touched entry. The absolute scale only matters
 // relative to the budget (DefaultMaxDesignCost admits exact eigen up to
-// ~SmallCellCap cells).
+// ~512 cells).
 
 // refuse builds a rejection reason tagged with the named admission rule,
 // so /design explain output pairs every refused candidate with the
 // specific rule that failed (the Decision already carries the public
 // generator name). Rules in the default registry: shape (workload
 // representation), dims, size-cap (domain too large for the family's
-// algebra), regime (another family dominates here), branch, hint,
-// min-cells, block-count, shard-admission, monolithic-dominates, budget,
-// build.
+// algebra), regime (another family dominates here), hint, min-cells,
+// block-count, shard-admission, monolithic-dominates, budget, build.
 func refuse(rule, format string, args ...any) string {
 	return "rule " + rule + ": " + fmt.Sprintf(format, args...)
 }
@@ -76,8 +75,10 @@ func PipelineFor(w *workload.Workload) core.Pipeline {
 	return core.PipelineDense
 }
 
-func solverName(h Hints, designSet int) string {
-	if h.FirstOrder || designSet > 384 {
+// solverName names the weighting solver core runs for a program over vars
+// variables under h.
+func solverName(h Hints, vars int) string {
+	if core.UsesFirstOrder(coreOptions(h, false).Solver, vars) {
 		return "first-order"
 	}
 	return "barrier"
@@ -110,7 +111,7 @@ func (marginalsGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propos
 		return nil, refuse("dims", "%d dimensions exceed the subset-mask limit of 30", dims)
 	}
 	n := w.Cells()
-	if h.sizeClass(n) > SizeMedium {
+	if n > MediumCellCap {
 		return nil, refuse("size-cap", "dense marginal strategy needs ≤ %d cells, workload has %d", MediumCellCap, n)
 	}
 	cost := float64(n)*float64(n) + math.Exp2(float64(dims))*float64(n)
@@ -146,7 +147,7 @@ func (eigenGen) Propose(w *workload.Workload, h Hints, forced bool) (*Proposal, 
 		cost = factorCubesCost(w) + 2*denseCubeCost(n)
 		note = fmt.Sprintf("exact Program 2 on the factored Kronecker eigenbasis (solver: %s)", solverName(h, n))
 	} else {
-		if h.sizeClass(n) > SizeMedium {
+		if n > MediumCellCap {
 			return nil, refuse("size-cap", "dense pipeline needs ≤ %d cells (O(n³) algebra), workload has %d", MediumCellCap, n)
 		}
 		cost = 2 * denseCubeCost(n)
@@ -189,7 +190,7 @@ func (separationGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propo
 	if factored {
 		cost = factorCubesCost(w) + 30*float64(g)*float64(n)*float64(n)
 	} else {
-		if h.sizeClass(n) > SizeMedium {
+		if n > MediumCellCap {
 			return nil, refuse("size-cap", "dense pipeline needs ≤ %d cells (O(n³) algebra), workload has %d", MediumCellCap, n)
 		}
 		cost = denseCubeCost(n) + 30*float64(g)*float64(n)*float64(n)
@@ -231,7 +232,7 @@ func (principalGen) Propose(w *workload.Workload, h Hints, forced bool) (*Propos
 		cost = factorCubesCost(w) + 30*float64(k)*float64(k)*float64(n) + denseCubeCost(k)
 		note = fmt.Sprintf("factored principal-vector design, k=%d: per-dimension eigendecompositions only, k+1 weight variables regardless of n", k)
 	} else {
-		if h.sizeClass(n) > SizeMedium {
+		if n > MediumCellCap {
 			return nil, refuse("size-cap", "dense pipeline needs ≤ %d cells (O(n³) algebra), workload has %d", MediumCellCap, n)
 		}
 		cost = denseCubeCost(n) + 30*float64(k)*float64(k)*float64(n)
@@ -258,20 +259,13 @@ type hierarchicalGen struct{}
 func (hierarchicalGen) Name() string { return "hierarchical" }
 
 func (hierarchicalGen) Propose(w *workload.Workload, h Hints, forced bool) (*Proposal, string) {
-	branch := h.Branch
-	if branch <= 0 {
-		branch = 2
-	}
-	if branch < 2 {
-		return nil, refuse("branch", "branching factor %d < 2", branch)
-	}
 	n := w.Cells()
 	return &Proposal{
 		Cost:  4 * float64(n),
 		Score: 4,
-		Note:  fmt.Sprintf("%d-ary hierarchical strategy (Hay et al.): no optimization cost, near-optimal for range workloads, full rank at any scale", branch),
+		Note:  "2-ary hierarchical strategy (Hay et al.): no optimization cost, near-optimal for range workloads, full rank at any scale",
 		Build: func() (Built, error) {
-			return Built{Op: strategy.HierarchicalOperator(w.Shape(), branch)}, nil
+			return Built{Op: strategy.HierarchicalOperator(w.Shape(), 2)}, nil
 		},
 	}, ""
 }

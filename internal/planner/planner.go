@@ -14,8 +14,8 @@
 //   - a COST MODEL combining the paper's comparative expected-error
 //     analysis (generators are ranked by the error class the paper
 //     establishes for them) with modeled design-time cost in work units;
-//   - per-request HINTS (max design time/cost, domain size class, privacy
-//     pair) that tilt the choice;
+//   - per-request HINTS (max design time, forced generator, privacy pair)
+//     that tilt the choice;
 //   - a PLAN artifact carrying the chosen operator, eigenvalues, error
 //     estimate, prepared mechanism and its solver kind, so downstream
 //     layers execute decisions instead of re-making them.
@@ -47,29 +47,9 @@ import (
 // past this many cells the dense eigenbasis is never materialized.
 const StructuredThreshold = 1024
 
-// SizeClass buckets domains by the algebra they can afford. The planner
-// derives it from the cell count; a hint can only restrict it further
-// (declare a domain Large to forbid dense algebra regardless of size).
-type SizeClass int
-
 const (
-	// SizeAuto derives the class from the workload's cell count.
-	SizeAuto SizeClass = iota
-	// SizeSmall domains (≤ SmallCellCap cells) afford exact dense design
-	// within the default design budget.
-	SizeSmall
-	// SizeMedium domains (≤ MediumCellCap cells) afford dense algebra
-	// when the budget allows it.
-	SizeMedium
-	// SizeLarge domains run matrix-free only.
-	SizeLarge
-)
-
-const (
-	// SmallCellCap bounds SizeSmall.
-	SmallCellCap = 512
-	// MediumCellCap bounds SizeMedium, and with it every generator that
-	// needs dense O(n²) memory or O(n³) algebra.
+	// MediumCellCap bounds every generator that needs dense O(n²) memory
+	// or O(n³) algebra.
 	MediumCellCap = 4096
 	// FactoredExactCellCap bounds the exact factored eigen design, whose
 	// weighting program still streams an n×n constraint matrix.
@@ -82,10 +62,10 @@ const (
 const DefaultAnalysisCellCap = 512
 
 // DefaultMaxDesignCost is the design budget, in modeled work units
-// (roughly floating-point operations), applied when hints set none. It is
-// calibrated so the exact eigen design is admitted up to ~SmallCellCap
-// cells and refused past it — the escalation point the server shipped
-// with before the planner existed.
+// (roughly floating-point operations), applied when hints set no
+// MaxDesignTime. It is calibrated so the exact eigen design is admitted up
+// to ~512 cells and refused past it — the escalation point the server
+// shipped with before the planner existed.
 const DefaultMaxDesignCost = 6e9
 
 // DefaultUnitsPerSecond is the fixed work-units-per-second rate at which
@@ -102,16 +82,9 @@ type Hints struct {
 	// generator ranking does not depend on it: expected error scales
 	// uniformly in P(ε,δ) across candidates).
 	Privacy mm.Privacy
-	// MaxDesignCost bounds the modeled design cost in work units; 0
-	// applies DefaultMaxDesignCost.
-	MaxDesignCost float64
 	// MaxDesignTime bounds design time, converted to work units at
-	// DefaultUnitsPerSecond. When both it and MaxDesignCost are set the
-	// tighter bound wins.
+	// DefaultUnitsPerSecond; 0 (or less) applies DefaultMaxDesignCost.
 	MaxDesignTime time.Duration
-	// Size restricts the domain-size class (it can only tighten the
-	// derived class, never relax it).
-	Size SizeClass
 	// Generator forces a named generator instead of the cost-based
 	// choice; the design budget is then ignored, but hard admission rules
 	// (memory, representation) still apply.
@@ -121,8 +94,6 @@ type Hints struct {
 	// PrincipalK overrides principal-vectors' weighted-query count
 	// (default 16).
 	PrincipalK int
-	// Branch overrides the hierarchical branching factor (default 2).
-	Branch int
 	// FirstOrder forces the first-order solver in the optimizing
 	// generators.
 	FirstOrder bool
@@ -147,25 +118,8 @@ type Hints struct {
 // -save, analysis cap 2048) land in the cache slot a server (analysis cap
 // 512) looks up for the same spec.
 func (h Hints) Fingerprint() string {
-	return fmt.Sprintf("v4|c=%g|t=%d|sz=%d|gen=%s|g=%d|k=%d|b=%d|fo=%t|ms=%d",
-		h.MaxDesignCost, int64(h.MaxDesignTime), h.Size,
-		h.Generator, h.GroupSize, h.PrincipalK, h.Branch, h.FirstOrder, h.MaxShards)
-}
-
-// sizeClass returns the effective class: derived from the cell count,
-// tightened by the hint.
-func (h Hints) sizeClass(n int) SizeClass {
-	derived := SizeSmall
-	switch {
-	case n > MediumCellCap:
-		derived = SizeLarge
-	case n > SmallCellCap:
-		derived = SizeMedium
-	}
-	if h.Size > derived {
-		return h.Size
-	}
-	return derived
+	return fmt.Sprintf("v5|t=%d|gen=%s|g=%d|k=%d|fo=%t|ms=%d",
+		int64(h.MaxDesignTime), h.Generator, h.GroupSize, h.PrincipalK, h.FirstOrder, h.MaxShards)
 }
 
 func (h Hints) analysisCap() int {
@@ -446,21 +400,27 @@ func (p *Planner) Builds() int64 {
 	return p.builds
 }
 
+// maxDesignMillis is the largest millisecond count a time.Duration holds.
+const maxDesignMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// DesignTimeMillis converts a design-time budget in milliseconds into a
+// MaxDesignTime hint. It refuses a negative count and one past
+// 9,223,372,036,854 ms, which time.Duration cannot hold.
+func DesignTimeMillis(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxDesignMillis {
+		return 0, fmt.Errorf("design-time budget %d ms outside [0, %d]", ms, maxDesignMillis)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 // designBudget resolves the hints into one cost bound: a MaxDesignTime
-// hint converts to work units at DefaultUnitsPerSecond, and the tighter of
-// it and MaxDesignCost wins.
+// hint converts to work units at DefaultUnitsPerSecond; without one,
+// DefaultMaxDesignCost applies.
 func (h Hints) designBudget() float64 {
-	b := h.MaxDesignCost
 	if h.MaxDesignTime > 0 {
-		tb := h.MaxDesignTime.Seconds() * DefaultUnitsPerSecond
-		if b == 0 || tb < b {
-			b = tb
-		}
+		return h.MaxDesignTime.Seconds() * DefaultUnitsPerSecond
 	}
-	if b == 0 {
-		return DefaultMaxDesignCost
-	}
-	return b
+	return DefaultMaxDesignCost
 }
 
 // scoredCand pairs an admitted proposal with its decision-slot index.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"adaptivemm/internal/core"
 	"adaptivemm/internal/domain"
 	"adaptivemm/internal/linalg"
 	"adaptivemm/internal/mm"
@@ -32,7 +34,8 @@ func winner(t *testing.T, p *Planner, w *workload.Workload, h Hints) string {
 
 // The admission table: which generator wins for the canonical workload
 // shapes under tight, default and loose design budgets. This pins the
-// escalation ladder that used to be hard-coded in the server.
+// escalation ladder that used to be hard-coded in the server. The budgets
+// are 1e6, 1e12 and 1e13 work units at DefaultUnitsPerSecond.
 func TestAdmissionTable(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	prefix1024 := workload.Prefix(1024)
@@ -41,9 +44,9 @@ func TestAdmissionTable(t *testing.T) {
 	randomDense := workload.Predicate(domain.MustShape(64), 12, r)
 
 	const (
-		tight = 1e6
-		loose = 1e12
-		huge  = 1e13
+		tight = 2 * time.Millisecond
+		loose = 2000 * time.Second
+		huge  = 20000 * time.Second
 	)
 	cases := []struct {
 		name string
@@ -53,30 +56,30 @@ func TestAdmissionTable(t *testing.T) {
 	}{
 		// Prefix(1024): dense algebra is over the default budget, loose
 		// hints buy the exact design back.
-		{"prefix1024/tight", prefix1024, Hints{MaxDesignCost: tight}, "hierarchical"},
+		{"prefix1024/tight", prefix1024, Hints{MaxDesignTime: tight}, "hierarchical"},
 		{"prefix1024/default", prefix1024, Hints{}, "hierarchical"},
-		{"prefix1024/loose", prefix1024, Hints{MaxDesignCost: loose}, "eigen"},
+		{"prefix1024/loose", prefix1024, Hints{MaxDesignTime: loose}, "eigen"},
 
 		// AllRange(64,64): product form past the structured threshold —
 		// the factored principal-vector design is the scalable choice;
 		// only an extreme budget admits the exact factored design, and a
 		// tight one falls to the tree.
-		{"allrange64x64/tight", allrange2D, Hints{MaxDesignCost: tight}, "hierarchical"},
+		{"allrange64x64/tight", allrange2D, Hints{MaxDesignTime: tight}, "hierarchical"},
 		{"allrange64x64/default", allrange2D, Hints{}, "principal-vectors"},
-		{"allrange64x64/loose", allrange2D, Hints{MaxDesignCost: loose}, "principal-vectors"},
-		{"allrange64x64/huge", allrange2D, Hints{MaxDesignCost: huge}, "eigen"},
+		{"allrange64x64/loose", allrange2D, Hints{MaxDesignTime: loose}, "principal-vectors"},
+		{"allrange64x64/huge", allrange2D, Hints{MaxDesignTime: huge}, "eigen"},
 
 		// Marginal sets: the closed-form optimal designer is nearly free,
 		// so it wins even under a tight budget.
-		{"marginals/tight", marginals, Hints{MaxDesignCost: tight}, "marginals"},
+		{"marginals/tight", marginals, Hints{MaxDesignTime: tight}, "marginals"},
 		{"marginals/default", marginals, Hints{}, "marginals"},
-		{"marginals/loose", marginals, Hints{MaxDesignCost: loose}, "marginals"},
+		{"marginals/loose", marginals, Hints{MaxDesignTime: loose}, "marginals"},
 
 		// Random dense rows on a small domain: exact eigen under default
 		// and loose budgets, tree under tight.
-		{"randomdense/tight", randomDense, Hints{MaxDesignCost: tight}, "hierarchical"},
+		{"randomdense/tight", randomDense, Hints{MaxDesignTime: tight}, "hierarchical"},
 		{"randomdense/default", randomDense, Hints{}, "eigen"},
-		{"randomdense/loose", randomDense, Hints{MaxDesignCost: loose}, "eigen"},
+		{"randomdense/loose", randomDense, Hints{MaxDesignTime: loose}, "eigen"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -97,17 +100,6 @@ func TestDesignTimeHintConversion(t *testing.T) {
 	}
 	if got := winner(t, New(Config{}), w, Hints{MaxDesignTime: time.Millisecond}); got != "hierarchical" {
 		t.Fatalf("tight time hint: winner = %q, want hierarchical", got)
-	}
-}
-
-// A tighter Size hint forbids dense algebra even when the budget allows.
-func TestSizeClassHintRestricts(t *testing.T) {
-	w := workload.Prefix(256)
-	if got := winner(t, New(Config{}), w, Hints{}); got != "eigen" {
-		t.Fatalf("default: winner = %q, want eigen", got)
-	}
-	if got := winner(t, New(Config{}), w, Hints{Size: SizeLarge}); got != "hierarchical" {
-		t.Fatalf("SizeLarge hint: winner = %q, want hierarchical", got)
 	}
 }
 
@@ -219,13 +211,10 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("the analysis cap changed the fingerprint")
 	}
 	for name, h := range map[string]Hints{
-		"cost":      {MaxDesignCost: 1e6},
 		"time":      {MaxDesignTime: time.Millisecond},
-		"size":      {Size: SizeLarge},
 		"generator": {Generator: "hierarchical"},
 		"group":     {GroupSize: 4},
 		"k":         {PrincipalK: 8},
-		"branch":    {Branch: 4},
 		"order":     {FirstOrder: true},
 		"shards":    {MaxShards: -1},
 	} {
@@ -319,11 +308,30 @@ func TestInferenceSelection(t *testing.T) {
 	}
 }
 
-// Every candidate over a microscopic budget still yields a plan: the
-// cheapest generator is escalated to rather than failing the request.
+// Every candidate over a microscopic budget (one nanosecond, 0.5 work
+// units) still yields a plan: the cheapest generator is escalated to
+// rather than failing the request.
 func TestOverBudgetEscapesToCheapest(t *testing.T) {
 	p := New(Config{})
-	if got := winner(t, p, workload.Prefix(64), Hints{MaxDesignCost: 0.5}); got != "identity" {
+	if got := winner(t, p, workload.Prefix(64), Hints{MaxDesignTime: time.Nanosecond}); got != "identity" {
 		t.Fatalf("winner under impossible budget = %q, want identity", got)
+	}
+}
+
+// The eigen plan note names the solver core's weighting runs, on both
+// sides of the barrier/first-order boundary: the planner reads core's
+// rule instead of keeping its own threshold.
+func TestEigenNoteNamesCoreSolver(t *testing.T) {
+	for n, want := range map[int]string{384: "barrier", 385: "first-order"} {
+		prop, reject := eigenGen{}.Propose(workload.Prefix(n), Hints{}, false)
+		if prop == nil {
+			t.Fatalf("Prefix(%d) refused: %s", n, reject)
+		}
+		if core.UsesFirstOrder(core.SolverAuto, n) != (want == "first-order") {
+			t.Fatalf("core picks the other solver for %d variables, want %s", n, want)
+		}
+		if !strings.Contains(prop.Note, "(solver: "+want+")") {
+			t.Fatalf("Prefix(%d) note %q does not name solver %s", n, prop.Note, want)
+		}
 	}
 }

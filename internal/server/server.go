@@ -482,7 +482,8 @@ type designRequest struct {
 	// MaxDesignMillis bounds how long strategy design may take: the
 	// planner converts it to work units at a fixed rate and skips
 	// generators whose modeled cost exceeds that. 0 applies the default
-	// design budget.
+	// design budget; a negative value or one past 9,223,372,036,854 (the
+	// range of time.Duration) is refused.
 	MaxDesignMillis int64 `json:"maxDesignMillis,omitempty"`
 	// Generator forces a named planner generator instead of the
 	// cost-based choice.
@@ -558,7 +559,11 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hints := s.hintsFor(&req, p)
+	hints, err := s.hintsFor(&req, p)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "maxDesignMillis: %v", err)
+		return
+	}
 
 	key := s.cacheKey(&req, hints)
 	if key != "" {
@@ -640,14 +645,16 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	s.respondDesign(w, id, ent, p, false)
 }
 
-// hintsFor translates the request's knobs into planner hints.
-func (s *Server) hintsFor(req *designRequest, p mm.Privacy) planner.Hints {
+// hintsFor translates the request's knobs into planner hints. It fails
+// when maxDesignMillis is out of range.
+func (s *Server) hintsFor(req *designRequest, p mm.Privacy) (planner.Hints, error) {
+	budget, err := planner.DesignTimeMillis(req.MaxDesignMillis)
 	return planner.Hints{
 		Privacy:       p,
-		MaxDesignTime: time.Duration(req.MaxDesignMillis) * time.Millisecond,
+		MaxDesignTime: budget,
 		Generator:     req.Generator,
 		AnalysisCap:   analysisCap,
-	}
+	}, err
 }
 
 // cacheKey returns the canonical cache key for a spec-based design

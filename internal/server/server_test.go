@@ -127,12 +127,19 @@ func TestDesignValidation(t *testing.T) {
 		{"rows": [][]float64{{1, 2}}},                    // no shape
 		{"rows": [][]float64{{1, 2}}, "shape": []int{4}}, // wrong width
 		{"rows": [][]float64{}, "shape": []int{2}},       // empty
+		{"workload": "prefix:4", "maxDesignMillis": -1},
+		{"workload": "prefix:4", "maxDesignMillis": int64(9223372036855)}, // past time.Duration
 	}
 	for i, c := range cases {
 		resp, _ := post(t, ts, "/design", c)
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("case %d accepted", i)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
+	}
+	// The largest budget time.Duration holds is accepted.
+	resp, body := post(t, ts, "/design", map[string]any{"workload": "prefix:4", "maxDesignMillis": int64(9223372036854)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("largest budget: status %d: %s", resp.StatusCode, body)
 	}
 }
 
