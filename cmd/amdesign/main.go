@@ -161,6 +161,7 @@ func main() {
 	fmt.Printf("planner:         %s (modeled cost %.3g, design %s, inference %s)\n",
 		plan.Generator, plan.ModeledCost, plan.DesignTime.Round(time.Microsecond), plan.Inference)
 	fmt.Printf("                 %s\n", plan.Note)
+	fmt.Printf("solver:          %s (sampled %v)\n", plan.Mechanism.SolverKind(), plan.Mechanism.Sampled())
 	for i, s := range plan.Shards {
 		where := s.Kind
 		if len(s.Attrs) > 0 {

@@ -53,10 +53,11 @@ const eigenCondTol = 1e-8
 // solve allocates nothing; its two |R|-long vectors come from the
 // workspace's t buffer.
 type EigenSolver struct {
-	op   Operator  // the strategy, for g = Aᵀy
-	dinv []float64 // Δ⁻¹, the inverse diagonal
-	u    *Matrix   // U = Q_R·Δ⁻¹, |R|×n
-	cinv *Matrix   // C⁻¹, |R|×|R|
+	op      Operator      // the strategy, for g = Aᵀy
+	dinv    []float64     // Δ⁻¹, the inverse diagonal
+	u       *Matrix       // U = Q_R·Δ⁻¹, |R|×n
+	cinv    *Matrix       // C⁻¹, |R|×|R|
+	sampler *eigenSampler // nil unless every s_R² > t² (see sampler.go)
 }
 
 // SolveLSInto writes (AᵀA)⁻¹Aᵀy into dst: x̂ = Δ⁻¹g − Uᵀ·C⁻¹·U·g with
@@ -67,20 +68,58 @@ func (s *EigenSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 			s.op.Rows(), s.op.Cols(), len(y), len(dst)))
 	}
 	s.op.MulVecTInto(dst, y)
+	s.applyInverse(dst, ws)
+	return nil
+}
+
+// applyInverse overwrites g with (AᵀA)⁻¹g = Δ⁻¹g − Uᵀ·C⁻¹·U·g.
+func (s *EigenSolver) applyInverse(g []float64, ws *CGWorkspace) {
 	k := s.u.rows
 	ws.t = growVec(ws.t, 2*k)
 	z, w := ws.t[:k], ws.t[k:]
-	s.u.mulRows(z, dst, 0, k)
+	s.uTimes(z, g)
 	s.cinv.mulRows(w, z, 0, k)
 	for j, d := range s.dinv {
-		dst[j] *= d
+		g[j] *= d
 	}
-	for r, wr := range w {
-		for j, v := range s.u.Row(r) {
-			dst[j] -= wr * v
+	s.subUT(g, w)
+}
+
+// subUT subtracts Uᵀ·w from dst, four rows of U per pass over dst.
+func (s *EigenSolver) subUT(dst, w []float64) {
+	r := 0
+	for ; r+4 <= len(w); r += 4 {
+		w0, w1, w2, w3 := w[r], w[r+1], w[r+2], w[r+3]
+		u0, u1 := s.u.Row(r)[:len(dst)], s.u.Row(r + 1)[:len(dst)]
+		u2, u3 := s.u.Row(r + 2)[:len(dst)], s.u.Row(r + 3)[:len(dst)]
+		for j := range dst {
+			dst[j] -= w0*u0[j] + w1*u1[j] + w2*u2[j] + w3*u3[j]
 		}
 	}
-	return nil
+	for ; r < len(w); r++ {
+		wr, u := w[r], s.u.Row(r)[:len(dst)]
+		for j := range dst {
+			dst[j] -= wr * u[j]
+		}
+	}
+}
+
+// uTimes writes U·g into z, four rows of U per pass over g.
+func (s *EigenSolver) uTimes(z, g []float64) {
+	r := 0
+	for ; r+4 <= len(z); r += 4 {
+		u0, u1 := s.u.Row(r)[:len(g)], s.u.Row(r + 1)[:len(g)]
+		u2, u3 := s.u.Row(r + 2)[:len(g)], s.u.Row(r + 3)[:len(g)]
+		var s0, s1, s2, s3 float64
+		for j, v := range g {
+			s0 += u0[j] * v
+			s1 += u1[j] * v
+			s2 += u2[j] * v
+			s3 += u3[j] * v
+		}
+		z[r], z[r+1], z[r+2], z[r+3] = s0, s1, s2, s3
+	}
+	s.u.mulRows(z[r:], g, r, len(z))
 }
 
 // newEigenSolver returns an EigenSolver when op, looked through NormedOp,
@@ -204,7 +243,27 @@ func newEigenSolver(op Operator, denseCap int) (*EigenSolver, bool) {
 			row[j] *= dinv[j]
 		}
 	}
-	return &EigenSolver{op: op, dinv: dinv, u: u, cinv: cinv}, true
+	s := &EigenSolver{op: op, dinv: dinv, u: u, cinv: cinv}
+	s.sampler = newEigenSampler(s, sq, rows, t2)
+	return s, true
+}
+
+// newEigenSampler returns the sampler of the Woodbury solver s, whose
+// rows R carry squared weights sq[R] against the shared t², or nil when
+// some s_R² ≤ t²: then Q_Rᵀ·diag(s_R² − t²)·Q_R has no real square root.
+func newEigenSampler(s *EigenSolver, sq []float64, rows []int, t2 float64) *eigenSampler {
+	e := &eigenSampler{s: s, sqrtD: make([]float64, len(s.dinv)), invW: make([]float64, len(rows))}
+	for a, r := range rows {
+		d := sq[r] - t2
+		if !(d > 0) {
+			return nil
+		}
+		e.invW[a] = 1 / math.Sqrt(d)
+	}
+	for j, d := range s.dinv {
+		e.sqrtD[j] = 1 / math.Sqrt(d)
+	}
+	return e
 }
 
 // isPermutation reports whether perm holds every index in [0, len(perm))

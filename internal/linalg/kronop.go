@@ -1,5 +1,7 @@
 package linalg
 
+import "slices"
+
 // KronOp is the Kronecker product A₁ ⊗ A₂ ⊗ … ⊗ A_k of arbitrary
 // operators, evaluated factor by factor without ever materializing the
 // product: a matvec costs Σᵢ (Πⱼ<ᵢ mⱼ)·(Πⱼ>ᵢ nⱼ) factor matvecs instead of
@@ -10,19 +12,17 @@ type KronOp struct {
 	factors []Operator
 	rows    int
 	cols    int
-	// stage[p] is the longest tensor a mode-by-mode pass in direction p
-	// produces before its last mode, which writes dst; modesLen[p] =
-	// 2·stage[p] + max mᵢ + max nᵢ is the scratch such a pass needs (see
-	// modes). scratch holds max(kronRangeLen, modesLen[transposedPass])
-	// values: the range product's slabs and fibers, or the transposed
-	// pass's two stage-long tensors and its fibers. The forward pass runs
-	// only in KronSolver.AnswerInto, on the caller's workspace.
-	stage    [2]int
-	modesLen [2]int
-	scratch  *vecPool
+	// shapes[p] is the shape of a mode-by-mode pass in direction p (see
+	// modeShape). scratch holds max(kronRangeLen,
+	// shapes[transposedPass].scratch) values: the range product's slabs
+	// and fibers, or the transposed pass's two stage-long tensors and its
+	// fibers. The forward pass runs only in KronSolver.AnswerInto, on the
+	// caller's workspace.
+	shapes  [2]modeShape
+	scratch *vecPool
 }
 
-// pass is the direction of a mode-by-mode pass (see modes): a transposed
+// pass is the direction of a mode-by-mode pass (see modeShape): a transposed
 // pass maps each factor's rows to its columns (Aᵀ, and A⁺ in a solve), a
 // forward pass its columns to its rows (A).
 type pass int
@@ -58,23 +58,19 @@ func NewKronOp(factors ...Operator) Operator {
 		return factors[0]
 	}
 	rows, cols := 1, 1
-	maxM, maxN := 0, 0
 	for _, f := range factors {
 		rows *= f.Rows()
 		cols *= f.Cols()
-		maxM, maxN = max(maxM, f.Rows()), max(maxN, f.Cols())
 	}
 	o := &KronOp{factors: factors, rows: rows, cols: cols}
 	for _, p := range []pass{transposedPass, forwardPass} {
-		// After mode i the tensor holds (out₁…outᵢ)·(inᵢ₊₁…in_k) values.
-		left := 1
-		for i, f := range factors[:len(factors)-1] {
-			left *= p.out(f)
-			o.stage[p] = max(o.stage[p], left*kronDim(factors[i+1:], p.in))
+		in, out := make([]int, len(factors)), make([]int, len(factors))
+		for i, f := range factors {
+			in[i], out[i] = p.in(f), p.out(f)
 		}
-		o.modesLen[p] = 2*o.stage[p] + maxM + maxN
+		o.shapes[p] = newModeShape(in, out)
 	}
-	o.scratch = newVecPool(max(kronRangeLen(factors), o.modesLen[transposedPass]))
+	o.scratch = newVecPool(max(kronRangeLen(factors), o.shapes[transposedPass].scratch))
 	return o
 }
 
@@ -168,45 +164,75 @@ func kronRange(factors []Operator, dst, x []float64, lo, hi int, ws []float64) {
 	each(full1, r1b)
 }
 
-// MulVecTInto applies the factors' transposes mode by mode (see modes).
+// MulVecTInto applies the factors' transposes mode by mode (see modeShape.run).
 func (o *KronOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.rows, true)
 	checkMulVecLen(o, len(dst), o.cols, true)
 	s := o.scratch.get()
 	defer o.scratch.put(s)
-	fibers := (*s)[2*o.stage[transposedPass]:]
-	o.modes(transposedPass, dst, y, *s, func(i int, out, in []float64, w int) {
+	fibers := (*s)[2*o.shapes[transposedPass].stage:]
+	o.shapes[transposedPass].run(dst, y, *s, func(i int, out, in []float64, w int) {
 		mulSlabT(o.factors[i], out, in, w, fibers)
 	})
 }
 
-// modes applies one linear map per factor, each to the leading axis of
-// the working tensor, in direction p: each mode consumes its factor's
-// p.in dimension and produces its p.out dimension. Before mode i the
-// tensor has shape inᵢ × (inᵢ₊₁…in_k · out₁…outᵢ₋₁), an inᵢ×w slab whose
-// w columns are the mode's fibers; apply(i, out, in, w) maps it to the
-// outᵢ×w slab out, and one blocked transpose rotates that to w×outᵢ, so
-// factor i+1's axis leads and factor i's axis trails. After k modes the
-// axes are back in their original order out₁…out_k. apply writes the
-// second stage-long half of ws, the transpose the first (the last one
-// writes dst); ws holds modesLen[p] values, the fibers a column adapter
-// needs sitting after the halves.
+// modeShape is the shape of a mode-by-mode pass over a Kronecker
+// product of linear maps (see run): mode i consumes in[i] values per
+// fiber and produces out[i]. stage is the longest tensor the pass
+// produces before its last mode, which writes dst, and scratch =
+// 2·stage + max in + max out is the workspace a pass needs.
+type modeShape struct {
+	in, out        []int
+	stage, scratch int
+}
+
+// newModeShape returns the shape of the pass whose modes map in[i] to
+// out[i] values per fiber.
+func newModeShape(in, out []int) modeShape {
+	s := modeShape{in: in, out: out}
+	// After mode i the tensor holds (out₁…outᵢ)·(inᵢ₊₁…in_k) values.
+	left := 1
+	for i := range in[:len(in)-1] {
+		left *= out[i]
+		s.stage = max(s.stage, left*prod(in[i+1:]))
+	}
+	s.scratch = 2*s.stage + slices.Max(in) + slices.Max(out)
+	return s
+}
+
+// prod is the product of dims.
+func prod(dims []int) int {
+	p := 1
+	for _, d := range dims {
+		p *= d
+	}
+	return p
+}
+
+// run applies one linear map per mode, each to the leading axis of the
+// working tensor. Before mode i the tensor has shape inᵢ × (inᵢ₊₁…in_k ·
+// out₁…outᵢ₋₁), an inᵢ×w slab whose w columns are the mode's fibers;
+// apply(i, out, in, w) maps it to the outᵢ×w slab out, and one blocked
+// transpose rotates that to w×outᵢ, so mode i+1's axis leads and mode
+// i's axis trails. After k modes the axes are back in their original
+// order out₁…out_k. apply writes the second stage-long half of ws, the
+// transpose the first (the last one writes dst); ws holds s.scratch
+// values, the fibers a column adapter needs sitting after the halves.
 //
 // A wide last mode (its out_k×w output longer than a stage) runs over
 // blocks of as many columns as the free half holds with their output:
 // each block is gathered into the free half, mapped and transposed into
 // its rows of dst, so the scratch never holds the output. A block of one
 // column maps straight into its row of dst.
-func (o *KronOp) modes(p pass, dst, src, ws []float64, apply func(i int, out, in []float64, w int)) {
-	factors := o.factors
-	last := len(factors) - 1
-	stage := o.stage[p]
+func (s *modeShape) run(dst, src, ws []float64, apply func(i int, out, in []float64, w int)) {
+	last := len(s.in) - 1
+	stage := s.stage
 	rotated, applied := ws[:stage], ws[stage:2*stage]
 	cur := src
 	left := 1
-	for i, f := range factors {
-		m, n := p.in(f), p.out(f)
-		w := kronDim(factors[i+1:], p.in) * left
+	for i, m := range s.in {
+		n := s.out[i]
+		w := prod(s.in[i+1:]) * left
 		if i == last && n*w > stage {
 			bw := max(1, stage/(m+n))
 			for c0 := 0; c0 < w; c0 += bw {

@@ -211,8 +211,8 @@ func TestKronScratchBound(t *testing.T) {
 	total := NewSparseBuilder(6)
 	total.AppendRangeRow(0, 5, 1)
 	op := NewKronOp(binaryTree(4), total.Build()).(*KronOp)
-	if op.stage[transposedPass] != 4 || op.modesLen[transposedPass] != 21 || op.scratch.n != 53 {
-		t.Fatalf("stage %d, modesLen %d, pool %d values; want 4, 21, 53", op.stage[transposedPass], op.modesLen[transposedPass], op.scratch.n)
+	if op.shapes[transposedPass].stage != 4 || op.shapes[transposedPass].scratch != 21 || op.scratch.n != 53 {
+		t.Fatalf("stage %d, modesLen %d, pool %d values; want 4, 21, 53", op.shapes[transposedPass].stage, op.shapes[transposedPass].scratch, op.scratch.n)
 	}
 	r := rand.New(rand.NewSource(37))
 	y := randVec(r, op.Rows())
@@ -230,8 +230,8 @@ func TestKronScratchBound(t *testing.T) {
 	}
 	var ws CGWorkspace
 	_ = s.SolveLSInto(got, y, &ws)
-	if len(ws.t) != op.modesLen[transposedPass] {
-		t.Fatalf("solve scratch %d values, want modesLen %d", len(ws.t), op.modesLen[transposedPass])
+	if len(ws.t) != op.shapes[transposedPass].scratch {
+		t.Fatalf("solve scratch %d values, want modesLen %d", len(ws.t), op.shapes[transposedPass].scratch)
 	}
 	// Forward, the one mode before the last produces the 7×6 tensor: stage
 	// 42, modesLen 2·42 + 7 + 6 = 97.
@@ -243,8 +243,8 @@ func TestKronScratchBound(t *testing.T) {
 	// 14,927 is within the solve's 2·7,688 + 47 = 15,423, so a release's
 	// answer and solve share one t buffer.
 	census := NewKronOp(binaryTree(8), binaryTree(16), binaryTree(16)).(*KronOp)
-	if census.modesLen[transposedPass] != 15423 {
-		t.Fatalf("census transposed modesLen %d, want 15423", census.modesLen[transposedPass])
+	if census.shapes[transposedPass].scratch != 15423 {
+		t.Fatalf("census transposed modesLen %d, want 15423", census.shapes[transposedPass].scratch)
 	}
 	checkForwardScratch(t, census, 7440, 14927)
 }
@@ -256,8 +256,8 @@ func TestKronScratchBound(t *testing.T) {
 // tensors).
 func checkForwardScratch(t *testing.T, op *KronOp, stage, modesLen int) {
 	t.Helper()
-	if op.stage[forwardPass] != stage || op.modesLen[forwardPass] != modesLen {
-		t.Fatalf("forward stage %d, modesLen %d; want %d, %d", op.stage[forwardPass], op.modesLen[forwardPass], stage, modesLen)
+	if op.shapes[forwardPass].stage != stage || op.shapes[forwardPass].scratch != modesLen {
+		t.Fatalf("forward stage %d, modesLen %d; want %d, %d", op.shapes[forwardPass].stage, op.shapes[forwardPass].scratch, stage, modesLen)
 	}
 	s, ok := newKronSolver(op, 16)
 	if !ok {

@@ -62,6 +62,7 @@ func newKronSolver(op Operator, denseCap int) (*KronSolver, bool) {
 			return nil, false
 		}
 	}
+	s.sampler = newKronSampler(s)
 	return s, true
 }
 
@@ -92,13 +93,14 @@ type slabSolver interface {
 }
 
 // KronSolver applies A₁⁺ ⊗ … ⊗ A_k⁺ mode by mode on the transposed
-// product's layout (see KronOp.modes), each mode through its factor's
+// product's layout (see modeShape.run), each mode through its factor's
 // slab solver, and answers A·x by the forward pass over the same rotation.
 // Its pass buffers are the workspace's t vector; factor tree solvers use
 // r.
 type KronSolver struct {
 	op      *KronOp
 	solvers []slabSolver // TreeSolvers and PinvSolvers
+	sampler *kronSampler // nil when a factor is rank-deficient (see sampler.go)
 }
 
 // SolveLSInto writes (A₁⁺ ⊗ … ⊗ A_k⁺)·y into dst; it never fails.
@@ -107,8 +109,8 @@ func (s *KronSolver) SolveLSInto(dst, y []float64, ws *CGWorkspace) error {
 		panic(fmt.Sprintf("linalg: KronSolver of a %dx%d strategy given rhs %d, dst %d",
 			s.op.rows, s.op.cols, len(y), len(dst)))
 	}
-	ws.t = growVec(ws.t, s.op.modesLen[transposedPass])
-	s.op.modes(transposedPass, dst, y, ws.t, func(i int, out, in []float64, w int) {
+	ws.t = growVec(ws.t, s.op.shapes[transposedPass].scratch)
+	s.op.shapes[transposedPass].run(dst, y, ws.t, func(i int, out, in []float64, w int) {
 		s.solvers[i].solveSlab(out, in, w, ws)
 	})
 	return nil
@@ -123,9 +125,9 @@ func (s *KronSolver) AnswerInto(dst, x []float64, ws *CGWorkspace) {
 		panic(fmt.Sprintf("linalg: KronSolver of a %dx%d strategy given x %d, dst %d",
 			s.op.rows, s.op.cols, len(x), len(dst)))
 	}
-	ws.t = growVec(ws.t, s.op.modesLen[forwardPass])
-	fibers := ws.t[2*s.op.stage[forwardPass]:]
-	s.op.modes(forwardPass, dst, x, ws.t, func(i int, out, in []float64, w int) {
+	ws.t = growVec(ws.t, s.op.shapes[forwardPass].scratch)
+	fibers := ws.t[2*s.op.shapes[forwardPass].stage:]
+	s.op.shapes[forwardPass].run(dst, x, ws.t, func(i int, out, in []float64, w int) {
 		if t, ok := s.solvers[i].(*TreeSolver); ok {
 			t.answerSlab(out, in, w)
 			return

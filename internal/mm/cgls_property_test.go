@@ -82,8 +82,11 @@ func TestCGLSInferenceMatchesPseudoInverse(t *testing.T) {
 }
 
 // The full mechanism paths (noise included) must agree as well: with the
-// same seed the dense and operator mechanisms draw identical noise, so the
-// released estimates must match to solver precision.
+// same seed the dense and operator mechanisms draw identical measurement
+// noise, so the released estimates must match to solver precision. The
+// Laplace release takes the three steps on both; a Gaussian release on
+// the operator draws the estimate's noise directly (it is sampled), so
+// its agreement is in law, which the sampled-release law tests check.
 func TestMechanismPathsAgree(t *testing.T) {
 	op := linalg.NewKronOp(linalg.NewIntervalsOp(4), linalg.NewPrefixOp(4))
 	dense := linalg.ToDense(op)
@@ -110,12 +113,14 @@ func TestMechanismPathsAgree(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i * i % 11)
 	}
-	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
-	a, err := md.EstimateGaussian(x, p, rand.New(rand.NewSource(9)))
+	if md.Sampled() || !mo.Sampled() {
+		t.Fatalf("sampled: dense %v, operator %v; want false, true", md.Sampled(), mo.Sampled())
+	}
+	a, err := md.EstimateLaplace(x, 0.5, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mo.EstimateGaussian(x, p, rand.New(rand.NewSource(9)))
+	b, err := mo.EstimateLaplace(x, 0.5, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,15 @@
 // Package mm implements the (ε,δ)-matrix mechanism of Li et al. [14] as
 // used throughout the paper: analytic workload error (Prop. 4), the
 // singular value lower bound (Thm. 2), and the runtime that actually
-// answers workloads on data by adding Gaussian noise to strategy queries
-// and inferring cell counts by least squares (Prop. 3). A Laplace / ε-DP
-// variant supports the Sec 3.5 extension.
+// answers workloads on data. Prop. 3 describes a release in three steps:
+// answer the strategy queries with Gaussian noise, y = Ax + z; infer the
+// cell counts by least squares, x̂ = A⁺y; answer the workload as W x̂.
+// For a strategy of full column rank, x̂ = x + A⁺z is N(x, σ²(AᵀA)⁻¹),
+// so a mechanism whose solver carries a square root L of (AᵀA)⁻¹
+// (linalg.Sampler) releases x + σ·L·g with g ~ N(0, I) instead: the same
+// output law, hence the same privacy and error, from as many draws as L
+// has columns and no strategy answers or solve. A Laplace / ε-DP variant
+// supports the Sec 3.5 extension; it always takes the three steps.
 package mm
 
 import (

@@ -108,9 +108,11 @@ func l1(v []float64) float64 {
 
 // QueryVariances returns the noise variance of each query answer of an
 // explicit workload under this mechanism: Var(w x̂) = σ²·‖wA⁺‖². Callers
-// can turn these into confidence intervals via ConfidenceInterval. On the
-// matrix-free path the identity ‖wᵢA⁺‖² = wᵢᵀ(AᵀA)⁺wᵢ is evaluated with
-// one normal-equation CG solve per query.
+// can turn these into confidence intervals via ConfidenceInterval. On a
+// sampled mechanism it is σ²‖Lᵀwᵢ‖² = σ²·wᵢᵀ(AᵀA)⁻¹wᵢ, exact through the
+// sampler; on the other matrix-free paths the identity
+// ‖wᵢA⁺‖² = wᵢᵀ(AᵀA)⁺wᵢ is evaluated with one normal-equation CG solve
+// per query.
 func (m *Mechanism) QueryVariances(w *workload.Workload, p Privacy) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -136,11 +138,17 @@ func (m *Mechanism) QueryVariances(w *workload.Workload, p Privacy) ([]float64, 
 	}
 	wm := w.Matrix()
 	out := make([]float64, wm.Rows())
+	var ws linalg.CGWorkspace
+	z := make([]float64, wm.Cols())
 	for i := range out {
 		wi := wm.Row(i)
-		z, err := linalg.SolveNormalCG(m.a, wi, linalg.CGOptions{})
-		if err != nil {
-			return nil, err
+		if m.sampler != nil {
+			m.sampler.CovInto(z, wi, &ws)
+		} else {
+			var err error
+			if z, err = linalg.SolveNormalCG(m.a, wi, linalg.CGOptions{}); err != nil {
+				return nil, err
+			}
 		}
 		var s float64
 		for j, v := range wi {

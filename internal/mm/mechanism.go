@@ -35,6 +35,7 @@ const (
 	// strategy has an exact solver (an interval tree, a Kronecker product
 	// of solvable factors, or a factored principal-vectors eigenbasis),
 	// else by conjugate gradients on the factored normal equations.
+	// SolverKind tells these apart.
 	InferCGLS Inference = 2
 	// InferSharded solves a sharded composite block by block through a
 	// linalg.BlockSolver: the measurement vector is split at shard
@@ -66,7 +67,10 @@ func (i Inference) String() string {
 type Mechanism struct {
 	a      linalg.Operator
 	solver linalg.LSSolver
-	sensL2 float64
+	// sampler, when non-nil, releases Gaussian estimates directly (see
+	// sampleInto): the solver's square root of (AᵀA)⁻¹.
+	sampler linalg.Sampler
+	sensL2  float64
 
 	scratch sync.Pool // recycled *ReleaseScratch
 
@@ -89,9 +93,9 @@ type Mechanism struct {
 // StageTimers carries the release pipeline's per-stage latency
 // histograms. All three fields must be non-nil when attached.
 type StageTimers struct {
-	Answer *obs.Histogram // strategy answers A·x
+	Answer *obs.Histogram // strategy answers A·x; 0 on a sampled release
 	Noise  *obs.Histogram // CSPRNG draws + noise add
-	Infer  *obs.Histogram // least-squares inference
+	Infer  *obs.Histogram // least-squares inference, or L·g + x when sampled
 }
 
 // SetStageTimers attaches (or, with nil, detaches) the per-stage
@@ -105,7 +109,7 @@ func NewMechanism(a linalg.Operator) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mechanism{a: a, solver: solver, sensL2: linalg.MaxColNorm2Op(a)}, nil
+	return &Mechanism{a: a, solver: solver, sampler: linalg.SamplerOf(solver), sensL2: linalg.MaxColNorm2Op(a)}, nil
 }
 
 // NewMechanismPrepared rebuilds a mechanism from a strategy operator and
@@ -141,6 +145,29 @@ func (m *Mechanism) PreparedGram() *linalg.Matrix { return nil }
 // Solver returns the mechanism's least-squares solver: for a sharded
 // composite, the linalg.BlockSolver over its shards' solvers.
 func (m *Mechanism) Solver() linalg.LSSolver { return m.solver }
+
+// SolverKind names the mechanism's solver: "tree", "kron", "eigen",
+// "pinv", "cgls" or "block" (a sharded composite). Inference keeps the
+// coarser label the plan store records.
+func (m *Mechanism) SolverKind() string {
+	switch m.solver.(type) {
+	case *linalg.TreeSolver:
+		return "tree"
+	case *linalg.KronSolver:
+		return "kron"
+	case *linalg.EigenSolver:
+		return "eigen"
+	case *linalg.PinvSolver:
+		return "pinv"
+	case *linalg.BlockSolver:
+		return "block"
+	}
+	return "cgls"
+}
+
+// Sampled reports whether the mechanism's Gaussian releases draw the
+// estimate's noise directly (see the package comment).
+func (m *Mechanism) Sampled() bool { return m.sampler != nil }
 
 // Inference returns the label of the mechanism's solver kind.
 func (m *Mechanism) Inference() Inference {
@@ -200,8 +227,10 @@ func (m *Mechanism) infer(y []float64) ([]float64, error) {
 // EstimateGaussian runs one (ε,δ)-differentially private release: it
 // answers the strategy queries with the Gaussian mechanism and returns the
 // least-squares estimate x̂ of the data vector (steps 1–2 of Prop. 3's
-// three-step description). Workload answers are then consistent linear
-// functions of x̂. For sharded mechanisms the estimate is the
+// three-step description). On a sampled mechanism (Sampled) it returns
+// x + σ·L·g instead, which has the same law (see the package comment);
+// a seeded source then yields different values than the three steps
+// would. Workload answers are consistent linear functions of x̂. For sharded mechanisms the estimate is the
 // concatenation of the per-shard sub-domain estimates; use
 // WorkloadAnswers (or AnswerGaussian) to map it onto workload answers.
 func (m *Mechanism) EstimateGaussian(x []float64, p Privacy, r NoiseSource) ([]float64, error) {

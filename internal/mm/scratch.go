@@ -29,7 +29,7 @@ import (
 // grow on demand and stay at their high-water mark. A scratch must not be
 // used by two releases concurrently.
 type ReleaseScratch struct {
-	y     []float64 // noisy strategy answers (rows)
+	y     []float64 // noisy strategy answers (rows), or a sampled release's draws
 	est   []float64 // cell estimate x̂
 	ans   []float64 // workload answers
 	chunk []float64 // streaming answer chunk (AnswerStream)
@@ -101,8 +101,9 @@ const (
 
 // estimateInto is the release pipeline shared by the Into entry points:
 // strategy answers, noise of the given kind and scale, then inference,
-// each stage timed when timers or a trace are attached. The estimate is
-// sc.est.
+// each stage timed when timers or a trace are attached. A Gaussian
+// release on a mechanism with a sampler draws the estimate's noise
+// directly instead (see sampleInto). The estimate is sc.est.
 func (m *Mechanism) estimateInto(sc *ReleaseScratch, x []float64, kind noiseKind, scale float64, r NoiseSource) ([]float64, error) {
 	if len(x) != m.a.Cols() {
 		return nil, fmt.Errorf("mm: data vector has %d cells, strategy expects %d", len(x), m.a.Cols())
@@ -111,6 +112,9 @@ func (m *Mechanism) estimateInto(sc *ReleaseScratch, x []float64, kind noiseKind
 	var t0 time.Time
 	if timers != nil || sc.Trace != nil {
 		t0 = time.Now()
+	}
+	if kind == gaussianNoise && m.sampler != nil {
+		return m.sampleInto(sc, x, scale, r, timers, t0), nil
 	}
 	sc.y = growFloats(sc.y, m.a.Rows())
 	m.answersInto(sc.y, x, sc)
@@ -128,6 +132,23 @@ func (m *Mechanism) estimateInto(sc *ReleaseScratch, x []float64, kind noiseKind
 	}
 	m.stageDone(sc, timers, stageInfer, t0)
 	return sc.est, nil
+}
+
+// sampleInto releases x + σ·L·g, which has the law of the least-squares
+// estimate x̂ = A⁺(Ax + z) exactly (see linalg.Sampler): g is
+// Draws() standard normals, drawn scaled by σ onto a zeroed sc.y, and no
+// strategy answer or solve runs. The stages keep their names: a
+// zero-length answer span, noise for the draws, infer for L·g + x.
+func (m *Mechanism) sampleInto(sc *ReleaseScratch, x []float64, sigma float64, r NoiseSource, timers *StageTimers, t0 time.Time) []float64 {
+	m.stageRecord(sc, timers, stageAnswer, t0, t0)
+	sc.y = growFloats(sc.y, m.sampler.Draws())
+	clear(sc.y)
+	addNormal(r, sc.y, sigma)
+	t0 = m.stageDone(sc, timers, stageNoise, t0)
+	sc.est = growFloats(sc.est, len(x))
+	m.sampler.SampleInto(sc.est, x, sc.y, &sc.ws)
+	m.stageDone(sc, timers, stageInfer, t0)
+	return sc.est
 }
 
 // Stage names of the release pipeline, shared between the stage-timer
@@ -148,18 +169,24 @@ func (m *Mechanism) stageDone(sc *ReleaseScratch, timers *StageTimers, stage str
 		return t0
 	}
 	now := time.Now()
+	m.stageRecord(sc, timers, stage, t0, now)
+	return now
+}
+
+// stageRecord records one stage that ran from t0 to end on the attached
+// stage timers and trace, if any.
+func (m *Mechanism) stageRecord(sc *ReleaseScratch, timers *StageTimers, stage string, t0, end time.Time) {
 	if timers != nil {
 		switch stage {
 		case stageAnswer:
-			timers.Answer.Observe(now.Sub(t0).Seconds())
+			timers.Answer.Observe(end.Sub(t0).Seconds())
 		case stageNoise:
-			timers.Noise.Observe(now.Sub(t0).Seconds())
+			timers.Noise.Observe(end.Sub(t0).Seconds())
 		case stageInfer:
-			timers.Infer.Observe(now.Sub(t0).Seconds())
+			timers.Infer.Observe(end.Sub(t0).Seconds())
 		}
 	}
-	sc.Trace.AddSpanRange(stage, t0, now)
-	return now
+	sc.Trace.AddSpanRange(stage, t0, end)
 }
 
 // AnswerGaussianInto is the scratch-based AnswerGaussian; the returned

@@ -254,8 +254,8 @@ func TestPlansEndpoints(t *testing.T) {
 		t.Fatalf("GET /plans listed %d entries, want 2", len(listing.Plans))
 	}
 	for _, m := range listing.Plans {
-		if m.ID == "" || m.Key == "" || m.Generator == "" || m.SizeBytes == 0 {
-			t.Fatalf("incomplete plan meta %+v", m)
+		if m.ID == "" || m.Key == "" || m.Generator == "" || m.SizeBytes == 0 || m.Solver == "" || m.Sampled == nil {
+			t.Fatalf("incomplete plan listing %+v", m)
 		}
 	}
 

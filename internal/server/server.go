@@ -64,8 +64,10 @@
 //	GET  /ledger    → {"<dataset>": {"epsilon": ..., "delta": ...}, ...}  committed spend
 //	                (inline-histogram releases appear under "adhoc:<name>")
 //	GET  /plans     → {"dir": ..., "plans": [{"id": ..., "key": ..., "generator": ...,
-//	                   "workload": ..., "cells": ..., "sizeBytes": ...}, ...]}
-//	                the durable plan store's entries (404 without a store).
+//	                   "workload": ..., "cells": ..., "sizeBytes": ..., "solver": ...,
+//	                   "sampled": ...}, ...]}
+//	                the durable plan store's entries (404 without a store), with
+//	                the solver of the plan served for each (when one is).
 //	DELETE /plans/{id}  withdraws one entry from future restarts; strategies
 //	                already serving keep serving.
 //
@@ -76,6 +78,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -423,15 +426,19 @@ func (s *Server) Handler() http.Handler {
 // decodeJSON reads the request body, which must hold exactly one JSON
 // value in at most maxRequestBody bytes, into v. It writes the error
 // response (413 for oversized bodies, 400 otherwise) itself; callers just
-// return on false. The body is read into a pooled buffer, so a steady
-// stream of requests reuses it instead of leaving it to the collector.
+// return on false. The body is read into a pooled buffer and decoded by
+// a pooled json.Decoder, so a steady stream of requests reuses both
+// instead of leaving them to the collector. A body the decoder refuses
+// is decoded again by json.Unmarshal, whose error the 400 reports, so
+// the messages are Unmarshal's.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	b := getBuf()
-	err := readBody(r.Body, b)
-	if err == nil {
-		err = json.Unmarshal(*b, v)
+	d := getDecoder()
+	err := readBody(r.Body, &d.body)
+	refused := err == nil && !d.decode(v)
+	if refused {
+		err = json.Unmarshal(d.body, v)
 	}
-	putBuf(b)
+	putDecoder(d, refused)
 	if err == nil {
 		return true
 	}
@@ -442,6 +449,55 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
 	return false
+}
+
+// jsonDecoder is a pooled request body and the json.Decoder that reads
+// it. The decoder is never reset: it reads one body after another from
+// rd, so its input offset counts every byte rd has delivered, and fed
+// is the share of that from earlier bodies.
+type jsonDecoder struct {
+	body      []byte
+	rd        bytes.Reader
+	dec       *json.Decoder
+	fed, last int64 // bytes delivered by earlier bodies; length of the last one
+}
+
+var jsonDecoderPool = sync.Pool{New: func() any {
+	d := &jsonDecoder{}
+	d.dec = json.NewDecoder(&d.rd)
+	return d
+}}
+
+// getDecoder rents a decoder with an empty body from the pool.
+func getDecoder() *jsonDecoder {
+	d := jsonDecoderPool.Get().(*jsonDecoder)
+	d.body = d.body[:0]
+	return d
+}
+
+// putDecoder returns d to the pool, unless it refused its body (its
+// decoder may hold a sticky error) or the body outgrew maxPooledBuf.
+func putDecoder(d *jsonDecoder, refused bool) {
+	if !refused && cap(d.body) <= maxPooledBuf {
+		jsonDecoderPool.Put(d)
+	}
+}
+
+// decode decodes the body's one JSON value into v. It reports false when
+// the decoder fails or anything but whitespace follows the value.
+func (d *jsonDecoder) decode(v any) bool {
+	d.fed += d.last - int64(d.rd.Len())
+	d.rd.Reset(d.body)
+	d.last = int64(len(d.body))
+	if d.dec.Decode(v) != nil {
+		return false
+	}
+	for _, c := range d.body[d.dec.InputOffset()-d.fed:] {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // readBody appends body to *b. Once more than maxRequestBody bytes have
@@ -494,13 +550,28 @@ type designRequest struct {
 // generator and why every other candidate lost. For sharded plans it
 // also lists each shard's generator, cost and inference method.
 type plannerReport struct {
-	Generator    string              `json:"generator"`
-	Note         string              `json:"note,omitempty"`
-	ModeledCost  float64             `json:"modeledCost"`
-	DesignMillis float64             `json:"designMillis"`
-	Inference    string              `json:"inference"`
-	Shards       []planner.ShardInfo `json:"shards,omitempty"`
-	Considered   []planner.Decision  `json:"considered,omitempty"`
+	Generator    string  `json:"generator"`
+	Note         string  `json:"note,omitempty"`
+	ModeledCost  float64 `json:"modeledCost"`
+	DesignMillis float64 `json:"designMillis"`
+	Inference    string  `json:"inference"`
+	solverReport
+	Shards     []planner.ShardInfo `json:"shards,omitempty"`
+	Considered []planner.Decision  `json:"considered,omitempty"`
+}
+
+// solverReport names a served plan's solver kind ("tree", "kron",
+// "eigen", "pinv", "cgls" or "block") and whether its Gaussian releases
+// draw the estimate's noise directly (sampled). The coarser inference
+// label is what the plan store records.
+type solverReport struct {
+	Solver  string `json:"solver"`
+	Sampled bool   `json:"sampled"`
+}
+
+// solverOf reports the mechanism's solver.
+func solverOf(m *mm.Mechanism) solverReport {
+	return solverReport{Solver: m.SolverKind(), Sampled: m.Sampled()}
 }
 
 type designResponse struct {
@@ -698,6 +769,7 @@ func (s *Server) respondDesign(w http.ResponseWriter, id string, ent *entry, p m
 			ModeledCost:  plan.ModeledCost,
 			DesignMillis: float64(plan.DesignTime) / float64(time.Millisecond),
 			Inference:    plan.Inference.String(),
+			solverReport: solverOf(plan.Mechanism),
 			Shards:       plan.Shards,
 			Considered:   plan.Decisions,
 		},
@@ -875,7 +947,29 @@ type plansResponse struct {
 	Dir string `json:"dir"`
 	// Plans lists each entry's id (the DELETE handle), cache key,
 	// generator, workload fingerprint and size.
-	Plans []planstore.Meta `json:"plans"`
+	Plans []planListing `json:"plans"`
+}
+
+// planListing is one stored entry's metadata plus the solver of the
+// plan this process serves for its key; the solver fields are absent
+// when the process serves none (an entry another process wrote since
+// this one started).
+type planListing struct {
+	planstore.Meta
+	Solver  string `json:"solver,omitempty"`
+	Sampled *bool  `json:"sampled,omitempty"`
+}
+
+// listing pairs a stored entry's metadata with its served plan's solver.
+func (s *Server) listing(meta planstore.Meta) planListing {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	l := planListing{Meta: meta}
+	if ent, ok := s.strategies[s.cache[meta.Key]]; ok {
+		r := solverOf(ent.plan.Mechanism)
+		l.Solver, l.Sampled = r.Solver, &r.Sampled
+	}
+	return l
 }
 
 func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
@@ -892,10 +986,11 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "listing plan store: %v", err)
 		return
 	}
-	if metas == nil {
-		metas = []planstore.Meta{}
+	plans := make([]planListing, len(metas))
+	for i, m := range metas {
+		plans[i] = s.listing(m)
 	}
-	writeJSON(w, plansResponse{Dir: s.store.Dir(), Plans: metas})
+	writeJSON(w, plansResponse{Dir: s.store.Dir(), Plans: plans})
 }
 
 // handlePlanByID dispatches the by-id plan routes:
@@ -953,7 +1048,7 @@ func (s *Server) handlePlanMeta(w http.ResponseWriter, id string) {
 		}
 		return
 	}
-	writeJSON(w, meta)
+	writeJSON(w, s.listing(meta))
 }
 
 func (s *Server) handlePlanDelete(w http.ResponseWriter, id string) {

@@ -427,6 +427,30 @@ func TestAnswerModeValidation(t *testing.T) {
 	}
 }
 
+// TestDesignReportsSolver: /design names the served mechanism's solver
+// kind and whether its Gaussian releases are sampled, next to the
+// coarser inference label the plan store keeps.
+func TestDesignReportsSolver(t *testing.T) {
+	ts := httptest.NewServer(New().Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		req       map[string]any
+		inference string
+		solver    string
+		sampled   bool
+	}{
+		{map[string]any{"workload": "allrange:1024"}, "cgls", "tree", false},
+		{map[string]any{"workload": "allrange:64"}, "dense-pinv", "pinv", false},
+		{map[string]any{"workload": "allrange:8x16", "generator": "hierarchical"}, "cgls", "kron", true},
+	} {
+		d := designOn(t, ts, c.req)
+		if p := d.Planner; p.Inference != c.inference || p.Solver != c.solver || p.Sampled != c.sampled {
+			t.Fatalf("%v: inference %q, solver %q, sampled %v; want %q, %q, %v",
+				c.req, p.Inference, p.Solver, p.Sampled, c.inference, c.solver, c.sampled)
+		}
+	}
+}
+
 // Every /design response must name the winning generator with its modeled
 // cost and inference method, and list every candidate's admission outcome
 // — the planner is the only place strategy selection happens.
