@@ -169,24 +169,14 @@ type triRoot struct {
 // newTriRoot returns the triangular root of the inverse of the Gram
 // matrix g, or false when g is not positive definite to cholPivotTol.
 func newTriRoot(g *Matrix) (*triRoot, bool) {
-	d := g.rows
-	r := New(d, d)
+	c, err := FactorCholesky(g)
+	if err != nil {
+		return nil, false
+	}
+	r, d := c.l, g.rows
 	for i := 0; i < d; i++ {
-		ri := r.Row(i)
-		for j := 0; j <= i; j++ {
-			rj := r.Row(j)
-			s := g.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= ri[k] * rj[k]
-			}
-			if i == j {
-				if !(s > cholPivotTol*g.At(i, i)) || math.IsInf(s, 0) {
-					return nil, false
-				}
-				ri[j] = math.Sqrt(s)
-			} else {
-				ri[j] = s / rj[j]
-			}
+		if p := r.At(i, i); !(p*p > cholPivotTol*g.At(i, i)) || math.IsInf(p, 0) {
+			return nil, false
 		}
 	}
 	// Column j of R⁻¹ by forward substitution is row j of U = R⁻ᵀ.
