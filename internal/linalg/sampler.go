@@ -6,20 +6,30 @@
 // L with LLᵀ = (AᵀA)⁻¹ and g ~ N(0, I), x + σ·L·g has exactly the law of
 // x̂: a release can draw the estimate's noise directly, with as many
 // draws as L has columns, and skip the strategy answers and the solve.
-// Two exact solvers carry such an L, built once with the solver:
+// Three exact solvers carry such an L, built once with the solver:
 //
+//   - A TreeSolver of a full-rank interval forest, through its node
+//     totals. eᵀAᵀAe = Σ_v w_v²·(total of e over v)², so the law
+//     N(0, (AᵀA)⁻¹) of e factors over the forest: each root's total is
+//     N(0, 1/τ_root) with the upward precision τ of the two-pass solve,
+//     and given a node's total its children's totals are independent
+//     N(0, 1/τ_child) conditioned on their sum. L draws each root total
+//     and then, top down, splits each node's remaining total between
+//     child i and the children after it with one draw; the last child
+//     takes the remainder. That is one draw per leaf, n in all, and one
+//     pass over the nodes.
 //   - A KronSolver, through L = S₁ ⊗ … ⊗ S_k with SᵢSᵢᵀ = (AᵢᵀAᵢ)⁻¹ per
-//     factor (a product of square roots is a square root): the
-//     upper-triangular Sᵢ = Rᵢ⁻ᵀ from the Cholesky factor AᵢᵀAᵢ = RᵢRᵢᵀ
-//     (dᵢ draws per fiber), or for a large tree the factor's own Aᵢ⁺ (mᵢ
-//     draws per fiber, one tree solve), whichever is modeled cheaper.
-//     L is applied by the mode-by-mode pass (modeShape.run).
+//     factor (a product of square roots is a square root): a tree
+//     factor's own top-down root, any other factor's upper-triangular
+//     Sᵢ = Rᵢ⁻ᵀ from the Cholesky factor AᵢᵀAᵢ = RᵢRᵢᵀ, dᵢ draws per
+//     fiber either way. L is applied by the mode-by-mode pass
+//     (modeShape.run).
 //   - An EigenSolver whose Woodbury rows all have s_R² > t², through
 //     L = (AᵀA)⁻¹B with BBᵀ = AᵀA = Δ + Q_Rᵀ·diag(s_R² − t²)·Q_R, so
 //     B = [Δ^{1/2}, Q_Rᵀ·diag((s_R² − t²)^{1/2})] takes n + |R| draws.
 //
-// A rank-deficient factor, a Woodbury row with s_R² ≤ t² and every other
-// solver leave the release on the classic path.
+// A rank-deficient tree or factor, a Woodbury row with s_R² ≤ t² and
+// every other solver leave the release on the classic path.
 
 package linalg
 
@@ -45,10 +55,14 @@ type Sampler interface {
 }
 
 // SamplerOf returns the sampler an exact solver built for its strategy,
-// or nil when the solver has none: only KronSolvers and EigenSolvers of
-// full-rank strategies do (see the file comment).
+// or nil when the solver has none: only TreeSolvers, KronSolvers and
+// EigenSolvers of full-rank strategies do (see the file comment).
 func SamplerOf(s LSSolver) Sampler {
 	switch s := s.(type) {
+	case *TreeSolver:
+		if s.fullRank() {
+			return s
+		}
 	case *KronSolver:
 		if s.sampler != nil {
 			return s.sampler
@@ -66,27 +80,10 @@ func SamplerOf(s LSSolver) Sampler {
 // columns before it, so the factor is rank-deficient and has no root.
 const cholPivotTol = 1e-10
 
-// Per-fiber modeled costs of a tree factor's two square roots, in units
-// of one triangular slab multiply-add (~0.4 ns on a 2-vCPU Xeon): a
-// standard normal draw costs about sampleDrawUnits of them (~9 ns), and
-// a tree slab solve about treeSolveUnits per node and per cell (~2 ns).
-// The triangular root wins up to about 64 cells.
-const (
-	sampleDrawUnits = 22
-	treeSolveUnits  = 5
-)
-
-// treeRootCheaper reports whether the tree factor's own A⁺ (m draws and
-// one tree solve per fiber) is modeled cheaper than its triangular root
-// (d draws and d(d+1)/2 multiply-adds per fiber).
-func treeRootCheaper(t *TreeSolver) bool {
-	d, m := t.cols, t.rows
-	return treeSolveUnits*(m+d)+sampleDrawUnits*m < d*(d+1)/2+sampleDrawUnits*d
-}
-
-// slabRoot is one Kronecker factor's square root S, SSᵀ = (AᵢᵀAᵢ)⁻¹.
+// slabRoot is one Kronecker factor's square root S, SSᵀ = (AᵢᵀAᵢ)⁻¹,
+// a dᵢ×dᵢ matrix.
 type slabRoot interface {
-	// rootSlab writes S applied to every column of the k×w slab g into
+	// rootSlab writes S applied to every column of the d×w slab g into
 	// the d×w slab dst.
 	rootSlab(dst, g []float64, w int, ws *CGWorkspace)
 	// covSlab writes (AᵢᵀAᵢ)⁻¹ applied to every column of the d×w slab v
@@ -96,50 +93,49 @@ type slabRoot interface {
 
 // kronSampler is a KronSolver's L = S₁ ⊗ … ⊗ S_k.
 type kronSampler struct {
-	roots  []slabRoot
-	sample modeShape // mode i maps kᵢ draws to dᵢ cells
-	cov    modeShape // mode i maps dᵢ cells to dᵢ cells
+	roots []slabRoot
+	shape modeShape // mode i maps dᵢ values to dᵢ
 }
 
 // newKronSampler returns the sampler of the Kronecker solver s, or nil
-// when a factor is rank-deficient.
+// when a factor is rank-deficient: tree factors take their top-down
+// root, the others their triangular root.
 func newKronSampler(s *KronSolver) *kronSampler {
 	k := len(s.op.factors)
 	ks := &kronSampler{roots: make([]slabRoot, k)}
-	draws, cells := make([]int, k), make([]int, k)
+	cells := make([]int, k)
 	for i, f := range s.op.factors {
 		cells[i] = f.Cols()
-		if t, ok := s.solvers[i].(*TreeSolver); ok && treeRootCheaper(t) {
+		if t, ok := s.solvers[i].(*TreeSolver); ok {
 			if !t.fullRank() {
 				return nil
 			}
-			ks.roots[i], draws[i] = t, t.rows
+			ks.roots[i] = t
 			continue
 		}
 		r, ok := newTriRoot(OperatorGram(f))
 		if !ok {
 			return nil
 		}
-		ks.roots[i], draws[i] = r, cells[i]
+		ks.roots[i] = r
 	}
-	ks.sample = newModeShape(draws, cells)
-	ks.cov = newModeShape(cells, cells)
+	ks.shape = newModeShape(cells, cells)
 	return ks
 }
 
-// Draws returns Π kᵢ.
-func (k *kronSampler) Draws() int { return prod(k.sample.in) }
+// Draws returns Π dᵢ, the cell count.
+func (k *kronSampler) Draws() int { return prod(k.shape.in) }
 
 // SampleInto writes x + (S₁ ⊗ … ⊗ S_k)·g into dst by one mode-by-mode
 // pass on the workspace's t buffer; tree roots use r.
 func (k *kronSampler) SampleInto(dst, x, g []float64, ws *CGWorkspace) {
-	n := prod(k.sample.out)
-	if len(g) != k.Draws() || len(dst) != n || len(x) != n {
-		panic(fmt.Sprintf("linalg: Kronecker sampler of %d draws and %d cells given g %d, x %d, dst %d",
-			k.Draws(), n, len(g), len(x), len(dst)))
+	n := k.Draws()
+	if len(g) != n || len(dst) != n || len(x) != n {
+		panic(fmt.Sprintf("linalg: Kronecker sampler of %d cells given g %d, x %d, dst %d",
+			n, len(g), len(x), len(dst)))
 	}
-	ws.t = growVec(ws.t, k.sample.scratch)
-	k.sample.run(dst, g, ws.t, func(i int, out, in []float64, w int) {
+	ws.t = growVec(ws.t, k.shape.scratch)
+	k.shape.run(dst, g, ws.t, func(i int, out, in []float64, w int) {
 		k.roots[i].rootSlab(out, in, w, ws)
 	})
 	addTo(dst, x)
@@ -147,12 +143,12 @@ func (k *kronSampler) SampleInto(dst, x, g []float64, ws *CGWorkspace) {
 
 // CovInto writes (⊗(AᵢᵀAᵢ)⁻¹)·v into dst, mode by mode.
 func (k *kronSampler) CovInto(dst, v []float64, ws *CGWorkspace) {
-	n := prod(k.cov.out)
+	n := k.Draws()
 	if len(v) != n || len(dst) != n {
 		panic(fmt.Sprintf("linalg: Kronecker sampler of %d cells given v %d, dst %d", n, len(v), len(dst)))
 	}
-	ws.t = growVec(ws.t, k.cov.scratch)
-	k.cov.run(dst, v, ws.t, func(i int, out, in []float64, w int) {
+	ws.t = growVec(ws.t, k.shape.scratch)
+	k.shape.run(dst, v, ws.t, func(i int, out, in []float64, w int) {
 		k.roots[i].covSlab(out, in, w, ws)
 	})
 }
@@ -259,25 +255,104 @@ func (t *triRoot) covSlab(dst, v []float64, w int, _ *CGWorkspace) {
 }
 
 // fullRank reports whether the tree strategy has full column rank: its
-// roots cover every cell and every leaf is a single cell. A leaf over
-// several cells makes their columns equal; an uncovered cell's column
-// is zero.
+// roots cover every cell and every leaf is a single cell, so the leaves,
+// which tile the roots, number one per cell. A leaf over several cells
+// makes their columns equal; an uncovered cell's column is zero.
 func (t *TreeSolver) fullRank() bool {
-	if !t.covered {
-		return false
-	}
-	for v := 0; v < t.rows; v++ {
-		if t.childOff[v] == t.childOff[v+1] && t.lo[v] != t.hi[v] {
-			return false
-		}
-	}
-	return true
+	return t.covered && t.rows-len(t.inner) == t.cols
 }
 
-// rootSlab writes A⁺ applied to every column of the rows×w slab g: for
-// a full-rank tree A⁺(A⁺)ᵀ = (AᵀA)⁻¹, so A⁺ is a square root.
+// Draws returns the cell count: one draw per leaf.
+func (t *TreeSolver) Draws() int { return t.cols }
+
+// SampleInto writes x + L·g into dst for the tree's top-down root L (see
+// the file comment): node totals live in ws.r, roots take the first
+// draws, each split of an internal node the next one in topological
+// order, and then every cell adds its leaf's total.
+func (t *TreeSolver) SampleInto(dst, x, g []float64, ws *CGWorkspace) {
+	if len(g) != t.cols || len(x) != t.cols || len(dst) != t.cols {
+		panic(fmt.Sprintf("linalg: tree sampler of %d cells given g %d, x %d, dst %d",
+			t.cols, len(g), len(x), len(dst)))
+	}
+	ws.r = growVec(ws.r, t.rows)
+	tot := ws.r
+	for i, v := range t.roots {
+		tot[v] = t.rootSD[i] * g[i]
+	}
+	k := len(t.roots)
+	for _, v := range t.inner {
+		ch0, ch1 := t.childOff[v], t.childOff[v+1]
+		rem := tot[v]
+		for ci := ch0; ci < ch1-1; ci++ {
+			s := t.splitFrac[ci]*rem + t.splitSD[ci]*g[k]
+			k++
+			tot[t.childList[ci]] = s
+			rem -= s
+		}
+		tot[t.childList[ch1-1]] = rem
+	}
+	x = x[:len(dst)]
+	for j, v := range t.cellLeaf {
+		dst[j] = x[j] + tot[v]
+	}
+}
+
+// CovInto writes (AᵀA)⁻¹v into dst (see covSlab).
+func (t *TreeSolver) CovInto(dst, v []float64, ws *CGWorkspace) {
+	t.covSlab(dst, v, 1, ws)
+}
+
+// rootSlab writes L applied to every column of the cols×w slab g into
+// the cols×w slab dst: SampleInto's passes without x, slabBlock columns
+// at a time, with node totals in ws.r, one column block per node. A
+// two-child node's split takes one loop over the block. Every column
+// takes SampleInto's operations in its order.
 func (t *TreeSolver) rootSlab(dst, g []float64, w int, ws *CGWorkspace) {
-	t.solveSlab(dst, g, w, ws)
+	if len(g) != t.cols*w || len(dst) != t.cols*w {
+		panic("linalg: TreeSolver slab length mismatch")
+	}
+	ws.r = growVec(ws.r, t.rows*min(w, slabBlock))
+	for c0 := 0; c0 < w; c0 += slabBlock {
+		bw := min(slabBlock, w-c0)
+		tot := func(v int) []float64 { return ws.r[v*bw:][:bw] }
+		draw := func(k int) []float64 { return g[k*w+c0:][:bw] }
+		for i, v := range t.roots {
+			out, gi, sd := tot(v), draw(i), t.rootSD[i]
+			for j := range out {
+				out[j] = sd * gi[j]
+			}
+		}
+		k := len(t.roots)
+		for _, v := range t.inner {
+			ch0, ch1 := t.childOff[v], t.childOff[v+1]
+			rem := tot(v)
+			if ch1-ch0 == 2 {
+				l, r, gk := tot(t.childList[ch0]), tot(t.childList[ch0+1]), draw(k)
+				k++
+				f, sd := t.splitFrac[ch0], t.splitSD[ch0]
+				for j := range rem {
+					s := f*rem[j] + sd*gk[j]
+					l[j] = s
+					r[j] = rem[j] - s
+				}
+				continue
+			}
+			for ci := ch0; ci < ch1-1; ci++ {
+				out, gk := tot(t.childList[ci]), draw(k)
+				k++
+				f, sd := t.splitFrac[ci], t.splitSD[ci]
+				for j := range rem {
+					s := f*rem[j] + sd*gk[j]
+					out[j] = s
+					rem[j] -= s
+				}
+			}
+			copy(tot(t.childList[ch1-1]), rem)
+		}
+		for cell, v := range t.cellLeaf {
+			copy(dst[cell*w+c0:][:bw], tot(v))
+		}
+	}
 }
 
 // covSlab writes (AᵀA)⁻¹ applied to every column of the cols×w slab v

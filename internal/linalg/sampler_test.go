@@ -98,21 +98,100 @@ func TestKronSamplerIsSquareRoot(t *testing.T) {
 	}
 }
 
-// TestKronSamplerTreeRoot: a 128-cell tree factor is modeled cheaper
-// through its own A⁺ (255 draws and one tree solve per fiber) than
-// through its 128×128 triangular root, so the product draws 255·4
-// values; the 4-cell tree takes its triangular root. The mixed L is
-// still exact.
+// TestKronSamplerTreeRoot: every tree factor takes its own top-down
+// root, one draw per cell, so the product of a 128-cell and a 4-cell
+// tree draws 128·4 values, and its L is exact.
 func TestKronSamplerTreeRoot(t *testing.T) {
 	op := strategy.HierarchicalOperator(domain.MustShape(128, 4), 2)
 	s := linalg.SamplerOf(kronSolver(t, op))
 	if s == nil {
 		t.Fatal("no sampler for a product of full-rank trees")
 	}
-	if s.Draws() != 255*4 {
-		t.Fatalf("%d draws, want 255·4", s.Draws())
+	if s.Draws() != 128*4 {
+		t.Fatalf("%d draws, want 128·4", s.Draws())
 	}
 	assertSamplerExact(t, s, op)
+}
+
+// intervalForest returns a CSR interval forest over n cells whose roots
+// span the given intervals: each node splits into up to branch
+// nearly-equal parts down to single cells, and weighs 1 + depth/2 +
+// (lo mod 3)/10, so weights differ within and across levels.
+func intervalForest(n, branch int, roots ...[2]int) *linalg.Sparse {
+	b := linalg.NewSparseBuilder(n)
+	var split func(lo, hi, depth int)
+	split = func(lo, hi, depth int) {
+		b.AppendRangeRow(lo, hi, 1+float64(depth)/2+float64(lo%3)/10)
+		size := hi - lo + 1
+		if size == 1 {
+			return
+		}
+		parts := min(branch, size)
+		for p, at := 0, lo; p < parts; p++ {
+			step := size / parts
+			if p < size%parts {
+				step++
+			}
+			split(at, at+step-1, depth+1)
+			at += step
+		}
+	}
+	for _, r := range roots {
+		split(r[0], r[1], 0)
+	}
+	return b.Build()
+}
+
+// treeSamplerCases are full-rank interval forests: range1d-batch's
+// binary tree over 1,024 cells, a weighted ternary tree over 10 cells, a
+// forest of three roots (one a lone cell) and a chain of duplicate
+// intervals, whose one-child nodes take no draw.
+func treeSamplerCases() []struct {
+	name string
+	op   linalg.Operator
+} {
+	dup := linalg.NewSparseBuilder(4)
+	for _, r := range []struct {
+		lo, hi int
+		w      float64
+	}{{0, 3, 1}, {0, 3, 2}, {0, 1, 0.5}, {0, 1, 1}, {0, 0, 1}, {1, 1, 3}, {2, 3, 1}, {2, 2, 1}, {3, 3, 1}, {3, 3, 0.25}} {
+		dup.AppendRangeRow(r.lo, r.hi, r.w)
+	}
+	return []struct {
+		name string
+		op   linalg.Operator
+	}{
+		{"allrange-1024", strategy.HierarchicalOperator(domain.MustShape(1024), 2)},
+		{"weighted-ternary-10", intervalForest(10, 3, [2]int{0, 9})},
+		{"forest", intervalForest(12, 2, [2]int{0, 4}, [2]int{5, 5}, [2]int{6, 11})},
+		{"duplicate-chain", dup.Build()},
+	}
+}
+
+// TestTreeSamplerIsSquareRoot: every full-rank interval forest's tree
+// solver carries a sampler of one draw per cell whose L is an exact
+// square root of (AᵀA)⁻¹. The race build leaves the 1,024-cell tree
+// out: its dense pseudo-inverse takes over a minute under the detector.
+func TestTreeSamplerIsSquareRoot(t *testing.T) {
+	for _, c := range treeSamplerCases() {
+		if raceEnabled && c.op.Cols() > 512 {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			s, err := linalg.NewSolver(c.op, denseCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.(*linalg.TreeSolver); !ok {
+				t.Fatalf("solver is a %T, want *linalg.TreeSolver", s)
+			}
+			sm := linalg.SamplerOf(s)
+			if sm == nil || sm.Draws() != c.op.Cols() {
+				t.Fatalf("sampler %v, want one of %d draws", sm, c.op.Cols())
+			}
+			assertSamplerExact(t, sm, c.op)
+		})
+	}
 }
 
 // TestEigenSamplerIsSquareRoot: factored principal-vectors strategies and
@@ -157,24 +236,36 @@ func TestEigenSamplerIsSquareRoot(t *testing.T) {
 }
 
 // TestSamplersZeroAllocAndConcurrent pins the warmed SampleInto on
-// census-rangemarg's and census-3d's strategies at zero allocations and
-// bit-identical under concurrent calls.
+// census-rangemarg's and census-3d's strategies and on every tree
+// sampler case at zero allocations and bit-identical under concurrent
+// calls.
 func TestSamplersZeroAllocAndConcurrent(t *testing.T) {
-	for _, c := range []struct {
+	type samplerCase struct {
 		name   string
 		solver linalg.LSSolver
-	}{
-		{"kron", kronSolver(t, strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2))},
-		{"eigen", eigenSolver(t, principalStrategy(t, 8, 16, 16))},
-	} {
+		n      int
+	}
+	cases := []samplerCase{
+		{"kron", kronSolver(t, strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)), 2048},
+		{"eigen", eigenSolver(t, principalStrategy(t, 8, 16, 16)), 2048},
+	}
+	for _, c := range treeSamplerCases() {
+		s, err := linalg.NewSolver(c.op, denseCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, samplerCase{"tree-" + c.name, s, c.op.Cols()})
+	}
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := linalg.SamplerOf(c.solver)
 			if s == nil {
 				t.Fatal("no sampler")
 			}
+			n := c.n
 			r := rand.New(rand.NewSource(59))
-			x := randVec(r, 2048)
-			assertKernelZeroAllocAndConcurrent(t, c.name+" SampleInto", s.Draws(), 2048, r,
+			x := randVec(r, n)
+			assertKernelZeroAllocAndConcurrent(t, c.name+" SampleInto", s.Draws(), n, r,
 				func(dst, g []float64, ws *linalg.CGWorkspace) error {
 					s.SampleInto(dst, x, g, ws)
 					return nil

@@ -13,7 +13,10 @@
 // NewTreeSolver recognizes the structure at mechanism-construction time
 // directly from the CSR form — no new operator kind, no codec change, so
 // plans rehydrated from the store accelerate automatically — and refuses
-// anything it cannot prove tree-shaped, leaving those to CGLS.
+// anything it cannot prove tree-shaped, leaving those to CGLS. The same
+// node precisions also give a full-rank forest its top-down square root
+// of (AᵀA)⁻¹, so a Gaussian release can sample the estimate with one
+// draw per cell and skip the solve (sampler.go).
 
 package linalg
 
@@ -25,9 +28,10 @@ import (
 // TreeSolver solves min ‖Ax − y‖₂ exactly for an interval-tree strategy
 // A, returning the minimum-norm solution (matching PseudoInverse and the
 // CGLS limit). All y-independent quantities — the forest topology, node
-// precisions, and the upward/downward fusion coefficients — are
-// precomputed at construction, so a solve is two linear passes with no
-// divisions and no allocation beyond one workspace vector.
+// precisions, the upward/downward fusion coefficients and the sampler's
+// split coefficients — are precomputed at construction, so a solve is
+// two linear passes with no divisions and no allocation beyond one
+// workspace vector. A full-rank tree is also its own Sampler.
 //
 // Nodes are renumbered into topological order (parents before children)
 // at construction: every per-node array below is indexed by topological
@@ -46,7 +50,12 @@ type TreeSolver struct {
 	invLen     []float64 // leaves: 1/interval length
 	coefA      []float64 // internal: w/τ
 	coefB      []float64 // internal: τ_children/τ
-	internal   int       // internal (non-leaf) node count
+	roots      []int     // root node ids in topological order
+	rootSD     []float64 // per root: 1/√τ, the sd of its total (sampler.go)
+	splitFrac  []float64 // per child i: var_i/V_i (see sampler.go)
+	splitSD    []float64 // per child i: √(var_i(V_i − var_i)/V_i)
+	inner      []int     // internal (non-leaf) node ids in topological order
+	cellLeaf   []int     // per cell: the leaf over it alone, if any
 	unitW      bool      // every row weight is exactly 1
 	covered    bool      // the root intervals tile every cell
 }
@@ -133,6 +142,7 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 			counts[top+1]++
 		} else {
 			rootCells += t.hi[k] - t.lo[k] + 1
+			t.roots = append(t.roots, k)
 		}
 		stack = append(stack, k)
 	}
@@ -181,12 +191,17 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 	// The downward pass distributes the surplus of the parent's final
 	// estimate over children proportionally to their variance:
 	//   gain_child = (1/τ_child)/Σ(1/τ_child).
+	// The same variances var_i = 1/τ_child split a sampled node total
+	// among the children (sampler.go): with V_i = Σ_{j≥i} var_j,
+	//   frac_i = var_i/V_i,  sd_i = √(var_i·V_{i+1}/V_i).
 	tau := make([]float64, s.rows)
 	t.invW = make([]float64, s.rows)
 	t.invLen = make([]float64, s.rows)
 	t.coefA = make([]float64, s.rows)
 	t.coefB = make([]float64, s.rows)
 	t.childGain = make([]float64, len(t.childList))
+	t.splitFrac = make([]float64, len(t.childList))
+	t.splitSD = make([]float64, len(t.childList))
 	for v := s.rows - 1; v >= 0; v-- {
 		c0, c1 := t.childOff[v], t.childOff[v+1]
 		if c0 == c1 {
@@ -195,7 +210,6 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 			t.invLen[v] = 1 / float64(t.hi[v]-t.lo[v]+1)
 			continue
 		}
-		t.internal++
 		var invSum float64
 		for _, c := range t.childList[c0:c1] {
 			invSum += 1 / tau[c]
@@ -207,8 +221,28 @@ func NewTreeSolver(op Operator) (*TreeSolver, bool) {
 		}
 		t.coefA[v] = t.w[v] / tau[v]
 		t.coefB[v] = tauC / tau[v]
-		for ci := c0; ci < c1; ci++ {
-			t.childGain[ci] = (1 / tau[t.childList[ci]]) / invSum
+		var tail float64
+		for ci := c1 - 1; ci >= c0; ci-- {
+			vc := 1 / tau[t.childList[ci]]
+			t.childGain[ci] = vc / invSum
+			vi := vc + tail
+			r := 1 / vi
+			t.splitFrac[ci] = vc * r
+			t.splitSD[ci] = math.Sqrt(vc * tail * r)
+			tail = vi
+		}
+	}
+	t.rootSD = make([]float64, len(t.roots))
+	for i, v := range t.roots {
+		t.rootSD[i] = 1 / math.Sqrt(tau[v])
+	}
+	t.cellLeaf = make([]int, s.cols)
+	for v := 0; v < s.rows; v++ {
+		switch {
+		case t.childOff[v] != t.childOff[v+1]:
+			t.inner = append(t.inner, v)
+		case t.lo[v] == t.hi[v]:
+			t.cellLeaf[t.lo[v]] = v
 		}
 	}
 	return t, true
@@ -296,7 +330,7 @@ func (t *TreeSolver) solveSlab(dst, y []float64, w int, ws *CGWorkspace) {
 	if len(y) != t.rows*w || len(dst) != t.cols*w {
 		panic("linalg: TreeSolver slab length mismatch")
 	}
-	blocks := t.rows + t.internal
+	blocks := t.rows + len(t.inner)
 	ws.r = growVec(ws.r, blocks*min(w, slabBlock))
 	if !t.covered {
 		clear(dst)
@@ -314,11 +348,11 @@ func (t *TreeSolver) solveSlab(dst, y []float64, w int, ws *CGWorkspace) {
 // children do not change in between). Two-child nodes, every internal
 // node of a binary tree, fuse each pass into one loop over the block.
 func (t *TreeSolver) solveBlock(dst, y []float64, w, c0 int, buf []float64) {
-	bw := len(buf) / (t.rows + t.internal)
+	bw := len(buf) / (t.rows + len(t.inner))
 	node := func(v int) []float64 { return buf[v*bw:][:bw] }
 	sums := buf[t.rows*bw:]
 	// Upward: fuse each node's own measurement with its children's sum.
-	k := t.internal
+	k := len(t.inner)
 	for v := t.rows - 1; v >= 0; v-- {
 		u, yv := node(v), y[t.row[v]*w+c0:][:bw]
 		ch0, ch1 := t.childOff[v], t.childOff[v+1]

@@ -236,11 +236,12 @@ func TestInferenceMethodsAgree(t *testing.T) {
 	}
 	var baseline []float64
 	for _, c := range []struct {
-		op     linalg.Operator
-		solver string
+		op      linalg.Operator
+		solver  string
+		sampled bool
 	}{
-		{linalg.ToDense(tree), "*linalg.PinvSolver"},
-		{tree, "*linalg.TreeSolver"},
+		{linalg.ToDense(tree), "*linalg.PinvSolver", false},
+		{tree, "*linalg.TreeSolver", true},
 	} {
 		mech, err := NewMechanism(c.op)
 		if err != nil {
@@ -249,9 +250,13 @@ func TestInferenceMethodsAgree(t *testing.T) {
 		if got := fmt.Sprintf("%T", mech.Solver()); got != c.solver {
 			t.Fatalf("solver = %s, want %s", got, c.solver)
 		}
+		if mech.Sampled() != c.sampled {
+			t.Fatalf("%s: sampled %v, want %v", c.solver, mech.Sampled(), c.sampled)
+		}
 		// Identical seed → identical noisy answers → the estimates must
-		// agree to solver tolerance.
-		xhat, err := mech.EstimateGaussian(x, testPrivacy, rand.New(rand.NewSource(99)))
+		// agree to solver tolerance. Laplace releases solve on every
+		// plan; a Gaussian release on the tree samples its estimate.
+		xhat, err := mech.EstimateLaplace(x, testPrivacy.Epsilon, rand.New(rand.NewSource(99)))
 		if err != nil {
 			t.Fatalf("%s: %v", c.solver, err)
 		}

@@ -29,10 +29,11 @@ type sampledCase struct {
 }
 
 // sampledCases are the full-rank entries of linalg's kronSolverCases
-// (same constructions) and census-3d's strategy, the factored
-// principal-vectors design (k = 16) for all-range queries on 8×16×16.
-// The race build leaves census-3d out: its checks run on one goroutine,
-// and its design and dense ground truth take ~100 s under the detector.
+// (same constructions), the tree sampler cases and census-3d's strategy,
+// the factored principal-vectors design (k = 16) for all-range queries
+// on 8×16×16. The race build leaves census-3d out: its checks run on one
+// goroutine, and its design and dense ground truth take ~100 s under the
+// detector.
 func sampledCases(t testing.TB) []sampledCase {
 	t.Helper()
 	hier := func(b int, sides ...int) linalg.Operator {
@@ -48,10 +49,60 @@ func sampledCases(t testing.TB) []sampledCase {
 		{"tree-identity", linalg.NewKronOp(hier(2, 6), linalg.Eye(5))},
 		{"normed-kron", linalg.WithColNorms(hier3, linalg.OperatorColNorms2(hier3), nil)},
 	}
+	cases = append(cases, treeCases()...)
 	if !raceEnabled {
 		cases = append(cases, sampledCase{"census-3d", census3dStrategy(t)})
 	}
 	return cases
+}
+
+// treeCases are full-rank interval forests, whose tree solvers sample:
+// range1d-batch's binary tree over 1,024 cells, a weighted ternary tree
+// over 10 cells, a forest of three roots (one a lone cell) and a chain
+// of duplicate intervals, whose one-child nodes take no draw.
+func treeCases() []sampledCase {
+	dup := linalg.NewSparseBuilder(4)
+	for _, r := range []struct {
+		lo, hi int
+		w      float64
+	}{{0, 3, 1}, {0, 3, 2}, {0, 1, 0.5}, {0, 1, 1}, {0, 0, 1}, {1, 1, 3}, {2, 3, 1}, {2, 2, 1}, {3, 3, 1}, {3, 3, 0.25}} {
+		dup.AppendRangeRow(r.lo, r.hi, r.w)
+	}
+	return []sampledCase{
+		{"tree-allrange-1024", strategy.HierarchicalOperator(domain.MustShape(1024), 2)},
+		{"tree-weighted-ternary-10", intervalForest(10, 3, [2]int{0, 9})},
+		{"tree-forest", intervalForest(12, 2, [2]int{0, 4}, [2]int{5, 5}, [2]int{6, 11})},
+		{"tree-duplicate-chain", dup.Build()},
+	}
+}
+
+// intervalForest returns a CSR interval forest over n cells whose roots
+// span the given intervals: each node splits into up to branch
+// nearly-equal parts down to single cells, and weighs 1 + depth/2 +
+// (lo mod 3)/10, so weights differ within and across levels.
+func intervalForest(n, branch int, roots ...[2]int) *linalg.Sparse {
+	b := linalg.NewSparseBuilder(n)
+	var split func(lo, hi, depth int)
+	split = func(lo, hi, depth int) {
+		b.AppendRangeRow(lo, hi, 1+float64(depth)/2+float64(lo%3)/10)
+		size := hi - lo + 1
+		if size == 1 {
+			return
+		}
+		parts := min(branch, size)
+		for p, at := 0, lo; p < parts; p++ {
+			step := size / parts
+			if p < size%parts {
+				step++
+			}
+			split(at, at+step-1, depth+1)
+			at += step
+		}
+	}
+	for _, r := range roots {
+		split(r[0], r[1], 0)
+	}
+	return b.Build()
 }
 
 // census3dStrategy is the strategy the planner serves for census-3d.
@@ -272,15 +323,20 @@ func TestSampledSensitivityIsBruteForce(t *testing.T) {
 	}
 }
 
-// TestSampledQueryVariancesExact: on a small Kronecker strategy and a
-// small Woodbury strategy, both sampled, QueryVariances equals
-// σ²‖wᵢA⁺‖² from the dense pseudo-inverse to 1e-9 relative.
+// TestSampledQueryVariancesExact: on a small Kronecker strategy, a
+// small Woodbury strategy and the tree cases, all sampled,
+// QueryVariances equals σ²‖wᵢA⁺‖² from the dense pseudo-inverse to 1e-9
+// relative. The race build leaves the 1,024-cell tree out: its dense
+// pseudo-inverse takes over a minute under the detector.
 func TestSampledQueryVariancesExact(t *testing.T) {
 	p := Privacy{Epsilon: 0.7, Delta: 1e-5}
-	for _, c := range []sampledCase{
+	for _, c := range append([]sampledCase{
 		{"kron", strategy.HierarchicalOperator(domain.MustShape(4, 8), 2)},
 		{"woodbury", woodburyStrategy(rand.New(rand.NewSource(67)), 0.3)},
-	} {
+	}, treeCases()...) {
+		if raceEnabled && c.op.Cols() > 512 {
+			continue
+		}
 		t.Run(c.name, func(t *testing.T) {
 			m, err := NewMechanism(c.op)
 			if err != nil {
@@ -351,12 +407,20 @@ func woodburyStrategy(r *rand.Rand, tail float64) linalg.Operator {
 	return linalg.StackOps(op, linalg.SparseDiag(n, []int{0, 5, 31}, []float64{0.5, 1, 2}))
 }
 
-// TestSampledFallbacks: a Kronecker strategy with a rank-deficient factor
-// and a Woodbury strategy with rows weighing less than the tail (some
-// s_R² ≤ t²) keep their exact solvers but not a sampler, so a seeded
-// Gaussian release takes the classic path: it equals, bit for bit, the
-// strategy answers plus one draw per row in order, solved.
+// TestSampledFallbacks: a Kronecker strategy with a rank-deficient
+// factor, a Woodbury strategy with rows weighing less than the tail
+// (some s_R² ≤ t²), a tree with an uncovered cell and a tree with a
+// multi-cell leaf keep their exact solvers but not a sampler, so a
+// seeded Gaussian release takes the classic path: it equals, bit for
+// bit, the strategy answers plus one draw per row in order, solved.
 func TestSampledFallbacks(t *testing.T) {
+	uncovered, wideLeaf := linalg.NewSparseBuilder(6), linalg.NewSparseBuilder(6)
+	for _, iv := range [][2]int{{0, 4}, {0, 1}, {2, 4}, {0, 0}, {1, 1}, {2, 2}, {3, 4}, {3, 3}, {4, 4}} {
+		uncovered.AppendRangeRow(iv[0], iv[1], 1) // cell 5 is in no row
+	}
+	for _, iv := range [][2]int{{0, 5}, {0, 2}, {3, 5}, {0, 0}, {1, 2}, {3, 3}, {4, 4}, {5, 5}} {
+		wideLeaf.AppendRangeRow(iv[0], iv[1], 1) // the leaf [1, 2] spans two cells
+	}
 	r := rand.New(rand.NewSource(73))
 	u, v := linalg.New(6, 2), linalg.New(2, 4)
 	for _, m := range []*linalg.Matrix{u, v} {
@@ -370,6 +434,8 @@ func TestSampledFallbacks(t *testing.T) {
 	}{
 		{"rank-deficient-factor", "kron", linalg.NewKronOp(u.Mul(v), strategy.HierarchicalOperator(domain.MustShape(5), 2))},
 		{"rows-below-tail", "eigen", woodburyStrategy(r, 3)},
+		{"tree-uncovered-cell", "tree", uncovered.Build()},
+		{"tree-multi-cell-leaf", "tree", wideLeaf.Build()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := NewMechanism(c.op)
@@ -442,13 +508,15 @@ func TestSampledReleaseStageSpans(t *testing.T) {
 	}
 }
 
-// censusSampledMechanisms returns sampled mechanisms over
-// census-rangemarg's strategy (binary trees over 8×16×16, a Kronecker
-// solver) and census-3d's (a Woodbury solver).
-func censusSampledMechanisms(t testing.TB) map[string]*Mechanism {
+// benchSampledMechanisms returns sampled mechanisms over the
+// strategies of the benchmark workloads: range1d-batch's (a binary tree
+// over 1,024 cells, a tree solver), census-rangemarg's (binary trees
+// over 8×16×16, a Kronecker solver) and census-3d's (a Woodbury solver).
+func benchSampledMechanisms(t testing.TB) map[string]*Mechanism {
 	t.Helper()
 	out := map[string]*Mechanism{}
 	for name, op := range map[string]linalg.Operator{
+		"range1d-batch":    strategy.HierarchicalOperator(domain.MustShape(1024), 2),
 		"census-rangemarg": strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2),
 		"census-3d":        census3dStrategy(t),
 	} {
@@ -466,14 +534,11 @@ func censusSampledMechanisms(t testing.TB) map[string]*Mechanism {
 
 // TestSampledReleaseZeroAlloc is the allocation pin for sampled
 // releases: once warmed, a release through the production noise source
-// with stage timers attached allocates nothing on either sampling solver.
+// with stage timers attached allocates nothing on any sampling solver.
 func TestSampledReleaseZeroAlloc(t *testing.T) {
-	x := make([]float64, 2048)
-	for i := range x {
-		x[i] = float64(i % 13)
-	}
 	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
-	for name, m := range censusSampledMechanisms(t) {
+	for name, m := range benchSampledMechanisms(t) {
+		x := cellCounts(m.Strategy().Cols())
 		t.Run(name, func(t *testing.T) {
 			m.SetStageTimers(testStageTimers())
 			cs := AcquireCryptoSource()
@@ -493,17 +558,23 @@ func TestSampledReleaseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSampledRelease times one sampled Gaussian release through the
-// production noise source on census-rangemarg's and census-3d's
-// strategies.
-func BenchmarkSampledRelease(b *testing.B) {
-	x := make([]float64, 2048)
+// cellCounts returns n small cell counts, i mod 13.
+func cellCounts(n int) []float64 {
+	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i % 13)
 	}
+	return x
+}
+
+// BenchmarkSampledRelease times one sampled Gaussian release through the
+// production noise source on the benchmark workloads' strategies.
+func BenchmarkSampledRelease(b *testing.B) {
 	p := Privacy{Epsilon: 0.5, Delta: 1e-4}
-	for _, name := range []string{"census-rangemarg", "census-3d"} {
-		m := censusSampledMechanisms(b)[name]
+	mechs := benchSampledMechanisms(b)
+	for _, name := range []string{"range1d-batch", "census-rangemarg", "census-3d"} {
+		m := mechs[name]
+		x := cellCounts(m.Strategy().Cols())
 		b.Run(name, func(b *testing.B) {
 			cs := AcquireCryptoSource()
 			defer ReleaseCryptoSource(cs)

@@ -84,7 +84,7 @@ func releaseErrorf(code int, format string, args ...any) *releaseError {
 }
 
 // releaseOut carries one successful release's answers, which live in a
-// scratch rented from the mechanism's pool. The handler encodes the
+// scratch rented from the mechanism's pool. Its caller encodes the
 // answers and then calls done() to return the scratch; holding the
 // scratch until encoding is what keeps the hot path free of a per-release
 // answer copy.
@@ -393,15 +393,15 @@ type batchResponse struct {
 }
 
 // batchState is one POST /release call's working set: the decoded
-// request and the per-entry strategy snapshot, results, scratch-owning
-// outputs and traces. It is pooled, so a steady stream of batches reuses
-// every slice at its high-water mark instead of leaving it to the
-// collector.
+// request and the per-entry strategy snapshot, results, encoded answers
+// and traces. It is pooled, so a steady stream of batches reuses every
+// slice, and each entry's answer buffer, at its high-water mark instead
+// of leaving it to the collector.
 type batchState struct {
 	req     releaseRequest
 	ents    []*entry
 	results []batchResult
-	outs    []releaseOut
+	answers [][]byte // entry i's answers as a JSON array, on success
 	traces  []*obs.Trace
 	parent  string       // incoming X-AM-Trace, the traces' parent ID
 	next    atomic.Int64 // the next entry a worker claims
@@ -422,21 +422,30 @@ func getBatch() *batchState {
 	return st
 }
 
-// putBatch drops the state's references to entries, scratch and traces
-// and returns it to the pool.
+// putBatch drops the state's references to entries and traces and
+// returns it to the pool. The answer buffers stay unless together they
+// outgrow maxPooledBuf, which would pin an outlier batch's memory.
 func putBatch(st *batchState) {
 	clear(st.ents)
 	clear(st.results)
-	clear(st.outs)
 	clear(st.traces)
 	st.req.Histogram = nil
+	answers := st.answers[:cap(st.answers)]
+	var kept int
+	for _, a := range answers {
+		kept += cap(a)
+	}
+	if kept > maxPooledBuf {
+		clear(answers)
+	}
 	batchPool.Put(st)
 }
 
-// resize returns s with length n, reusing its backing array when it fits.
+// resize returns s with length n. It keeps every element of s's backing
+// array, reusing the array when n fits.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -514,9 +523,9 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	par = min(par, n)
 
 	st.results = resize(st.results, n)
-	// Successful entries keep their answers in mechanism-pool scratch
-	// until the response is encoded; outs[i] owns entry i's scratch.
-	st.outs = resize(st.outs, n)
+	// Each worker encodes a successful entry's answers into answers[i]
+	// and returns the entry's scratch at once.
+	st.answers = resize(st.answers, n)
 	// traces[i] is entry i's opt-in trace (nil without "trace": true);
 	// the parent ID propagates from the incoming X-AM-Trace header.
 	st.traces = resize(st.traces, n)
@@ -540,11 +549,11 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Encode the whole batch into one pooled buffer and write it once.
-	// Successful entries are numeric-only and hand-encoded; failed entries
+	// Assemble the whole batch in one pooled buffer and write it once.
+	// Successful entries are numeric-only: their answers arrive encoded
+	// from the workers, and the rest is written by hand. Failed entries
 	// carry error strings and go through encoding/json for escaping (they
-	// are off the hot path by definition). Each entry's scratch goes back
-	// to its mechanism's pool as soon as its answers are serialized.
+	// are off the hot path by definition).
 	b := getBuf()
 	*b = append(*b, `{"results":[`...)
 	for i := range st.results {
@@ -556,13 +565,10 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			*b = append(*b, `{"index":`...)
 			*b = strconv.AppendInt(*b, int64(i), 10)
 			*b = append(*b, `,"status":200,"answers":`...)
-			tser := time.Now()
-			*b = appendFloats(*b, st.outs[i].ans)
-			tr.AddSpan("serialize", tser)
+			*b = append(*b, st.answers[i]...)
 			*b = append(*b, `,"ledger":`...)
 			*b = appendBudgetTrace(*b, res.ledger, tr)
 			*b = append(*b, '}')
-			st.outs[i].done()
 			tr.Finish(http.StatusOK)
 			s.metrics.ring.Put(tr)
 			continue
@@ -606,7 +612,8 @@ func (s *Server) runBatchEntries(st *batchState) {
 }
 
 // runBatchEntry releases entry i into st.results[i] and, on success,
-// st.outs[i].
+// encodes its answers into st.answers[i] (the entry's serialize span)
+// and returns its scratch.
 func (s *Server) runBatchEntry(st *batchState, i int) {
 	item := &st.req.Releases[i]
 	if st.ents[i] == nil {
@@ -640,6 +647,9 @@ func (s *Server) runBatchEntry(st *batchState, i int) {
 		st.results[i] = batchResult{Index: i, Status: rerr.code, Error: rerr.msg, Remaining: rerr.remaining}
 		return
 	}
-	st.outs[i] = out
+	tser := time.Now()
+	st.answers[i] = appendFloats(st.answers[i][:0], out.ans)
+	st.traces[i].AddSpan("serialize", tser)
+	out.done()
 	st.results[i] = batchResult{Index: i, Status: http.StatusOK, ledger: ledger}
 }

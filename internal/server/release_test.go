@@ -626,6 +626,107 @@ func TestBatchRelease(t *testing.T) {
 	}
 }
 
+// TestBatchEncodingMatchesAnswer: a mixed batch under parallelism 2
+// (successes in both modes on a tree and a dense strategy, a 404, a 429
+// and two traced entries) reads back as the handler's serial encoder
+// wrote it. Each success's answers are the bytes /answer writes for the
+// same seeded release and re-encode identically, a traced entry's ledger
+// holds its serialize span, and the whole body is rebuilt byte for byte
+// from its decoded entries in index order.
+func TestBatchEncodingMatchesAnswer(t *testing.T) {
+	ts := httptest.NewServer(NewWithOptions(Options{AllowSeededReleases: true}).Handler())
+	defer ts.Close()
+	tree := designOn(t, ts, map[string]any{"workload": "allrange:1024"})
+	small := designOn(t, ts, map[string]any{"workload": "allrange:16"})
+	hist := func(n int) []float64 {
+		h := make([]float64, n)
+		for i := range h {
+			h[i] = float64(i % 7)
+		}
+		return h
+	}
+	registerDataset(t, ts, "tree", hist(1024), nil)
+	registerDataset(t, ts, "small", hist(16), nil)
+	registerDataset(t, ts, "capped", hist(16), &Budget{Epsilon: 1, Delta: 1e-2})
+	items := []map[string]any{
+		{"strategy": tree.Strategy, "dataset": "tree", "epsilon": 0.5, "delta": 1e-4, "seed": 1, "mode": "estimate"},
+		{"strategy": "bogus", "dataset": "small", "epsilon": 0.5, "delta": 1e-4},
+		{"strategy": small.Strategy, "dataset": "small", "epsilon": 0.5, "delta": 1e-4, "seed": 2},
+		{"strategy": small.Strategy, "dataset": "capped", "epsilon": 2, "delta": 1e-4},
+		{"strategy": tree.Strategy, "dataset": "tree", "epsilon": 0.25, "delta": 1e-5, "seed": 3, "mode": "estimate", "trace": true},
+		{"strategy": small.Strategy, "dataset": "small", "epsilon": 0.1, "delta": 1e-4, "seed": 4, "trace": true},
+	}
+	wantStatus := []int{200, 404, 200, 429, 200, 200}
+	resp, body := post(t, ts, "/release", map[string]any{"parallelism": 2, "releases": items})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	var br struct {
+		Results []struct {
+			Index     int             `json:"index"`
+			Status    int             `json:"status"`
+			Answers   json.RawMessage `json:"answers"`
+			Ledger    json.RawMessage `json:"ledger"`
+			Error     string          `json:"error"`
+			Remaining *Budget         `json:"remaining"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != len(items) {
+		t.Fatalf("%d results for %d entries", len(br.Results), len(items))
+	}
+	rebuilt := []byte(`{"results":[`)
+	for i, res := range br.Results {
+		if res.Index != i || res.Status != wantStatus[i] {
+			t.Fatalf("result %d: index %d, status %d; want status %d", i, res.Index, res.Status, wantStatus[i])
+		}
+		if i > 0 {
+			rebuilt = append(rebuilt, ',')
+		}
+		if res.Status != http.StatusOK {
+			enc, err := json.Marshal(batchResult{Index: i, Status: res.Status, Error: res.Error, Remaining: res.Remaining})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt = append(rebuilt, enc...)
+			continue
+		}
+		var ans []float64
+		if err := json.Unmarshal(res.Answers, &ans); err != nil {
+			t.Fatal(err)
+		}
+		if re := appendFloats(nil, ans); !bytes.Equal(re, res.Answers) {
+			t.Fatalf("entry %d: answers re-encode differently", i)
+		}
+		single := map[string]any{}
+		for k, v := range items[i] {
+			if k != "trace" {
+				single[k] = v
+			}
+		}
+		_, one := post(t, ts, "/answer", single)
+		var sr struct {
+			Answers json.RawMessage `json:"answers"`
+		}
+		if err := json.Unmarshal(one, &sr); err != nil {
+			t.Fatalf("entry %d: /answer body %s: %v", i, one, err)
+		}
+		if !bytes.Equal(sr.Answers, res.Answers) {
+			t.Fatalf("entry %d: batch answers differ from /answer's for the same seeded release", i)
+		}
+		if traced := items[i]["trace"] == true; traced != bytes.Contains(res.Ledger, []byte(`"name":"serialize"`)) {
+			t.Fatalf("entry %d: traced %v, ledger %s", i, traced, res.Ledger)
+		}
+		rebuilt = fmt.Appendf(rebuilt, `{"index":%d,"status":200,"answers":%s,"ledger":%s}`, i, res.Answers, res.Ledger)
+	}
+	rebuilt = append(rebuilt, "],\"succeeded\":4,\"failed\":2}\n"...)
+	if !bytes.Equal(rebuilt, body) {
+		t.Fatalf("batch body differs from its entries rebuilt in order:\n got %.300s\nwant %.300s", body, rebuilt)
+	}
+}
+
 func TestBatchReleaseValidation(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()

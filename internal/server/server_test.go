@@ -439,7 +439,7 @@ func TestDesignReportsSolver(t *testing.T) {
 		solver    string
 		sampled   bool
 	}{
-		{map[string]any{"workload": "allrange:1024"}, "cgls", "tree", false},
+		{map[string]any{"workload": "allrange:1024"}, "cgls", "tree", true},
 		{map[string]any{"workload": "allrange:64"}, "dense-pinv", "pinv", false},
 		{map[string]any{"workload": "allrange:8x16", "generator": "hierarchical"}, "cgls", "kron", true},
 	} {
