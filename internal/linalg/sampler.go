@@ -304,9 +304,10 @@ func (t *TreeSolver) CovInto(dst, v []float64, ws *CGWorkspace) {
 
 // rootSlab writes L applied to every column of the cols×w slab g into
 // the cols×w slab dst: SampleInto's passes without x, slabBlock columns
-// at a time, with node totals in ws.r, one column block per node. A
-// two-child node's split takes one loop over the block. Every column
-// takes SampleInto's operations in its order.
+// at a time, with node totals in ws.r, one column block per node. Every
+// column takes SampleInto's operations in its order. SampleInto keeps its
+// own scalar pass: written as rootSlab at one column, range1d-batch ran
+// 12% fewer releases per second (docs/PERFORMANCE.md).
 func (t *TreeSolver) rootSlab(dst, g []float64, w int, ws *CGWorkspace) {
 	if len(g) != t.cols*w || len(dst) != t.cols*w {
 		panic("linalg: TreeSolver slab length mismatch")
@@ -326,17 +327,6 @@ func (t *TreeSolver) rootSlab(dst, g []float64, w int, ws *CGWorkspace) {
 		for _, v := range t.inner {
 			ch0, ch1 := t.childOff[v], t.childOff[v+1]
 			rem := tot(v)
-			if ch1-ch0 == 2 {
-				l, r, gk := tot(t.childList[ch0]), tot(t.childList[ch0+1]), draw(k)
-				k++
-				f, sd := t.splitFrac[ch0], t.splitSD[ch0]
-				for j := range rem {
-					s := f*rem[j] + sd*gk[j]
-					l[j] = s
-					r[j] = rem[j] - s
-				}
-				continue
-			}
 			for ci := ch0; ci < ch1-1; ci++ {
 				out, gk := tot(t.childList[ci]), draw(k)
 				k++

@@ -8,6 +8,7 @@ import (
 
 	"adaptivemm/internal/domain"
 	"adaptivemm/internal/linalg"
+	"adaptivemm/internal/linalg/lintest"
 	"adaptivemm/internal/strategy"
 )
 
@@ -113,72 +114,17 @@ func TestKronSamplerTreeRoot(t *testing.T) {
 	assertSamplerExact(t, s, op)
 }
 
-// intervalForest returns a CSR interval forest over n cells whose roots
-// span the given intervals: each node splits into up to branch
-// nearly-equal parts down to single cells, and weighs 1 + depth/2 +
-// (lo mod 3)/10, so weights differ within and across levels.
-func intervalForest(n, branch int, roots ...[2]int) *linalg.Sparse {
-	b := linalg.NewSparseBuilder(n)
-	var split func(lo, hi, depth int)
-	split = func(lo, hi, depth int) {
-		b.AppendRangeRow(lo, hi, 1+float64(depth)/2+float64(lo%3)/10)
-		size := hi - lo + 1
-		if size == 1 {
-			return
-		}
-		parts := min(branch, size)
-		for p, at := 0, lo; p < parts; p++ {
-			step := size / parts
-			if p < size%parts {
-				step++
-			}
-			split(at, at+step-1, depth+1)
-			at += step
-		}
-	}
-	for _, r := range roots {
-		split(r[0], r[1], 0)
-	}
-	return b.Build()
-}
-
-// treeSamplerCases are full-rank interval forests: range1d-batch's
-// binary tree over 1,024 cells, a weighted ternary tree over 10 cells, a
-// forest of three roots (one a lone cell) and a chain of duplicate
-// intervals, whose one-child nodes take no draw.
-func treeSamplerCases() []struct {
-	name string
-	op   linalg.Operator
-} {
-	dup := linalg.NewSparseBuilder(4)
-	for _, r := range []struct {
-		lo, hi int
-		w      float64
-	}{{0, 3, 1}, {0, 3, 2}, {0, 1, 0.5}, {0, 1, 1}, {0, 0, 1}, {1, 1, 3}, {2, 3, 1}, {2, 2, 1}, {3, 3, 1}, {3, 3, 0.25}} {
-		dup.AppendRangeRow(r.lo, r.hi, r.w)
-	}
-	return []struct {
-		name string
-		op   linalg.Operator
-	}{
-		{"allrange-1024", strategy.HierarchicalOperator(domain.MustShape(1024), 2)},
-		{"weighted-ternary-10", intervalForest(10, 3, [2]int{0, 9})},
-		{"forest", intervalForest(12, 2, [2]int{0, 4}, [2]int{5, 5}, [2]int{6, 11})},
-		{"duplicate-chain", dup.Build()},
-	}
-}
-
 // TestTreeSamplerIsSquareRoot: every full-rank interval forest's tree
 // solver carries a sampler of one draw per cell whose L is an exact
 // square root of (AᵀA)⁻¹. The race build leaves the 1,024-cell tree
 // out: its dense pseudo-inverse takes over a minute under the detector.
 func TestTreeSamplerIsSquareRoot(t *testing.T) {
-	for _, c := range treeSamplerCases() {
-		if raceEnabled && c.op.Cols() > 512 {
+	for _, c := range lintest.TreeSamplerCases() {
+		if raceEnabled && c.Op.Cols() > 512 {
 			continue
 		}
-		t.Run(c.name, func(t *testing.T) {
-			s, err := linalg.NewSolver(c.op, denseCap)
+		t.Run(c.Name, func(t *testing.T) {
+			s, err := linalg.NewSolver(c.Op, denseCap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,11 +132,51 @@ func TestTreeSamplerIsSquareRoot(t *testing.T) {
 				t.Fatalf("solver is a %T, want *linalg.TreeSolver", s)
 			}
 			sm := linalg.SamplerOf(s)
-			if sm == nil || sm.Draws() != c.op.Cols() {
-				t.Fatalf("sampler %v, want one of %d draws", sm, c.op.Cols())
+			if sm == nil || sm.Draws() != c.Op.Cols() {
+				t.Fatalf("sampler %v, want one of %d draws", sm, c.Op.Cols())
 			}
-			assertSamplerExact(t, sm, c.op)
+			assertSamplerExact(t, sm, c.Op)
 		})
+	}
+}
+
+// TestTreeRootSlabMatchesSampleInto runs the slab root on every tree
+// sampler case at one column, a few, one column block, one past it and
+// two blocks and a remainder: each column equals SampleInto's x + L·g at
+// x = 0 bit for bit, writing every entry of a NaN-filled dst, and a
+// workspace holds one column block per node.
+func TestTreeRootSlabMatchesSampleInto(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for _, c := range lintest.TreeSamplerCases() {
+		s, err := linalg.NewSolver(c.Op, denseCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := s.(*linalg.TreeSolver)
+		n := ts.Cols()
+		zero, col, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		for _, w := range []int{1, 3, linalg.SlabBlock, linalg.SlabBlock + 1, 2*linalg.SlabBlock + 5} {
+			g, got := make([]float64, n*w), make([]float64, n*w)
+			for i := range g {
+				g[i], got[i] = r.NormFloat64(), math.NaN()
+			}
+			var ws linalg.CGWorkspace
+			ts.RootSlab(got, g, w, &ws)
+			for k := 0; k < w; k++ {
+				for j := range col {
+					col[j] = g[j*w+k]
+				}
+				ts.SampleInto(want, zero, col, &ws)
+				for j, v := range want {
+					if math.Float64bits(got[j*w+k]) != math.Float64bits(v) {
+						t.Fatalf("%s width %d: column %d cell %d = %g, want %g", c.Name, w, k, j, got[j*w+k], v)
+					}
+				}
+			}
+			if nb := ts.Rows() * min(w, linalg.SlabBlock); ws.NodeBuf() != nb {
+				t.Fatalf("%s width %d: workspace %d values, want %d", c.Name, w, ws.NodeBuf(), nb)
+			}
+		}
 	}
 }
 
@@ -249,12 +235,12 @@ func TestSamplersZeroAllocAndConcurrent(t *testing.T) {
 		{"kron", kronSolver(t, strategy.HierarchicalOperator(domain.MustShape(8, 16, 16), 2)), 2048},
 		{"eigen", eigenSolver(t, principalStrategy(t, 8, 16, 16)), 2048},
 	}
-	for _, c := range treeSamplerCases() {
-		s, err := linalg.NewSolver(c.op, denseCap)
+	for _, c := range lintest.TreeSamplerCases() {
+		s, err := linalg.NewSolver(c.Op, denseCap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, samplerCase{"tree-" + c.name, s, c.op.Cols()})
+		cases = append(cases, samplerCase{"tree-" + c.Name, s, c.Op.Cols()})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

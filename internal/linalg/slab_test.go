@@ -152,45 +152,6 @@ func TestTreeAnswerSlabMatchesAnswerInto(t *testing.T) {
 	}
 }
 
-// TestTreeRootSlabMatchesSampleInto runs the slab root on every
-// full-rank forest of treeCases (a ternary node, binary nodes, a
-// one-child chain and lone-cell roots among them) at every width in
-// slabWidths and two blocks and a remainder: each column equals
-// SampleInto's x + L·g at x = 0 bit for bit, writing every entry of a
-// NaN-filled dst, and a workspace holds one column block per node.
-func TestTreeRootSlabMatchesSampleInto(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	full := 0
-	for _, tc := range treeCases() {
-		b := NewSparseBuilder(tc.cols)
-		tc.build(b)
-		ts, ok := NewTreeSolver(b.Build())
-		if !ok {
-			t.Fatalf("%s: not recognized", tc.name)
-		}
-		if !ts.fullRank() {
-			continue
-		}
-		full++
-		zero := make([]float64, ts.cols)
-		for _, w := range append(slabWidths, 2*slabBlock+5) {
-			g := randVec(r, ts.cols*w)
-			var ws CGWorkspace
-			got := nanVec(ts.cols * w)
-			ts.rootSlab(got, g, w, &ws)
-			sameBits(t, fmt.Sprintf("%s width %d", tc.name, w), got, columnwise(ts.cols, ts.cols, w, g, func(out, in []float64) {
-				ts.SampleInto(out, zero, in, &ws)
-			}))
-			if want := ts.rows * min(w, slabBlock); cap(ws.r) != want {
-				t.Fatalf("%s width %d: workspace %d values, want %d", tc.name, w, cap(ws.r), want)
-			}
-		}
-	}
-	if full < 2 {
-		t.Fatalf("%d full-rank forests among treeCases, want at least 2", full)
-	}
-}
-
 // TestTransposeIntoMatchesNaive checks the four-row blocked transpose
 // against the element-by-element one on shapes that are multiples of
 // neither four nor the tile side.

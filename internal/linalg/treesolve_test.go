@@ -64,17 +64,6 @@ func treeCases() []treeCase {
 			b.AppendRangeRow(2, 3, 1)
 			b.AppendRangeRow(2, 3, 0.5)
 		}},
-		{"full-rank forest", 8, func(b *SparseBuilder) {
-			// A ternary root over cells 0–6 with binary children, one of
-			// them a one-child chain, next to a lone-cell root.
-			for _, r := range []struct {
-				lo, hi int
-				w      float64
-			}{{0, 6, 1}, {0, 2, 2}, {3, 4, 1}, {5, 6, 0.5}, {5, 6, 1.5}, {0, 0, 1}, {1, 1, 3}, {2, 2, 1},
-				{3, 3, 1}, {4, 4, 0.25}, {5, 5, 1}, {6, 6, 2}, {7, 7, 1}} {
-				b.AppendRangeRow(r.lo, r.hi, r.w)
-			}
-		}},
 		{"deep chain with negative weight", 5, func(b *SparseBuilder) {
 			b.AppendRangeRow(0, 4, 1)
 			b.AppendRangeRow(0, 3, -1)

@@ -393,15 +393,16 @@ type batchResponse struct {
 }
 
 // batchState is one POST /release call's working set: the decoded
-// request and the per-entry strategy snapshot, results, encoded answers
-// and traces. It is pooled, so a steady stream of batches reuses every
-// slice, and each entry's answer buffer, at its high-water mark instead
-// of leaving it to the collector.
+// request and the per-entry strategy snapshot, results, encoded answers,
+// traces and response body. It is pooled, so a steady stream of batches
+// reuses every slice, each entry's answer buffer and the body at their
+// high-water marks instead of leaving them to the collector.
 type batchState struct {
 	req     releaseRequest
 	ents    []*entry
 	results []batchResult
 	answers [][]byte // entry i's answers as a JSON array, on success
+	body    []byte   // the response, assembled from answers and the rest
 	traces  []*obs.Trace
 	parent  string       // incoming X-AM-Trace, the traces' parent ID
 	next    atomic.Int64 // the next entry a worker claims
@@ -423,20 +424,22 @@ func getBatch() *batchState {
 }
 
 // putBatch drops the state's references to entries and traces and
-// returns it to the pool. The answer buffers stay unless together they
-// outgrow maxPooledBuf, which would pin an outlier batch's memory.
+// returns it to the pool. The answer buffers and the body share one
+// maxPooledBuf cap: past it all of them go, so a pooled batch pins no
+// more byte buffers than one pooled response would.
 func putBatch(st *batchState) {
 	clear(st.ents)
 	clear(st.results)
 	clear(st.traces)
 	st.req.Histogram = nil
 	answers := st.answers[:cap(st.answers)]
-	var kept int
+	kept := cap(st.body)
 	for _, a := range answers {
 		kept += cap(a)
 	}
 	if kept > maxPooledBuf {
 		clear(answers)
+		st.body = nil
 	}
 	batchPool.Put(st)
 }
@@ -549,26 +552,25 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Assemble the whole batch in one pooled buffer and write it once.
+	// Assemble the whole batch in the state's body and write it once.
 	// Successful entries are numeric-only: their answers arrive encoded
 	// from the workers, and the rest is written by hand. Failed entries
 	// carry error strings and go through encoding/json for escaping (they
 	// are off the hot path by definition).
-	b := getBuf()
-	*b = append(*b, `{"results":[`...)
+	b := append(st.body[:0], `{"results":[`...)
 	for i := range st.results {
 		res, tr := &st.results[i], st.traces[i]
 		if i > 0 {
-			*b = append(*b, ',')
+			b = append(b, ',')
 		}
 		if res.Status == http.StatusOK {
-			*b = append(*b, `{"index":`...)
-			*b = strconv.AppendInt(*b, int64(i), 10)
-			*b = append(*b, `,"status":200,"answers":`...)
-			*b = append(*b, st.answers[i]...)
-			*b = append(*b, `,"ledger":`...)
-			*b = appendBudgetTrace(*b, res.ledger, tr)
-			*b = append(*b, '}')
+			b = append(b, `{"index":`...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, `,"status":200,"answers":`...)
+			b = append(b, st.answers[i]...)
+			b = append(b, `,"ledger":`...)
+			b = appendBudgetTrace(b, res.ledger, tr)
+			b = append(b, '}')
 			tr.Finish(http.StatusOK)
 			s.metrics.ring.Put(tr)
 			continue
@@ -580,17 +582,17 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			// Unreachable for these field types; keep the body well-formed.
 			enc = []byte(`{"index":` + strconv.Itoa(i) + `,"status":500,"error":"encoding failed"}`)
 		}
-		*b = append(*b, enc...)
+		b = append(b, enc...)
 	}
-	*b = append(*b, `],"succeeded":`...)
-	*b = strconv.AppendInt(*b, int64(succeeded), 10)
-	*b = append(*b, `,"failed":`...)
-	*b = strconv.AppendInt(*b, int64(failed), 10)
-	*b = append(*b, '}', '\n')
+	b = append(b, `],"succeeded":`...)
+	b = strconv.AppendInt(b, int64(succeeded), 10)
+	b = append(b, `,"failed":`...)
+	b = strconv.AppendInt(b, int64(failed), 10)
+	b = append(b, '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(*b)))
-	_, _ = w.Write(*b)
-	putBuf(b)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
+	st.body = b
 }
 
 // batchWorker is one of a batch's extra workers.
